@@ -6,7 +6,7 @@ but 2 when the noun phrase is built flat.  This walk-through builds every
 4-leaf branching shape for "Alf must jump high" and prints its matrix.
 """
 
-from ultratree import assign_heights, check_metric, check_ultrametric, leaf_matrix, parse_tree
+from ultratree import check_metric, check_ultrametric, leaf_matrix, parse_tree
 
 SHAPES = {
     "balanced": "(S (X (W A) (W M)) (Y (W J) (W H)))",
@@ -22,10 +22,9 @@ SHAPES = {
 
 def show(name, text):
     tree = parse_tree(text)
-    heights = assign_heights(tree)
-    matrix = leaf_matrix(tree, heights)
+    matrix = leaf_matrix(tree)
     print(f"--- {name}: {text}")
-    print(f"root height {heights[tree.root.id]}")
+    print(f"root height {tree.height(tree.root.id)}")
     print(matrix.to_csv(), end="")
     metric = check_metric(matrix)
     ultra = check_ultrametric(matrix)

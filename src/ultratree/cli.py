@@ -29,9 +29,8 @@ from .command import (
     c_command_matrix,
     cu_command_matrix,
     government_matrix,
-    label_disagreements,
     random_theorem_suite,
-    theorem_check,
+    theorem_report,
 )
 from .errors import UltratreeError
 from .features import (
@@ -46,7 +45,7 @@ from .features import (
 from .hierarchy import Chain, PartialOrder, Strategy, check_downset, check_language
 from .lexdist import check_nested_pattern, complexity, min_distance_matrix
 from .matrix import CategoryDistanceMatrix, DistanceMatrix
-from .trees import dominance_matrix, parse_tree_file
+from .trees import dominance_matrix, enumerate_binary_trees, parse_tree_file
 from .ultrametric import (
     ViolationReport,
     all_triangles,
@@ -67,7 +66,6 @@ COMMAND_OPERATIONS = {
         "parse_tree",
         "parse_tree_file",
         "assign_heights",
-        "lca",
         "leaf_matrix",
         "xbar_template",
     ),
@@ -75,8 +73,8 @@ COMMAND_OPERATIONS = {
     "triangles": ("classify_triangle", "all_triangles"),
     "dominance": ("dominates", "dominance_matrix"),
     "ccommand": ("c_command", "c_command_matrix", "first_branching_ancestor"),
-    "cucommand": ("cu_domain", "cu_command", "cu_command_matrix", "same_height_distance"),
-    "theorem": ("theorem_check",),
+    "cucommand": ("cu_domain", "cu_command", "cu_command_matrix", "same_height_distance", "lca"),
+    "theorem": ("theorem_check", "theorem_report"),
     "govern": ("governs", "government_matrix"),
     "mindist": (
         "tree_category_minima",
@@ -256,14 +254,9 @@ def _cmd_govern(args) -> int:
 
 
 def _cmd_theorem(args) -> int:
-    trees = parse_tree_file(args.file)
-    disagreements = []
-    for tree in trees:
-        found = theorem_check(tree, nodes=args.nodes)
-        disagreements.extend(label_disagreements(tree, found))
-    report = {"trees_tested": len(trees), "disagreements": disagreements}
+    report = theorem_report(parse_tree_file(args.file), nodes=args.nodes)
     _emit_json(report)
-    return EXIT_VIOLATIONS if disagreements else EXIT_OK
+    return EXIT_VIOLATIONS if report["disagreements"] else EXIT_OK
 
 
 def _cmd_mindist(args) -> int:
@@ -348,6 +341,8 @@ def _cmd_features(args) -> int:
 def _cmd_hierarchy(args) -> int:
     with open(args.file, encoding="utf-8") as handle:
         document = json.load(handle)
+    if not isinstance(document, dict):
+        raise UltratreeError(f"{args.file}: hierarchy document must be a JSON object")
     kind = document.get("kind")
     if kind == "language":
         chain = Chain(tuple(document["chain"])) if "chain" in document else Chain()
@@ -375,16 +370,12 @@ def _cmd_hierarchy(args) -> int:
 
 def _cmd_randtest(args) -> int:
     if args.exhaustive_leaves is not None:
-        from .trees import enumerate_binary_trees
-
-        disagreements = []
-        tested = 0
-        for leaf_count in range(1, args.exhaustive_leaves + 1):
-            for tree in enumerate_binary_trees(leaf_count):
-                tested += 1
-                found = theorem_check(tree, nodes=args.nodes)
-                disagreements.extend(label_disagreements(tree, found))
-        report = {"trees_tested": tested, "disagreements": disagreements}
+        shapes = (
+            tree
+            for leaf_count in range(1, args.exhaustive_leaves + 1)
+            for tree in enumerate_binary_trees(leaf_count)
+        )
+        report = theorem_report(shapes, nodes=args.nodes)
     else:
         report = random_theorem_suite(
             seed=args.seed,

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .errors import EmptyPolicy, HeightMismatch, NoBranchingAncestor
 from .matrix import RelationMatrix
-from .trees import PhraseTree, assign_heights, dominates, lca, random_tree, serialize_tree
+from .trees import PhraseTree, disambiguate, dominates, lca, random_tree, serialize_tree
 
 DEFAULT_GOVERNOR_CATEGORIES = frozenset({"V", "P"})
 
@@ -58,10 +58,6 @@ class Disagreement:
     holds: str  # "c_command" or "cu_command"
 
 
-def _heights_or(tree: PhraseTree, heights: dict[int, int] | None) -> dict[int, int]:
-    return assign_heights(tree) if heights is None else heights
-
-
 def _node_ids(tree: PhraseTree, nodes: str) -> list[int]:
     if nodes == "leaves":
         return [n.id for n in tree.leaves]
@@ -82,63 +78,45 @@ def first_branching_ancestor(tree: PhraseTree, node_id: int) -> int:
     raise NoBranchingAncestor(f"no branching ancestor above node {node_id}")
 
 
-def same_height_distance(
-    tree: PhraseTree, a: int, b: int, heights: dict[int, int] | None = None
-) -> int:
+def same_height_distance(tree: PhraseTree, a: int, b: int) -> int:
     """Ultrametric distance between two same-height nodes.
 
     The distance is the height climbed to their lowest common ancestor, so it
     is 0 exactly when a == b.
     """
-    heights = _heights_or(tree, heights)
-    tree.node(a)
-    tree.node(b)
-    if heights[a] != heights[b]:
+    if tree.height(a) != tree.height(b):
         raise HeightMismatch(
-            f"nodes sit at heights {heights[a]} and {heights[b]}"
+            f"nodes sit at heights {tree.height(a)} and {tree.height(b)}"
         )
-    return heights[lca(tree, a, b)] - heights[a]
+    return tree.height(lca(tree, a, b)) - tree.height(a)
 
 
-def c_command(tree: PhraseTree, a: int, b: int, heights: dict[int, int] | None = None) -> bool:
+def c_command(tree: PhraseTree, a: int, b: int) -> bool:
     """Whether the first branching node strictly above ``a`` dominates ``b``.
 
-    The relation includes the self pair, applies only between nodes at the
-    same height, and requires that neither node dominate the other (vacuous
-    at equal heights, since ancestors are strictly higher).
+    The relation includes the self pair and applies only between nodes at
+    the same height.  Neither node of such a pair dominates the other, since
+    ancestors are strictly higher.
     """
-    heights = _heights_or(tree, heights)
-    tree.node(a)
-    tree.node(b)
-    if a == b:
-        return True
-    if heights[a] != heights[b]:
+    if tree.height(a) != tree.height(b):
         return False
-    if dominates(tree, a, b) or dominates(tree, b, a):
-        return False
-    return dominates(tree, first_branching_ancestor(tree, a), b)
+    return a == b or dominates(tree, first_branching_ancestor(tree, a), b)
 
 
-def c_command_matrix(
-    tree: PhraseTree, heights: dict[int, int] | None = None, nodes: str = "leaves"
-) -> RelationMatrix:
-    heights = _heights_or(tree, heights)
+def c_command_matrix(tree: PhraseTree, nodes: str = "leaves") -> RelationMatrix:
     ids = _node_ids(tree, nodes)
-    entries = [[c_command(tree, a, b, heights) for b in ids] for a in ids]
+    entries = [[c_command(tree, a, b) for b in ids] for a in ids]
     return RelationMatrix(_node_labels(tree, nodes), entries)
 
 
-def cu_domain(tree: PhraseTree, a: int, heights: dict[int, int] | None = None) -> CuDomain:
+def cu_domain(tree: PhraseTree, a: int) -> CuDomain:
     """Distances from ``a`` to its height peers and the set of closest ones.
 
     When ``a`` is alone at its height the domain is just ``{a}``.
     """
-    heights = _heights_or(tree, heights)
-    tree.node(a)
-    peers = [n.id for n in tree.nodes if heights[n.id] == heights[a]]
-    distance_set = {
-        peer: same_height_distance(tree, a, peer, heights) for peer in peers
-    }
+    h = tree.height(a)
+    peers = [n.id for n in tree.nodes if tree.height(n.id) == h]
+    distance_set = {peer: same_height_distance(tree, a, peer) for peer in peers}
     positive = [d for d in distance_set.values() if d > 0]
     members = {a}
     if positive:
@@ -147,25 +125,18 @@ def cu_domain(tree: PhraseTree, a: int, heights: dict[int, int] | None = None) -
     return CuDomain(owner=a, distance_set=distance_set, members=frozenset(members))
 
 
-def cu_command(tree: PhraseTree, a: int, b: int, heights: dict[int, int] | None = None) -> bool:
-    return b in cu_domain(tree, a, _heights_or(tree, heights)).members
+def cu_command(tree: PhraseTree, a: int, b: int) -> bool:
+    return b in cu_domain(tree, a).members
 
 
-def cu_command_matrix(
-    tree: PhraseTree, heights: dict[int, int] | None = None, nodes: str = "leaves"
-) -> RelationMatrix:
-    heights = _heights_or(tree, heights)
+def cu_command_matrix(tree: PhraseTree, nodes: str = "leaves") -> RelationMatrix:
     ids = _node_ids(tree, nodes)
-    domains = {a: cu_domain(tree, a, heights).members for a in ids}
-    entries = [[b in domains[a] for b in ids] for a in ids]
+    members = {a: cu_domain(tree, a).members for a in ids}
+    entries = [[b in members[a] for b in ids] for a in ids]
     return RelationMatrix(_node_labels(tree, nodes), entries)
 
 
-def theorem_check(
-    tree: PhraseTree,
-    heights: dict[int, int] | None = None,
-    nodes: str = "leaves",
-) -> list[Disagreement]:
+def theorem_check(tree: PhraseTree, nodes: str = "leaves") -> list[Disagreement]:
     """Compare c-command against cu-command over same-height pairs.
 
     Returns every pair on which the relations disagree; an empty list means
@@ -174,17 +145,15 @@ def theorem_check(
     where a node alone at its height under its first branching ancestor can
     cu-command a distant peer it does not c-command.
     """
-    heights = _heights_or(tree, heights)
     ids = _node_ids(tree, nodes)
+    members = {a: cu_domain(tree, a).members for a in ids}
     disagreements: list[Disagreement] = []
     for a in ids:
-        members = cu_domain(tree, a, heights).members
         for b in ids:
-            if heights[a] != heights[b]:
+            if tree.height(a) != tree.height(b):
                 continue
-            c = c_command(tree, a, b, heights)
-            cu = b in members
-            if c != cu:
+            c = c_command(tree, a, b)
+            if c != (b in members[a]):
                 disagreements.append(
                     Disagreement(a=a, b=b, holds="c_command" if c else "cu_command")
                 )
@@ -193,19 +162,28 @@ def theorem_check(
 
 def label_disagreements(tree: PhraseTree, found: list[Disagreement]) -> list[dict]:
     """Render disagreements with readable node names (leaf word or node label)."""
-    from .trees import disambiguate
-
     names = disambiguate(n.word if n.is_leaf else n.label for n in tree.nodes)
     labels = dict(zip((n.id for n in tree.nodes), names))
+    bracketed = serialize_tree(tree)
     return [
-        {
-            "tree": serialize_tree(tree),
-            "a": labels[d.a],
-            "b": labels[d.b],
-            "relation": d.holds,
-        }
+        {"tree": bracketed, "a": labels[d.a], "b": labels[d.b], "relation": d.holds}
         for d in found
     ]
+
+
+def theorem_report(trees: Iterable[PhraseTree], nodes: str = "leaves") -> dict:
+    """Run theorem_check over each tree and label what it finds.
+
+    Returns ``{"trees_tested": n, "disagreements": [...]}`` where each
+    disagreement records the offending tree (bracketed), the node pair, and
+    which relation held.
+    """
+    tested = 0
+    disagreements: list[dict] = []
+    for tree in trees:
+        tested += 1
+        disagreements.extend(label_disagreements(tree, theorem_check(tree, nodes=nodes)))
+    return {"trees_tested": tested, "disagreements": disagreements}
 
 
 def random_theorem_suite(
@@ -215,57 +193,56 @@ def random_theorem_suite(
     arity: str = "mixed:4",
     nodes: str = "leaves",
 ) -> dict:
-    """Run theorem_check over seeded random trees.
-
-    Returns ``{"trees_tested": n, "disagreements": [...]}`` where each
-    disagreement records the offending tree (bracketed), the node pair, and
-    which relation held.  Deterministic for a fixed seed.
-    """
+    """Run theorem_report over seeded random trees; deterministic for a fixed seed."""
     rng = random.Random(seed)
-    disagreements: list[dict] = []
-    for _ in range(trees):
-        leaf_count = rng.randint(1, max_leaves)
-        tree = random_tree(rng.randrange(2**32), leaf_count, arity)
-        found = theorem_check(tree, nodes=nodes)
-        disagreements.extend(label_disagreements(tree, found))
-    return {"trees_tested": trees, "disagreements": disagreements}
+
+    def generate():
+        for _ in range(trees):
+            leaf_count = rng.randint(1, max_leaves)
+            yield random_tree(rng.randrange(2**32), leaf_count, arity)
+
+    return theorem_report(generate(), nodes=nodes)
 
 
-def governs(
+def _checked(policy: GovernorPolicy | None) -> GovernorPolicy:
+    policy = GovernorPolicy() if policy is None else policy
+    if not policy.governor_categories:
+        raise EmptyPolicy("governor policy has no categories")
+    return policy
+
+
+def _governs(
     tree: PhraseTree,
     a: int,
     b: int,
-    policy: GovernorPolicy | None = None,
-    heights: dict[int, int] | None = None,
+    policy: GovernorPolicy,
+    members: Callable[[int], frozenset[int]],
+) -> bool:
+    return (
+        a != b
+        and tree.node(a).label in policy.governor_categories
+        and tree.height(a) == tree.height(b)
+        and b in members(a)
+        and a in members(b)
+    )
+
+
+def governs(
+    tree: PhraseTree, a: int, b: int, policy: GovernorPolicy | None = None
 ) -> bool:
     """Government as mutual closest-peer membership by a governor category.
 
     ``a`` governs ``b`` iff a's label is a governor category, a != b, and
     each node lies in the other's cu-domain.  Self government is excluded.
     """
-    policy = GovernorPolicy() if policy is None else policy
-    if not policy.governor_categories:
-        raise EmptyPolicy("governor policy has no categories")
-    heights = _heights_or(tree, heights)
-    if a == b:
-        return False
-    if tree.node(a).label not in policy.governor_categories:
-        return False
-    if heights[a] != heights[b]:
-        return False
-    return (
-        b in cu_domain(tree, a, heights).members
-        and a in cu_domain(tree, b, heights).members
-    )
+    return _governs(tree, a, b, _checked(policy), lambda n: cu_domain(tree, n).members)
 
 
 def government_matrix(
-    tree: PhraseTree,
-    policy: GovernorPolicy | None = None,
-    heights: dict[int, int] | None = None,
-    nodes: str = "all",
+    tree: PhraseTree, policy: GovernorPolicy | None = None, nodes: str = "all"
 ) -> RelationMatrix:
-    heights = _heights_or(tree, heights)
+    policy = _checked(policy)
     ids = _node_ids(tree, nodes)
-    entries = [[governs(tree, a, b, policy, heights) for b in ids] for a in ids]
+    members = {a: cu_domain(tree, a).members for a in ids}
+    entries = [[_governs(tree, a, b, policy, members.__getitem__) for b in ids] for a in ids]
     return RelationMatrix(_node_labels(tree, nodes), entries)

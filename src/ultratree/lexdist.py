@@ -7,29 +7,26 @@ from typing import Sequence
 
 from .errors import EmptyCorpus, MissingEntry, UnknownLabel
 from .matrix import CategoryDistanceMatrix
-from .trees import PhraseTree, assign_heights, lca
+from .trees import PhraseTree
 
 DEFAULT_CATEGORY_ORDER = ("D", "N", "V", "A", "P")
 
 
-def tree_category_minima(
-    tree: PhraseTree, heights: dict[int, int] | None = None
-) -> dict[tuple[str, str], int]:
+def tree_category_minima(tree: PhraseTree) -> dict[tuple[str, str], int]:
     """Minimum leaf distance per unordered category pair present in the tree.
 
     Same-category pairs are included when the tree holds two or more tokens
     of the category.  A tree with fewer than two leaves yields an empty map.
     """
-    if heights is None:
-        heights = assign_heights(tree)
-    leaves = tree.leaves
+    categories = [leaf.label for leaf in tree.leaves]
     minima: dict[tuple[str, str], int] = {}
-    for i in range(len(leaves)):
-        for j in range(i + 1, len(leaves)):
-            pair = tuple(sorted((leaves[i].label, leaves[j].label)))
-            d = heights[lca(tree, leaves[i].id, leaves[j].id)]
-            if pair not in minima or d < minima[pair]:
-                minima[pair] = d
+    for d, lo, mid, hi in tree.leaf_blocks():
+        later = dict.fromkeys(categories[mid:hi])
+        for x in dict.fromkeys(categories[lo:mid]):
+            for y in later:
+                pair = (x, y) if x <= y else (y, x)
+                if pair not in minima or d < minima[pair]:
+                    minima[pair] = d
     return minima
 
 
@@ -114,8 +111,7 @@ def complexity(corpus: Sequence[PhraseTree], bound: int = 12) -> ComplexityRepor
     """
     per_tree = []
     for index, tree in enumerate(corpus):
-        heights = assign_heights(tree)
-        per_tree.append((index, heights[tree.root.id]))
+        per_tree.append((index, tree.height(tree.root.id)))
     max_height = max((h for _, h in per_tree), default=0)
     exceeding = tuple(i for i, h in per_tree if h > bound)
     return ComplexityReport(tuple(per_tree), max_height, bound, exceeding)

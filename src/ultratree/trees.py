@@ -46,35 +46,45 @@ class PhraseTree:
     """A rooted, ordered, labeled, non-reticulate tree.
 
     Construction validates that words appear exactly on childless nodes and
-    that node ids are unique.  All queries are pure; instances may be shared
-    freely across threads.
+    that node ids are unique, and indexes the tree once: each node's preorder
+    position, parent, subtree end and minimum height.  Ids may be any unique
+    integers, so the index is kept by preorder position.  All queries are
+    pure; instances may be shared freely across threads.
     """
 
-    __slots__ = ("root", "_preorder", "_by_id", "_parent")
+    __slots__ = ("root", "_preorder", "_pos", "_up", "_end", "_height")
 
     def __init__(self, root: Node):
         preorder: list[Node] = []
-        by_id: dict[int, Node] = {}
-        parent: dict[int, int | None] = {}
-
-        def visit(node: Node, parent_id: int | None) -> None:
+        pos: dict[int, int] = {}
+        up: list[int] = []  # parent position, -1 at the root
+        stack: list[tuple[Node, int]] = [(root, -1)]
+        while stack:
+            node, parent = stack.pop()
             if node.children and node.word is not None:
                 raise MixedNode(f"node {node.label!r} has both a word and children")
             if not node.children and node.word is None:
                 raise EmptyNode(f"node {node.label!r} has neither a word nor children")
-            if node.id in by_id:
+            if node.id in pos:
                 raise ValueError(f"duplicate node id {node.id}")
+            here = pos[node.id] = len(preorder)
+            stack.extend((child, here) for child in reversed(node.children))
             preorder.append(node)
-            by_id[node.id] = node
-            parent[node.id] = parent_id
-            for child in node.children:
-                visit(child, node.id)
-
-        visit(root, None)
+            up.append(parent)
+        # Children follow their parent in preorder, so one backward pass
+        # finishes every subtree before its root is read.
+        end = list(range(1, len(preorder) + 1))  # one past the subtree's last position
+        height = [0] * len(preorder)
+        for p in range(len(preorder) - 1, 0, -1):
+            parent = up[p]
+            end[parent] = max(end[parent], end[p])
+            height[parent] = max(height[parent], height[p] + 1)
         self.root = root
         self._preorder = tuple(preorder)
-        self._by_id = by_id
-        self._parent = parent
+        self._pos = pos
+        self._up = up
+        self._end = end
+        self._height = height
 
     # -- construction ------------------------------------------------------
 
@@ -89,18 +99,17 @@ class PhraseTree:
         A leaf is ``(category, word)`` with a string word; an internal node is
         ``(label, [child, child, ...])``.
         """
-        counter = [0]
-
-        def build(item) -> Node:
-            label, payload = item
-            node_id = counter[0]
-            counter[0] += 1
+        records: list[tuple[str, str | None, int]] = []
+        stack = [(nested, -1)]
+        while stack:
+            (label, payload), parent = stack.pop()
             if isinstance(payload, str):
-                return Node(node_id, label, payload, ())
-            children = tuple(build(child) for child in payload)
-            return Node(node_id, label, None, children)
-
-        return cls(build(nested))
+                records.append((label, payload, parent))
+            else:
+                records.append((label, None, parent))
+                here = len(records) - 1
+                stack.extend((child, here) for child in reversed(list(payload)))
+        return cls(_link(records))
 
     # -- queries -----------------------------------------------------------
 
@@ -117,23 +126,49 @@ class PhraseTree:
     def __len__(self) -> int:
         return len(self._preorder)
 
-    def node(self, node_id: int) -> Node:
+    def _position(self, node_id: int) -> int:
         try:
-            return self._by_id[node_id]
+            return self._pos[node_id]
         except KeyError:
             raise UnknownNode(f"no node with id {node_id}") from None
 
+    def node(self, node_id: int) -> Node:
+        return self._preorder[self._position(node_id)]
+
+    def height(self, node_id: int) -> int:
+        """Minimum branching height: leaves at 0, parents one above their tallest child."""
+        return self._height[self._position(node_id)]
+
     def parent_id(self, node_id: int) -> int | None:
-        self.node(node_id)
-        return self._parent[node_id]
+        parent = self._up[self._position(node_id)]
+        return None if parent < 0 else self._preorder[parent].id
 
     def ancestor_ids(self, node_id: int, include_self: bool = False) -> Iterator[int]:
         """Walk upward from a node toward the root."""
-        self.node(node_id)
-        current: int | None = node_id if include_self else self._parent[node_id]
-        while current is not None:
-            yield current
-            current = self._parent[current]
+        p = self._position(node_id)
+        if not include_self:
+            p = self._up[p]
+        while p >= 0:
+            yield self._preorder[p].id
+            p = self._up[p]
+
+    def leaf_blocks(self) -> Iterator[tuple[int, int, int, int]]:
+        """``(height, lo, mid, hi)`` for each internal node and each child but its last.
+
+        Leaves are numbered left to right.  Every leaf in ``[lo, mid)`` (the
+        child) meets every leaf in ``[mid, hi)`` (its later siblings) first
+        at that node, of the given height; each pair of distinct leaves lies
+        in exactly one block.
+        """
+        rank = [0]  # leaves before each preorder position
+        for node in self._preorder:
+            rank.append(rank[-1] + node.is_leaf)
+        end = self._end
+        for p, node in enumerate(self._preorder):
+            child = p + 1
+            while node.children and end[child] < end[p]:
+                yield self._height[p], rank[child], rank[end[child]], rank[end[p]]
+                child = end[child]
 
     def node_labels(self) -> tuple[str, ...]:
         """Node labels in preorder, suffixed ``#k`` where duplicated."""
@@ -146,13 +181,18 @@ class PhraseTree:
     # -- serialization -----------------------------------------------------
 
     def to_bracketed(self) -> str:
-        def write(node: Node) -> str:
+        out: list[str] = []
+        closing: list[int] = []  # subtree ends of the open internal nodes
+        for p, node in enumerate(self._preorder):
+            out.append(f" ({node.label}" if p else f"({node.label}")
             if node.is_leaf:
-                return f"({node.label} {node.word})"
-            inner = " ".join(write(child) for child in node.children)
-            return f"({node.label} {inner})"
-
-        return write(self.root)
+                out.append(f" {node.word})")
+            else:
+                closing.append(self._end[p])
+            while closing and closing[-1] == p + 1:
+                closing.pop()
+                out.append(")")
+        return "".join(out)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PhraseTree) and self.root == other.root
@@ -223,48 +263,54 @@ def parse_tree(text: str) -> PhraseTree:
     tokens = list(_tokenize(text))
     if not tokens:
         raise ParseError("empty input")
+    if tokens[0] != "(":
+        raise UnbalancedBrackets(f"expected '(' but found {tokens[0]!r}")
+    records: list[list] = []  # [label, word, parent position] in preorder
+    open_groups: list[int] = []
     pos = 0
-    counter = [0]
-
-    def parse_node() -> Node:
-        nonlocal pos
-        if tokens[pos] != "(":
-            raise UnbalancedBrackets(f"expected '(' but found {tokens[pos]!r}")
+    while True:
+        token = tokens[pos]
+        if token == "(":
+            pos += 1
+            if pos >= len(tokens):
+                raise UnbalancedBrackets("unexpected end of input")
+            if tokens[pos] in "()":
+                raise EmptyNode("node with no label")
+            records.append([tokens[pos], None, open_groups[-1] if open_groups else -1])
+            open_groups.append(len(records) - 1)
+        elif token == ")":
+            here = open_groups.pop()
+            label, word, _ = records[here]
+            has_children = len(records) > here + 1
+            if word is not None and has_children:
+                raise MixedNode(f"node {label!r} has both a word and children")
+            if word is None and not has_children:
+                raise EmptyNode(f"node {label!r} has neither a word nor children")
+            if not open_groups:
+                break
+        else:
+            record = records[open_groups[-1]]
+            if record[1] is not None:
+                raise MixedNode(f"node {record[0]!r} has more than one word")
+            record[1] = token
         pos += 1
-        if pos >= len(tokens):
-            raise UnbalancedBrackets("unexpected end of input")
-        if tokens[pos] in "()":
-            raise EmptyNode("node with no label")
-        label = tokens[pos]
-        pos += 1
-        node_id = counter[0]
-        counter[0] += 1
-        word: str | None = None
-        children: list[Node] = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            if tokens[pos] == "(":
-                child = parse_node()
-                children.append(child)
-            else:
-                if word is not None:
-                    raise MixedNode(f"node {label!r} has more than one word")
-                word = tokens[pos]
-                pos += 1
         if pos >= len(tokens):
             raise UnbalancedBrackets("missing closing parenthesis")
-        pos += 1  # consume ')'
-        if word is not None and children:
-            raise MixedNode(f"node {label!r} has both a word and children")
-        if word is None and not children:
-            raise EmptyNode(f"node {label!r} has neither a word nor children")
-        if children:
-            return Node(node_id, label, None, tuple(children))
-        return Node(node_id, label, word, ())
-
-    root = parse_node()
-    if pos != len(tokens):
+    if pos + 1 != len(tokens):
         raise UnbalancedBrackets("trailing content after the tree")
-    return PhraseTree(root)
+    return PhraseTree(_link(records))
+
+
+def _link(records) -> Node:
+    """Build nodes bottom-up from ``(label, word, parent position)`` records in
+    preorder; node ids are the positions.  Returns the root."""
+    children: list[list[Node]] = [[] for _ in records]
+    for p in range(len(records) - 1, -1, -1):
+        label, word, parent = records[p]
+        node = Node(p, label, word, tuple(reversed(children[p])))
+        if parent >= 0:
+            children[parent].append(node)
+    return node
 
 
 def serialize_tree(tree: PhraseTree) -> str:
@@ -299,44 +345,34 @@ def assign_heights(tree: PhraseTree) -> dict[int, int]:
 
     This is the pointwise-least assignment that is strictly increasing from
     child to parent, so every branching event sits at the lowest height
-    available to it.
+    available to it.  The tree computes it once when built; this returns a
+    fresh copy keyed by node id.
     """
-    heights: dict[int, int] = {}
-
-    def visit(node: Node) -> int:
-        if node.is_leaf:
-            heights[node.id] = 0
-            return 0
-        h = 1 + max(visit(child) for child in node.children)
-        heights[node.id] = h
-        return h
-
-    visit(tree.root)
-    return heights
+    return {node.id: h for node, h in zip(tree._preorder, tree._height)}
 
 
 def lca(tree: PhraseTree, a: int, b: int) -> int:
     """Lowest common ancestor of two nodes; ``lca(a, a) == a``."""
-    ancestors_a = set(tree.ancestor_ids(a, include_self=True))
-    for candidate in tree.ancestor_ids(b, include_self=True):
-        if candidate in ancestors_a:
-            return candidate
-    raise UnknownNode(f"nodes {a} and {b} share no ancestor")  # unreachable on one tree
+    p, q = tree._position(a), tree._position(b)
+    end, up = tree._end, tree._up
+    while not p <= q < end[p]:
+        p = up[p]
+    return tree._preorder[p].id
 
 
 def dominates(tree: PhraseTree, a: int, b: int) -> bool:
-    """Reflexive ancestorhood: a dominates b iff a lies on the path from b to the root, or a == b."""
-    tree.node(a)
-    return any(ancestor == a for ancestor in tree.ancestor_ids(b, include_self=True))
+    """Reflexive ancestorhood: a dominates b iff b lies in a's subtree, or a == b.
+
+    A subtree is one interval of preorder positions, so this is O(1).
+    """
+    p, q = tree._position(a), tree._position(b)
+    return p <= q < tree._end[p]
 
 
 def dominance_matrix(tree: PhraseTree) -> RelationMatrix:
     """Boolean dominance matrix over all nodes in preorder."""
     ids = [n.id for n in tree.nodes]
-    ancestor_sets = {i: set(tree.ancestor_ids(i, include_self=True)) for i in ids}
-    entries = tuple(
-        tuple(a in ancestor_sets[b] for b in ids) for a in ids
-    )
+    entries = tuple(tuple(dominates(tree, a, b) for b in ids) for a in ids)
     return RelationMatrix(tree.node_labels(), entries)
 
 

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .errors import DuplicateVertex, TooFewLabels
 from .matrix import DistanceMatrix
-from .trees import PhraseTree, assign_heights, lca
+from .trees import PhraseTree
 
 AXIOM_ZERO_DIAGONAL = "zero_diagonal"
 AXIOM_POSITIVITY = "positivity"
@@ -77,24 +77,21 @@ class TriangleClass:
         return {"kind": self.kind.value, "sides": list(self.sides), "base": self.base}
 
 
-def leaf_matrix(tree: PhraseTree, heights: dict[int, int] | None = None) -> DistanceMatrix:
+def leaf_matrix(tree: PhraseTree) -> DistanceMatrix:
     """Pairwise leaf distances: entry(x, y) is the height of lca(x, y).
 
     Labels are the leaf words in left-to-right order; duplicated words get a
     positional ``#k`` suffix so the matrix stays well defined for sentences
-    with repeated words.
+    with repeated words.  Each internal node fills the blocks of leaf pairs
+    it joins, so the cost is O(n^2) in the number of leaves.
     """
-    if heights is None:
-        heights = assign_heights(tree)
-    leaves = tree.leaves
     labels = tree.leaf_labels()
-    n = len(leaves)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = heights[lca(tree, leaves[i].id, leaves[j].id)]
-            rows[i][j] = d
-            rows[j][i] = d
+    rows = [[0] * len(labels) for _ in labels]
+    for height, lo, mid, hi in tree.leaf_blocks():
+        for x in range(lo, mid):
+            rows[x][mid:hi] = [height] * (hi - mid)
+        for y in range(mid, hi):
+            rows[y][lo:mid] = [height] * (mid - lo)
     return DistanceMatrix(labels, rows)
 
 

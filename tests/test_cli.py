@@ -282,10 +282,19 @@ class TestHierarchyCommand:
         path.write_text(json.dumps({"kind": "downset", "inventory": ["blue"]}))
         assert run(["hierarchy", str(path)]) == 1
 
-    def test_bad_kind(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "document",
+        [{"kind": "colours"}, [1, 2], 3, "x"],
+        ids=["unknown-kind", "array", "number", "string"],
+    )
+    def test_bad_kind(self, tmp_path, capsys, document):
         path = tmp_path / "d.json"
-        path.write_text(json.dumps({"kind": "colours"}))
+        path.write_text(json.dumps(document))
         assert run(["hierarchy", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if not isinstance(document, dict):
+            assert str(path) in err
 
 
 class TestRandtestCommand:
@@ -330,6 +339,32 @@ class TestRandtestCommand:
             assert json.loads(out.read_text()) == payload["disagreements"]
         else:
             assert code == 0 and not out.exists()
+
+
+class TestDeepInput:
+    DEPTH = 1200  # deeper than Python's default recursion limit
+
+    def test_unary_chain(self, tmp_path, capsys):
+        path = tmp_path / "deep.txt"
+        path.write_text("(X " * self.DEPTH + "(W w)" + ")" * self.DEPTH + "\n")
+        tree = str(path)
+        assert run(["matrix", tree]) == 0
+        assert get_json(capsys) == [{"labels": ["w"], "rows": [[0]]}]
+        assert run(["check", tree]) == 0
+        assert get_json(capsys) == []
+        assert run(["complexity", tree]) == 1
+        assert get_json(capsys)["per_tree"] == [{"tree": 0, "height": self.DEPTH}]
+        assert run(["theorem", tree, "--nodes", "all"]) == 0
+        assert get_json(capsys) == {"trees_tested": 1, "disagreements": []}
+        # CSV keeps the 1,201 x 1,201 matrix small; each node dominates
+        # itself and every node below it.
+        assert run(["dominance", tree, "--format", "csv"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split(",")[1:] == [f"X#{i}" for i in range(1, self.DEPTH + 1)] + ["W"]
+        size = self.DEPTH + 1
+        for i, row in enumerate(rows):
+            assert row.split(",")[1:] == ["0"] * i + ["1"] * (size - i)
+        assert len(rows) == size
 
 
 class TestErrors:

@@ -215,13 +215,12 @@ class TestGovernment:
         policy = GovernorPolicy(frozenset({"V", "P", "N"}))
         for seed in range(40):
             tree = random_tree(seed, 2 + seed % 7, "mixed:3")
-            heights = assign_heights(tree)
             ids = [n.id for n in tree.nodes]
             for a in ids:
                 for b in ids:
-                    if governs(tree, a, b, policy, heights):
-                        assert b in cu_domain(tree, a, heights).members
-                        assert a in cu_domain(tree, b, heights).members
+                    if governs(tree, a, b, policy):
+                        assert b in cu_domain(tree, a).members
+                        assert a in cu_domain(tree, b).members
 
     def test_matrix_diagonal_false(self):
         tree = parse_tree("(VP (V ate) (N dogs))")

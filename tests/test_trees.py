@@ -31,6 +31,11 @@ from .helpers import all_tree_shapes, brute_heights, brute_lca
 
 FIGURE4 = "(S (C (A Alf) (M must)) (D (J jump) (H high)))"
 
+# Every shape with 1-7 nodes, unary nodes included.
+SMALL_SHAPES = [
+    PhraseTree.from_nested(nested) for count in range(1, 8) for nested in all_tree_shapes(count)
+]
+
 
 class TestParse:
     def test_minimal_two_leaf(self):
@@ -140,6 +145,8 @@ class TestHeights:
         for seed in range(60):
             tree = random_tree(seed, 1 + seed % 9, "mixed:3")
             assert assign_heights(tree) == brute_heights(tree)
+        for tree in SMALL_SHAPES:
+            assert assign_heights(tree) == brute_heights(tree)
 
     def test_pointwise_minimum_exhaustive(self):
         # Over every tree shape with up to 6 nodes, no valid assignment
@@ -188,10 +195,14 @@ class TestAncestry:
         with pytest.raises(UnknownNode):
             lca(tree, 0, 99)
 
-    @given(seed=st.integers(0, 10**6), leaf_count=st.integers(1, 12))
+    @given(
+        tree=st.one_of(
+            st.builds(random_tree, st.integers(0, 10**6), st.integers(1, 12), st.just("mixed:4")),
+            st.sampled_from(SMALL_SHAPES),
+        )
+    )
     @settings(max_examples=100, deadline=None)
-    def test_lca_matches_brute_force(self, seed, leaf_count):
-        tree = random_tree(seed, leaf_count, "mixed:4")
+    def test_lca_matches_brute_force(self, tree):
         ids = [n.id for n in tree.nodes]
         for a in ids:
             for b in ids:
