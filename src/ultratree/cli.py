@@ -137,7 +137,7 @@ def _emit_matrices(matrices, fmt: str, single: bool = False) -> None:
 
 def _load_matrix(path: str) -> DistanceMatrix:
     with open(path, encoding="utf-8") as handle:
-        return DistanceMatrix.from_json_dict(json.load(handle))
+        return DistanceMatrix.from_json_dict(json.load(handle), source=path)
 
 
 def _split_csv_flag(value: str) -> list[str]:
@@ -311,7 +311,9 @@ def _cmd_features(args) -> int:
     imag_zero = all(z.imag == 0 for row in assembled for z in row)
     if args.matrix:
         with open(args.matrix, encoding="utf-8") as handle:
-            distances = CategoryDistanceMatrix.from_json_dict(json.load(handle))
+            distances = CategoryDistanceMatrix.from_json_dict(
+                json.load(handle), source=args.matrix
+            )
     else:
         distances = min_distance_matrix(bundled_data.load_category_corpus())
     comparison = compare_feature_vs_ultrametric(table, distances)

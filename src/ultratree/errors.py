@@ -37,6 +37,13 @@ class NonSquare(UltratreeError):
     """A labeled matrix whose row/column counts disagree with its labels."""
 
 
+class BadMatrixDocument(UltratreeError):
+    """A matrix JSON document whose shape is not ``{"labels": [...], "rows": [[...]]}``.
+
+    The message names the source and the JSON path at fault, e.g. ``rows[1]``.
+    """
+
+
 class DuplicateVertex(UltratreeError):
     """The same label was given twice as a triangle vertex."""
 

@@ -12,7 +12,7 @@ import csv
 import io
 from typing import Sequence
 
-from .errors import NonSquare, UnknownLabel
+from .errors import BadMatrixDocument, NonSquare, UnknownLabel
 
 
 class LabeledMatrix:
@@ -82,10 +82,32 @@ class LabeledMatrix:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict):
-        labels = data["labels"]
-        rows = [[cls._cell_from_json(v) for v in row] for row in data["rows"]]
-        return cls(labels, rows)
+    def from_json_dict(cls, data: dict, source: str = "<json>"):
+        """Read ``{"labels": [str, ...], "rows": [[...], ...]}``.
+
+        Raises BadMatrixDocument, naming ``source`` and the JSON path, when
+        the document is not an object, or ``labels`` or ``rows`` is missing,
+        ``labels`` is not a list of strings or ``rows`` not a list of lists.
+        """
+
+        def bad(path: str, problem: str):
+            return BadMatrixDocument(f"{source}: {path}: {problem}")
+
+        if not isinstance(data, dict):
+            raise bad("document", "expected a JSON object with labels and rows")
+        for key in ("labels", "rows"):
+            if key not in data:
+                raise bad(key, "missing")
+            if not isinstance(data[key], list):
+                raise bad(key, "expected a list")
+        labels, rows = data["labels"], data["rows"]
+        for i, label in enumerate(labels):
+            if not isinstance(label, str):
+                raise bad(f"labels[{i}]", "expected a string")
+        for i, row in enumerate(rows):
+            if not isinstance(row, list):
+                raise bad(f"rows[{i}]", "expected a list")
+        return cls(labels, [[cls._cell_from_json(v) for v in row] for row in rows])
 
     def to_csv(self) -> str:
         buffer = io.StringIO()

@@ -194,11 +194,16 @@ class PhraseTree:
                 out.append(")")
         return "".join(out)
 
+    def _signature(self) -> tuple[tuple[int, str, str | None, int], ...]:
+        # The preorder sequence with arities fixes the tree, as recursive
+        # Node equality would, without recursing through deep chains.
+        return tuple((n.id, n.label, n.word, len(n.children)) for n in self._preorder)
+
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PhraseTree) and self.root == other.root
+        return isinstance(other, PhraseTree) and self._signature() == other._signature()
 
     def __hash__(self) -> int:
-        return hash(self.root)
+        return hash(self._signature())
 
     def __repr__(self) -> str:
         return f"PhraseTree({self.to_bracketed()!r})"

@@ -95,11 +95,61 @@ def leaf_matrix(tree: PhraseTree) -> DistanceMatrix:
     return DistanceMatrix(labels, rows)
 
 
+def _suspect_pairs(m, n: int) -> list[tuple[int, int]]:
+    """Pairs ``(x, y)``, x < y, ascending, that can be the long side of a
+    violating triple; every pair when ``m`` is asymmetric or has a negative
+    entry off the diagonal.
+
+    Otherwise a pair is suspect exactly when its entry exceeds the
+    subdominant ultrametric u, the minimax distance over a minimum spanning
+    tree (single linkage; Gower & Ross 1969).  For any other pair and any z,
+    ``d(x,z) + d(z,y) >= max(d(x,z), d(z,y)) >= u(x,y) = d(x,y)``, so neither
+    inequality can fail.  O(n^2); a tree's leaf matrix has no suspect pairs.
+    """
+    if any(tuple(row) != column for row, column in zip(m, zip(*m))) or any(
+        min(row[x + 1 :], default=0) < 0 for x, row in enumerate(m)
+    ):
+        return [(x, y) for x in range(n) for y in range(x + 1, n)]
+    # Prim's algorithm on the dense matrix: attach the nearest vertex each step.
+    best = list(m[0]) if n else []
+    near = [0] * n
+    left = list(range(1, n))
+    edges = []
+    while left:
+        v = min(left, key=best.__getitem__)
+        left.remove(v)
+        edges.append((best[v], near[v], v))
+        row = m[v]
+        for y in left:
+            if row[y] < best[y]:
+                best[y] = row[y]
+                near[y] = v
+    # Single linkage: merging along the MST edges in ascending weight, two
+    # clusters joined at weight w have u(p, q) = w for every cross pair.
+    cluster = [[x] for x in range(n)]
+    suspects: list[tuple[int, int]] = []
+    for w, a, b in sorted(edges):
+        big, small = cluster[a], cluster[b]
+        if len(big) < len(small):
+            big, small = small, big
+        for p in small:
+            row = m[p]
+            suspects.extend((min(p, q), max(p, q)) for q in big if row[q] > w)
+        big.extend(small)
+        for q in small:
+            cluster[q] = big
+    suspects.sort()
+    return suspects
+
+
 def check_metric(matrix: DistanceMatrix) -> ViolationReport:
     """Scan the four measure axioms: zero diagonal, positivity, symmetry, triangle.
 
     The triangle scan reports canonical triples ``(x, z, y)`` with x < y and
-    ``d(x,y) > d(x,z) + d(z,y)``.
+    ``d(x,y) > d(x,z) + d(z,y)``.  It visits only the suspect pairs (x, y),
+    so it costs O(n^2) on an ultrametric matrix and O(n^2 + k*n) with k
+    suspect pairs; an asymmetric matrix, or one with a negative entry, gets
+    the full O(n^3) scan.
     """
     m = matrix.entries
     n = matrix.size
@@ -115,13 +165,12 @@ def check_metric(matrix: DistanceMatrix) -> ViolationReport:
         for j in range(i + 1, n):
             if m[i][j] != m[j][i]:
                 violations.append(Violation(AXIOM_SYMMETRY, (i, j)))
-    for x in range(n):
-        for y in range(x + 1, n):
-            for z in range(n):
-                if z == x or z == y:
-                    continue
-                if m[x][y] > m[x][z] + m[z][y]:
-                    violations.append(Violation(AXIOM_TRIANGLE, (x, z, y)))
+    for x, y in _suspect_pairs(m, n):
+        for z in range(n):
+            if z == x or z == y:
+                continue
+            if m[x][y] > m[x][z] + m[z][y]:
+                violations.append(Violation(AXIOM_TRIANGLE, (x, z, y)))
     return ViolationReport(metric_violations=tuple(violations))
 
 
@@ -129,18 +178,19 @@ def check_ultrametric(matrix: DistanceMatrix) -> ViolationReport:
     """Scan the strengthened triangle condition d(x,y) <= max(d(x,z), d(z,y)).
 
     Every violating canonical triple ``(x, z, y)`` with x < y is listed; an
-    empty report certifies the matrix ultrametric.
+    empty report certifies the matrix ultrametric.  Only the suspect pairs
+    (x, y) are scanned: O(n^2) on an ultrametric matrix, O(n^2 + k*n) with k
+    suspect pairs, and O(n^3) on an asymmetric or negative matrix.
     """
     m = matrix.entries
     n = matrix.size
     violations: list[Violation] = []
-    for x in range(n):
-        for y in range(x + 1, n):
-            for z in range(n):
-                if z == x or z == y:
-                    continue
-                if m[x][y] > max(m[x][z], m[z][y]):
-                    violations.append(Violation(AXIOM_ULTRAMETRIC, (x, z, y)))
+    for x, y in _suspect_pairs(m, n):
+        for z in range(n):
+            if z == x or z == y:
+                continue
+            if m[x][y] > max(m[x][z], m[z][y]):
+                violations.append(Violation(AXIOM_ULTRAMETRIC, (x, z, y)))
     return ViolationReport(ultrametric_violations=tuple(violations))
 
 

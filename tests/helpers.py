@@ -121,6 +121,24 @@ def brute_leaf_distance(tree: PhraseTree, a: int, b: int) -> int:
     return brute_heights(tree)[brute_lca(tree, a, b)]
 
 
+def brute_axiom_scan(entries) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+    """Triangle and ultrametric violations ``(x, z, y)``, x < y, by the plain
+    O(n^3) loop over every triple."""
+    n = len(entries)
+    triangle, ultrametric = [], []
+    for x in range(n):
+        for y in range(x + 1, n):
+            for z in range(n):
+                if z in (x, y):
+                    continue
+                xy, xz, zy = entries[x][y], entries[x][z], entries[z][y]
+                if xy > xz + zy:
+                    triangle.append((x, z, y))
+                if xy > max(xz, zy):
+                    ultrametric.append((x, z, y))
+    return triangle, ultrametric
+
+
 def all_tree_shapes(node_count: int):
     """Every rooted ordered tree shape with exactly ``node_count`` nodes.
 

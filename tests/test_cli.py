@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ultratree import parse_tree
 from ultratree.cli import COMMAND_OPERATIONS, run
 
 from . import helpers as fx
@@ -366,6 +367,12 @@ class TestDeepInput:
             assert row.split(",")[1:] == ["0"] * i + ["1"] * (size - i)
         assert len(rows) == size
 
+    def test_unary_chain_equality_and_hash(self):
+        tree = parse_tree("(X " * self.DEPTH + "(W w)" + ")" * self.DEPTH)
+        again = parse_tree(tree.to_bracketed())
+        assert again == tree and hash(again) == hash(tree)
+        assert parse_tree("(X " * self.DEPTH + "(W v)" + ")" * self.DEPTH) != tree
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -382,6 +389,30 @@ class TestErrors:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert run(["check", "--matrix", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", ["check", "triangles", "features"])
+    @pytest.mark.parametrize(
+        "document, where",
+        [
+            ([1, 2], "document"),
+            ({"labels": ["a", "b"], "rows": 3}, "rows"),
+            ({"labels": [["x"]], "rows": [[0]]}, "labels[0]"),
+            ({"labels": ["a", "b"]}, "rows: missing"),
+            ({"rows": [[0]]}, "labels: missing"),
+            ({"labels": "ab", "rows": [[0, 1], [1, 0]]}, "labels"),
+            ({"labels": ["a", "b"], "rows": [[0, 1], 3]}, "rows[1]"),
+        ],
+        ids=["array", "rows-number", "label-list", "no-rows", "no-labels",
+             "labels-string", "row-number"],
+    )
+    def test_bad_matrix_document(self, tmp_path, capsys, command, document, where):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        assert run([command, "--matrix", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {path}: {where}")
 
 
 def test_command_table_covers_public_operations():

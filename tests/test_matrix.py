@@ -1,8 +1,11 @@
 """Matrix containers and their JSON/CSV wire formats."""
 
+import re
+
 import pytest
 
 from ultratree import (
+    BadMatrixDocument,
     CategoryDistanceMatrix,
     DistanceMatrix,
     NonSquare,
@@ -16,6 +19,20 @@ class TestDistanceMatrix:
     def test_json_round_trip(self):
         m = DistanceMatrix(("a", "b"), ((0, 1), (1, 0)))
         assert DistanceMatrix.from_json_dict(m.to_json_dict()) == m
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (None, "m.json: document: expected a JSON object"),
+            ({"labels": ["a"]}, "m.json: rows: missing"),
+            ({"labels": "a", "rows": [[0]]}, "m.json: labels: expected a list"),
+            ({"labels": ["a", 1], "rows": []}, "m.json: labels[1]: expected a string"),
+            ({"labels": ["a"], "rows": [(0,)]}, "m.json: rows[0]: expected a list"),
+        ],
+    )
+    def test_bad_json_document_names_source_and_path(self, document, message):
+        with pytest.raises(BadMatrixDocument, match=re.escape(message)):
+            DistanceMatrix.from_json_dict(document, source="m.json")
 
     def test_json_shape(self):
         m = DistanceMatrix(("a", "b"), ((0, 1), (1, 0)))

@@ -1,11 +1,13 @@
 """Leaf matrices, axiom checks, triangle classification, and the template."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ultratree import (
     DistanceMatrix,
     DuplicateVertex,
     NonSquare,
+    PhraseTree,
     TooFewLabels,
     TriangleKind,
     UnknownLabel,
@@ -18,6 +20,7 @@ from ultratree import (
     random_tree,
     xbar_template,
 )
+from ultratree.ultrametric import _suspect_pairs
 
 from . import helpers as fx
 
@@ -129,6 +132,85 @@ class TestCheckUltrametric:
             m = leaf_matrix(tree)
             assert check_metric(m).ok
             assert check_ultrametric(m).ok
+
+
+TREE_MATRICES = [
+    leaf_matrix(PhraseTree.from_nested(nested))
+    for count in range(1, 8)
+    for nested in fx.all_tree_shapes(count)
+] + [leaf_matrix(random_tree(seed, 2 + seed % 40, "mixed:4")) for seed in range(60)]
+
+
+@st.composite
+def random_matrices(draw):
+    n = draw(st.integers(0, 9))
+    cells = st.integers(-2, 6)
+    rows = [[draw(cells) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            rows[i][i] = 0
+    return rows
+
+
+@st.composite
+def perturbed_tree_matrices(draw):
+    """A tree leaf matrix with 1-3 entries raised or lowered symmetrically."""
+    rows = [list(row) for row in draw(st.sampled_from(TREE_MATRICES)).entries]
+    n = len(rows)
+    if n >= 2:
+        for _ in range(draw(st.integers(1, 3))):
+            x, y = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            rows[x][y] = rows[y][x] = rows[x][y] + draw(st.sampled_from([-2, -1, 1, 2, 3]))
+    return rows
+
+
+class TestAxiomScanOracle:
+    """The suspect-pair scans against the plain O(n^3) loop, in order."""
+
+    @staticmethod
+    def check(rows):
+        m = DistanceMatrix([f"l{i}" for i in range(len(rows))], rows)
+        triangle, ultra = fx.brute_axiom_scan(rows)
+        metric = check_metric(m).to_json_list()
+        assert [
+            tuple(v["indices"]) for v in metric if v["axiom"] == "triangle_inequality"
+        ] == triangle
+        assert check_ultrametric(m).to_json_list() == [
+            {"axiom": "ultrametric", "indices": list(t)} for t in ultra
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_matrices())
+    # A negative entry: triangle violations such as (0, 2, 1), none ultrametric.
+    @example([[0, 3, -1], [3, 0, 3], [-1, 3, 0]])
+    # Asymmetric: the scan reads d(2, 1), below the diagonal.
+    @example([[0, 2, 1], [2, 0, 5], [1, 1, 0]])
+    def test_random_matrices(self, rows):
+        self.check(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_tree_matrices())
+    def test_perturbed_tree_matrices(self, rows):
+        self.check(rows)
+
+    def test_guard_examples_report_violations(self):
+        negative = DistanceMatrix("abc", [[0, 3, -1], [3, 0, 3], [-1, 3, 0]])
+        triangles = [v.indices for v in check_metric(negative).metric_violations
+                     if v.axiom == "triangle_inequality"]
+        assert (0, 2, 1) in triangles
+        assert check_ultrametric(negative).ok
+        asymmetric = DistanceMatrix("abc", [[0, 2, 1], [2, 0, 5], [1, 1, 0]])
+        assert [v.indices for v in check_ultrametric(asymmetric).ultrametric_violations] == [
+            (0, 2, 1),
+            (1, 0, 2),
+        ]
+
+    def test_tree_matrices_have_no_suspect_pairs(self):
+        # Keeps the scans O(n^2) on every tree: none of them visits a pair.
+        for m in TREE_MATRICES:
+            assert _suspect_pairs(m.entries, m.size) == []
 
 
 class TestTriangles:
