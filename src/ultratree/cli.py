@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -491,9 +492,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first run(), not at import.  Sharing it is safe:
+    # parse_args leaves the parser as it was and returns a new namespace.
+    return build_parser()
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (UltratreeError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:

@@ -12,6 +12,7 @@ root is node 0 and leaves appear in left-to-right order.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -232,21 +233,9 @@ def disambiguate(labels: Iterable[str]) -> tuple[str, ...]:
 
 # -- parsing ---------------------------------------------------------------
 
-def _tokenize(text: str) -> Iterator[str]:
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            yield ch
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            yield text[i:j]
-            i = j
+# Regex ``\s`` and ``str.isspace`` agree on every code point, so this splits
+# where a character loop testing ``isspace`` would.
+_tokenize = re.compile(r"[()]|[^\s()]+").findall
 
 
 def parse_tree(text: str) -> PhraseTree:
@@ -265,7 +254,7 @@ def parse_tree(text: str) -> PhraseTree:
         EmptyNode: a ``()`` group, or a labeled group with no content.
         MixedNode: a group mixing a word with child groups, or several words.
     """
-    tokens = list(_tokenize(text))
+    tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input")
     if tokens[0] != "(":

@@ -6,6 +6,8 @@ the node structure so library results can be checked against a second path.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from ultratree import Node, PhraseTree
 
 # Trees behind the eight 4-leaf branching matrices (words A, M, J, H).
@@ -63,6 +65,25 @@ CCOMMAND_EXPECTED = (
     (0, 1, 1, 0),
     (1, 1, 1, 1),
 )
+
+
+def reference_tokenize(text: str) -> Iterator[str]:
+    """Split bracketed text one character at a time: ``(``, ``)``, and
+    maximal runs of other characters that are not ``str.isspace``."""
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "()":
+            yield ch
+            i += 1
+        else:
+            j = i
+            while j < len(text) and not text[j].isspace() and text[j] not in "()":
+                j += 1
+            yield text[i:j]
+            i = j
 
 
 def brute_parent_map(tree: PhraseTree) -> dict[int, int | None]:

@@ -1,10 +1,14 @@
 """The command-line surface: outputs, exit codes, determinism, coverage."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ultratree import parse_tree
+from ultratree import cli, parse_tree
 from ultratree.cli import COMMAND_OPERATIONS, run
 
 from . import helpers as fx
@@ -48,6 +52,15 @@ SPEC_OPERATIONS = {
 def tree_file(tmp_path):
     path = tmp_path / "trees.txt"
     path.write_text(f"{fx.TREE_FIRST}\n")
+    return str(path)
+
+
+@pytest.fixture()
+def printed_third(tmp_path):
+    """The third branching matrix as printed: one ultrametric violation."""
+    path = tmp_path / "third.json"
+    rows = [list(r) for r in fx.MATRIX_THIRD_PRINTED]
+    path.write_text(json.dumps({"labels": list(fx.LABELS_AMJH), "rows": rows}))
     return str(path)
 
 
@@ -413,6 +426,71 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"error: {path}: {where}")
+
+
+class TestParserReuse:
+    """run() builds its parser once and shares it across calls."""
+
+    def test_calls_see_only_their_own_arguments(self, tree_file, printed_third, capsys):
+        first = ["check", "--matrix", printed_third, "--format", "csv"]
+        second = ["check", tree_file]
+        alone = []
+        for argv in (first, second):
+            cli._parser.cache_clear()  # a new parser, as in a process of its own
+            alone.append((run(argv), capsys.readouterr().out))
+        assert alone[0][0] == 1 and alone[1] == (0, "[]\n")
+        assert [(run(argv), capsys.readouterr().out) for argv in (first, second)] == alone
+        with pytest.raises(SystemExit) as exc:
+            run(["nosuch"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert (run(second), capsys.readouterr().out) == alone[1]
+
+    def test_parser_built_once(self, tree_file, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+
+        def counting_build():
+            built.append(build())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        for _ in range(3):
+            assert run(["check", tree_file]) == 0
+        assert len(built) == 1
+
+    def test_build_parser_is_a_factory(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+
+class TestEntryPoint:
+    """``python -m ultratree`` runs main() in a process of its own."""
+
+    @staticmethod
+    def python(*args: str) -> subprocess.CompletedProcess:
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, *args],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+
+    @pytest.mark.parametrize("use_matrix", [False, True], ids=["tree", "matrix"])
+    def test_module_matches_run(self, tree_file, printed_third, capsys, use_matrix):
+        argv = ["check", "--matrix", printed_third] if use_matrix else ["check", tree_file]
+        code = run(argv)
+        out = capsys.readouterr().out
+        child = self.python("-m", "ultratree", *argv)
+        assert (child.returncode, child.stdout) == (code, out)
+        assert code == (1 if use_matrix else 0)
+
+    def test_import_builds_no_parser(self):
+        child = self.python("-c", "import ultratree.cli as c; print(c._parser.cache_info().currsize)")
+        assert (child.returncode, child.stdout) == (0, "0\n")
 
 
 def test_command_table_covers_public_operations():

@@ -1,6 +1,8 @@
 """Parsing, heights, ancestry, and tree generation."""
 
 import itertools
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +29,9 @@ from ultratree import (
     serialize_tree,
 )
 
-from .helpers import all_tree_shapes, brute_heights, brute_lca
+from ultratree.trees import _tokenize
+
+from .helpers import all_tree_shapes, brute_heights, brute_lca, reference_tokenize
 
 FIGURE4 = "(S (C (A Alf) (M must)) (D (J jump) (H high)))"
 
@@ -98,6 +102,21 @@ class TestParse:
     def test_round_trip_random(self, seed, leaf_count, mixed):
         tree = random_tree(seed, leaf_count, "mixed:4" if mixed else "binary")
         assert parse_tree(serialize_tree(tree)) == tree
+
+    # Parentheses, letters, and characters on both sides of str.isspace:
+    # ASCII and Unicode whitespace, and the zero-width space, which is not.
+    TOKEN_CHARS = "()ab \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2028\u3000\u200b"
+
+    @given(text=st.text(st.sampled_from(TOKEN_CHARS) | st.characters()))
+    @settings(max_examples=300, deadline=None)
+    def test_tokens_match_character_loop(self, text):
+        assert _tokenize(text) == list(reference_tokenize(text))
+
+    def test_regex_whitespace_is_isspace(self):
+        space = re.compile(r"\s")
+        assert all(
+            bool(space.fullmatch(c)) == c.isspace() for c in map(chr, range(sys.maxunicode + 1))
+        )
 
 
 class TestTreeFile:
