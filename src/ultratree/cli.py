@@ -341,32 +341,76 @@ def _cmd_features(args) -> int:
     return EXIT_OK
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+# Each kind of hierarchy-document field: the phrase its error uses, and its test.
+_FIELDS = {
+    "chain": (
+        "a non-empty list of distinct strings",
+        lambda v: _strings(v) and 0 < len(v) == len(set(v)),
+    ),
+    "strings": ("a list of strings", _strings),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "edges": (
+        "a list of [earlier, later] string pairs",
+        lambda v: isinstance(v, list) and all(_strings(e) and len(e) == 2 for e in v),
+    ),
+}
+
+
+def _field(source: str, obj: dict, prefix: str, key: str, kind: str, default=None):
+    """``obj[key]`` checked as ``kind``, or ``default`` when absent and not
+    None.  Errors name the file and the JSON path, ``prefix + key``."""
+    if key not in obj:
+        if default is None:
+            raise UltratreeError(f"{source}: {prefix}{key}: missing")
+        return default
+    expected, test = _FIELDS[kind]
+    if not test(obj[key]):
+        raise UltratreeError(f"{source}: {prefix}{key}: expected {expected}")
+    return obj[key]
+
+
 def _cmd_hierarchy(args) -> int:
-    with open(args.file, encoding="utf-8") as handle:
+    source = args.file
+    with open(source, encoding="utf-8") as handle:
         document = json.load(handle)
     if not isinstance(document, dict):
-        raise UltratreeError(f"{args.file}: hierarchy document must be a JSON object")
+        raise UltratreeError(f"{source}: hierarchy document must be a JSON object")
     kind = document.get("kind")
     if kind == "language":
-        chain = Chain(tuple(document["chain"])) if "chain" in document else Chain()
-        strategies = [
-            Strategy(
-                name=s.get("name", f"strategy{i}"),
-                covered=frozenset(s["covered"]),
-                primary=bool(s.get("primary", False)),
+        chain = Chain(tuple(_field(source, document, "", "chain", "chain", Chain().elements)))
+        strategies = []
+        for i, item in enumerate(_field(source, document, "", "strategies", "list")):
+            where = f"strategies[{i}]"
+            if not isinstance(item, dict):
+                raise UltratreeError(f"{source}: {where}: expected an object")
+            strategies.append(
+                Strategy(
+                    name=_field(source, item, f"{where}.", "name", "string", f"strategy{i}"),
+                    covered=frozenset(_field(source, item, f"{where}.", "covered", "strings")),
+                    primary=_field(source, item, f"{where}.", "primary", "bool", False),
+                )
             )
-            for i, s in enumerate(document["strategies"])
-        ]
         violations = check_language(chain, strategies)
         _emit_json([v.to_json_dict() for v in violations])
         return EXIT_VIOLATIONS if violations else EXIT_OK
     if kind == "downset":
         if "order" in document:
-            order = PartialOrder.from_json_dict(document["order"])
+            order = _field(source, document, "", "order", "object")
+            _field(source, order, "order.", "nodes", "strings")
+            _field(source, order, "order.", "edges", "edges")
+            order = PartialOrder.from_json_dict(order)
         else:
             order = bundled_data.load_berlin_kay_order()
-        closed = check_downset(order, document["inventory"])
-        _emit_json({"inventory": sorted(document["inventory"]), "downward_closed": closed})
+        inventory = _field(source, document, "", "inventory", "strings")
+        closed = check_downset(order, inventory)
+        _emit_json({"inventory": sorted(inventory), "downward_closed": closed})
         return EXIT_OK if closed else EXIT_VIOLATIONS
     raise UltratreeError("hierarchy document needs \"kind\": \"language\" or \"downset\"")
 

@@ -12,12 +12,13 @@ two relations (see the ``nodes`` argument).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
-from .errors import EmptyPolicy, HeightMismatch, NoBranchingAncestor
+from .errors import EmptyPolicy, HeightMismatch, NoBranchingAncestor, UltratreeError
 from .matrix import RelationMatrix
-from .trees import PhraseTree, disambiguate, dominates, lca, random_tree, serialize_tree
+from .trees import PhraseTree, disambiguate, lca, random_tree, serialize_tree
 
 DEFAULT_GOVERNOR_CATEGORIES = frozenset({"V", "P"})
 
@@ -30,9 +31,7 @@ class GovernorPolicy:
     governor_categories: frozenset[str] = DEFAULT_GOVERNOR_CATEGORIES
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "governor_categories", frozenset(self.governor_categories)
-        )
+        object.__setattr__(self, "governor_categories", frozenset(self.governor_categories))
 
 
 @dataclass(frozen=True)
@@ -58,24 +57,65 @@ class Disagreement:
     holds: str  # "c_command" or "cu_command"
 
 
-def _node_ids(tree: PhraseTree, nodes: str) -> list[int]:
-    if nodes == "leaves":
-        return [n.id for n in tree.leaves]
-    if nodes == "all":
-        return [n.id for n in tree.nodes]
-    raise ValueError(f"nodes must be 'leaves' or 'all', got {nodes!r}")
+def _positions(tree: PhraseTree, nodes: str) -> list[int]:
+    if nodes not in ("leaves", "all"):
+        raise ValueError(f"nodes must be 'leaves' or 'all', got {nodes!r}")
+    return [p for p, n in enumerate(tree.nodes) if nodes == "all" or n.is_leaf]
 
 
-def _node_labels(tree: PhraseTree, nodes: str) -> tuple[str, ...]:
-    return tree.leaf_labels() if nodes == "leaves" else tree.node_labels()
+class _Facts:
+    """Each node's command facts by preorder position, in one O(N·depth) pass.
+
+    Same-height nodes never dominate one another, so a subtree holds a
+    contiguous run of them in preorder, found by bisection.  C-command is
+    the run under the first branching ancestor, cu-command the run under the
+    lowest ancestor holding the node's previous or next peer; a node lacking
+    either is alone at its height, and the root's run is just the node.
+    """
+
+    def __init__(self, tree: PhraseTree):
+        nodes, up, end, height = tree.nodes, tree._up, tree._end, tree._height
+        n = len(nodes)
+        self.above = [-1] * n  # first branching ancestor, -1 where there is none
+        for p in range(1, n):
+            self.above[p] = up[p] if len(nodes[up[p]].children) > 1 else self.above[up[p]]
+        levels: list[list[int]] = [[] for _ in range(height[0] + 1)]
+        for p in range(n):
+            levels[height[p]].append(p)
+        self.peers = [levels[h] for h in height]  # positions at each node's height
+        self.c_span: list[range] = []  # indices of the peers each node c-commands
+        self.cu_span: list[range] = []  # indices of the peers in each cu-domain
+        for p, level in enumerate(self.peers):
+            i = bisect_left(level, p)
+            before = level[i - 1] if i else -1
+            after = level[i + 1] if i + 1 < len(level) else n
+            q = up[p] if len(level) > 1 else 0  # the root holds no other peer
+            while before < q and end[q] <= after:
+                q = up[q]
+            for spans, top in ((self.c_span, max(self.above[p], 0)), (self.cu_span, q)):
+                spans.append(range(bisect_left(level, top), bisect_left(level, end[top])))
+
+    def run(self, spans: list[range], p: int) -> list[int]:
+        return [self.peers[p][k] for k in spans[p]]
+
+
+def _relation(tree: PhraseTree, nodes: str, related) -> RelationMatrix:
+    """The matrix over the chosen nodes; row p marks the positions ``related(facts, p)``."""
+    positions, facts = _positions(tree, nodes), _Facts(tree)
+    column = {p: k for k, p in enumerate(positions)}
+    entries = [[False] * len(positions) for _ in positions]
+    for row, p in zip(entries, positions):
+        for q in related(facts, p):
+            row[column[q]] = True
+    return RelationMatrix(tree.leaf_labels() if nodes == "leaves" else tree.node_labels(), entries)
 
 
 def first_branching_ancestor(tree: PhraseTree, node_id: int) -> int:
     """Nearest strict ancestor with at least two children; unary nodes are skipped."""
-    for ancestor in tree.ancestor_ids(node_id):
-        if len(tree.node(ancestor).children) >= 2:
-            return ancestor
-    raise NoBranchingAncestor(f"no branching ancestor above node {node_id}")
+    q = _Facts(tree).above[tree._position(node_id)]
+    if q < 0:
+        raise NoBranchingAncestor(f"no branching ancestor above node {node_id}")
+    return tree.nodes[q].id
 
 
 def same_height_distance(tree: PhraseTree, a: int, b: int) -> int:
@@ -85,9 +125,7 @@ def same_height_distance(tree: PhraseTree, a: int, b: int) -> int:
     is 0 exactly when a == b.
     """
     if tree.height(a) != tree.height(b):
-        raise HeightMismatch(
-            f"nodes sit at heights {tree.height(a)} and {tree.height(b)}"
-        )
+        raise HeightMismatch(f"nodes sit at heights {tree.height(a)} and {tree.height(b)}")
     return tree.height(lca(tree, a, b)) - tree.height(a)
 
 
@@ -95,34 +133,26 @@ def c_command(tree: PhraseTree, a: int, b: int) -> bool:
     """Whether the first branching node strictly above ``a`` dominates ``b``.
 
     The relation includes the self pair and applies only between nodes at
-    the same height.  Neither node of such a pair dominates the other, since
-    ancestors are strictly higher.
+    the same height.
     """
-    if tree.height(a) != tree.height(b):
-        return False
-    return a == b or dominates(tree, first_branching_ancestor(tree, a), b)
+    facts = _Facts(tree)
+    return tree._position(b) in facts.run(facts.c_span, tree._position(a))
 
 
 def c_command_matrix(tree: PhraseTree, nodes: str = "leaves") -> RelationMatrix:
-    ids = _node_ids(tree, nodes)
-    entries = [[c_command(tree, a, b) for b in ids] for a in ids]
-    return RelationMatrix(_node_labels(tree, nodes), entries)
+    return _relation(tree, nodes, lambda facts, p: facts.run(facts.c_span, p))
 
 
 def cu_domain(tree: PhraseTree, a: int) -> CuDomain:
     """Distances from ``a`` to its height peers and the set of closest ones.
 
-    When ``a`` is alone at its height the domain is just ``{a}``.
+    The members come from the pass behind the relation matrices, and each
+    distance from one ``lca``.  When ``a`` is alone the domain is ``{a}``.
     """
-    h = tree.height(a)
-    peers = [n.id for n in tree.nodes if tree.height(n.id) == h]
-    distance_set = {peer: same_height_distance(tree, a, peer) for peer in peers}
-    positive = [d for d in distance_set.values() if d > 0]
-    members = {a}
-    if positive:
-        closest = min(positive)
-        members.update(peer for peer, d in distance_set.items() if d == closest)
-    return CuDomain(owner=a, distance_set=distance_set, members=frozenset(members))
+    facts, p = _Facts(tree), tree._position(a)
+    ids = [n.id for n in tree.nodes]
+    distance_set = {ids[q]: same_height_distance(tree, a, ids[q]) for q in facts.peers[p]}
+    return CuDomain(a, distance_set, frozenset(ids[q] for q in facts.run(facts.cu_span, p)))
 
 
 def cu_command(tree: PhraseTree, a: int, b: int) -> bool:
@@ -130,34 +160,29 @@ def cu_command(tree: PhraseTree, a: int, b: int) -> bool:
 
 
 def cu_command_matrix(tree: PhraseTree, nodes: str = "leaves") -> RelationMatrix:
-    ids = _node_ids(tree, nodes)
-    members = {a: cu_domain(tree, a).members for a in ids}
-    entries = [[b in members[a] for b in ids] for a in ids]
-    return RelationMatrix(_node_labels(tree, nodes), entries)
+    return _relation(tree, nodes, lambda facts, p: facts.run(facts.cu_span, p))
 
 
 def theorem_check(tree: PhraseTree, nodes: str = "leaves") -> list[Disagreement]:
     """Compare c-command against cu-command over same-height pairs.
 
-    Returns every pair on which the relations disagree; an empty list means
-    they coincide on this tree.  With ``nodes='leaves'`` (the default) the
-    two provably coincide; ``nodes='all'`` also compares internal nodes,
-    where a node alone at its height under its first branching ancestor can
-    cu-command a distant peer it does not c-command.
+    Returns the pairs on which the relations disagree, by ``a`` then ``b``
+    in preorder; an empty list means they coincide on this tree.  With
+    ``nodes='leaves'`` (the default) the two provably coincide;
+    ``nodes='all'`` also compares internal nodes, where a node alone at its
+    height under its first branching ancestor can cu-command a distant peer
+    it does not c-command.  Both relations of ``a`` are runs of its peers
+    holding it, so only the runs' ends are visited: O(N·depth + output).
     """
-    ids = _node_ids(tree, nodes)
-    members = {a: cu_domain(tree, a).members for a in ids}
-    disagreements: list[Disagreement] = []
-    for a in ids:
-        for b in ids:
-            if tree.height(a) != tree.height(b):
-                continue
-            c = c_command(tree, a, b)
-            if c != (b in members[a]):
-                disagreements.append(
-                    Disagreement(a=a, b=b, holds="c_command" if c else "cu_command")
-                )
-    return disagreements
+    positions, facts = _positions(tree, nodes), _Facts(tree)
+    found: list[Disagreement] = []
+    for p in positions:
+        c, cu = facts.c_span[p], facts.cu_span[p]
+        starts, stops = sorted((c.start, cu.start)), sorted((c.stop, cu.stop))
+        for k in (*range(*starts), *range(*stops)):
+            b = tree.nodes[facts.peers[p][k]].id
+            found.append(Disagreement(tree.nodes[p].id, b, "c_command" if k in c else "cu_command"))
+    return found
 
 
 def label_disagreements(tree: PhraseTree, found: list[Disagreement]) -> list[dict]:
@@ -187,13 +212,11 @@ def theorem_report(trees: Iterable[PhraseTree], nodes: str = "leaves") -> dict:
 
 
 def random_theorem_suite(
-    seed: int,
-    trees: int,
-    max_leaves: int,
-    arity: str = "mixed:4",
-    nodes: str = "leaves",
+    seed: int, trees: int, max_leaves: int, arity: str = "mixed:4", nodes: str = "leaves"
 ) -> dict:
     """Run theorem_report over seeded random trees; deterministic for a fixed seed."""
+    if max_leaves < 1:
+        raise UltratreeError(f"max_leaves must be at least 1, got {max_leaves}")
     rng = random.Random(seed)
 
     def generate():
@@ -211,38 +234,26 @@ def _checked(policy: GovernorPolicy | None) -> GovernorPolicy:
     return policy
 
 
-def _governs(
-    tree: PhraseTree,
-    a: int,
-    b: int,
-    policy: GovernorPolicy,
-    members: Callable[[int], frozenset[int]],
-) -> bool:
-    return (
-        a != b
-        and tree.node(a).label in policy.governor_categories
-        and tree.height(a) == tree.height(b)
-        and b in members(a)
-        and a in members(b)
-    )
+def _governed(tree: PhraseTree, facts: _Facts, policy: GovernorPolicy, p: int) -> list[int]:
+    """The positions p governs: mutual cu-domain members, if p's label governs."""
+    if tree.nodes[p].label not in policy.governor_categories:
+        return []
+    i, cu_span = bisect_left(facts.peers[p], p), facts.cu_span
+    return [q for q in facts.run(cu_span, p) if q != p and i in cu_span[q]]
 
 
-def governs(
-    tree: PhraseTree, a: int, b: int, policy: GovernorPolicy | None = None
-) -> bool:
+def governs(tree: PhraseTree, a: int, b: int, policy: GovernorPolicy | None = None) -> bool:
     """Government as mutual closest-peer membership by a governor category.
 
     ``a`` governs ``b`` iff a's label is a governor category, a != b, and
     each node lies in the other's cu-domain.  Self government is excluded.
     """
-    return _governs(tree, a, b, _checked(policy), lambda n: cu_domain(tree, n).members)
+    policy, p, q = _checked(policy), tree._position(a), tree._position(b)
+    return q in _governed(tree, _Facts(tree), policy, p)
 
 
 def government_matrix(
     tree: PhraseTree, policy: GovernorPolicy | None = None, nodes: str = "all"
 ) -> RelationMatrix:
     policy = _checked(policy)
-    ids = _node_ids(tree, nodes)
-    members = {a: cu_domain(tree, a).members for a in ids}
-    entries = [[_governs(tree, a, b, policy, members.__getitem__) for b in ids] for a in ids]
-    return RelationMatrix(_node_labels(tree, nodes), entries)
+    return _relation(tree, nodes, lambda facts, p: _governed(tree, facts, policy, p))

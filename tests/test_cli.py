@@ -1,5 +1,6 @@
 """The command-line surface: outputs, exit codes, determinism, coverage."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -355,6 +356,31 @@ class TestRandtestCommand:
             assert code == 0 and not out.exists()
 
 
+class TestPinnedOutput:
+    """Stdout sha256 of two theorem sweeps over internal nodes, which have
+    disagreements: any change to a relation, or to the order of the
+    disagreements, changes the digest."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--seed", "0", "--exhaustive-leaves", "8"],
+                "6c58fa103403a7e2293fbe55eb53c19364d65ac35ef4d08fc908a563c65ae43f",
+            ),
+            (
+                ["--seed", "5", "--trees", "300", "--max-leaves", "10"],
+                "6afedbe2510e94753c0352affa1c0b131cee2301a7278287ca24200fe735b4fe",
+            ),
+        ],
+        ids=["exhaustive-8", "random-300"],
+    )
+    def test_randtest_all_nodes(self, capsys, argv, digest):
+        assert run(["randtest", *argv, "--nodes", "all"]) == 1
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestDeepInput:
     DEPTH = 1200  # deeper than Python's default recursion limit
 
@@ -380,6 +406,26 @@ class TestDeepInput:
             assert row.split(",")[1:] == ["0"] * i + ["1"] * (size - i)
         assert len(rows) == size
 
+    def test_unary_chain_command_relations(self, tmp_path, capsys):
+        path = tmp_path / "deep.txt"
+        path.write_text("(X " * self.DEPTH + "(X (V a) (N b))" + ")" * self.DEPTH + "\n")
+        tree = str(path)
+        size = self.DEPTH + 3
+        v, n = size - 2, size - 1  # the two leaves, last in preorder
+        # Every chain node is alone at its height and relates only to
+        # itself; the two leaves c-command and cu-command each other.
+        mutual = {(a, a) for a in range(size)} | {(v, n), (n, v)}
+        relations = {"ccommand": mutual, "cucommand": mutual, "govern": {(v, n)}}
+        for command, expected in relations.items():
+            assert run([command, tree, "--nodes", "all", "--format", "csv"]) == 0
+            header, *rows = capsys.readouterr().out.splitlines()
+            assert len(header.split(",")) == len(rows) + 1 == size + 1
+            cells = [row.split(",")[1:] for row in rows]
+            found = {(a, b) for a, row in enumerate(cells) for b, x in enumerate(row) if x == "1"}
+            assert found == expected
+        assert run(["theorem", tree, "--nodes", "all"]) == 0
+        assert get_json(capsys) == {"trees_tested": 1, "disagreements": []}
+
     def test_unary_chain_equality_and_hash(self):
         tree = parse_tree("(X " * self.DEPTH + "(W w)" + ")" * self.DEPTH)
         again = parse_tree(tree.to_bracketed())
@@ -402,6 +448,66 @@ class TestErrors:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert run(["check", "--matrix", str(path)]) == 2
+
+    def test_randtest_max_leaves_below_one(self, capsys):
+        assert run(["randtest", "--seed", "1", "--trees", "3", "--max-leaves", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_leaves must be at least 1, got 0\n"
+
+    @pytest.mark.parametrize(
+        "document, where",
+        [
+            ({"kind": "language", "chain": 5, "strategies": []}, "chain: expected"),
+            ({"kind": "language", "chain": [], "strategies": []}, "chain: expected"),
+            ({"kind": "language", "chain": ["SU", "SU"], "strategies": []}, "chain: expected"),
+            ({"kind": "language"}, "strategies: missing"),
+            ({"kind": "language", "strategies": {}}, "strategies: expected a list"),
+            ({"kind": "language", "strategies": [5]}, "strategies[0]: expected an object"),
+            ({"kind": "language", "strategies": [{}]}, "strategies[0].covered: missing"),
+            (
+                {"kind": "language", "strategies": [{"covered": 3}]},
+                "strategies[0].covered: expected a list of strings",
+            ),
+            (
+                {"kind": "language", "strategies": [{"covered": ["SU"]}, {"covered": [1]}]},
+                "strategies[1].covered: expected a list of strings",
+            ),
+            (
+                {"kind": "language", "strategies": [{"covered": ["SU"], "name": 3}]},
+                "strategies[0].name: expected a string",
+            ),
+            (
+                {"kind": "language", "strategies": [{"covered": ["SU"], "primary": 1}]},
+                "strategies[0].primary: expected true or false",
+            ),
+            ({"kind": "downset"}, "inventory: missing"),
+            ({"kind": "downset", "inventory": 5}, "inventory: expected a list of strings"),
+            ({"kind": "downset", "order": 5, "inventory": []}, "order: expected an object"),
+            (
+                {"kind": "downset", "order": {"nodes": ["a"]}, "inventory": []},
+                "order.edges: missing",
+            ),
+            (
+                {"kind": "downset", "order": {"nodes": ["a"], "edges": [["a"]]}, "inventory": []},
+                "order.edges: expected a list of [earlier, later] string pairs",
+            ),
+        ],
+        ids=[
+            "chain-number", "chain-empty", "chain-repeated", "no-strategies", "strategies-object",
+            "strategy-number", "no-covered", "covered-number", "covered-numbers", "name-number",
+            "primary-number", "no-inventory", "inventory-number", "order-number", "no-edges",
+            "edge-single",
+        ],
+    )
+    def test_bad_hierarchy_document(self, tmp_path, capsys, document, where):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(document))
+        assert run(["hierarchy", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {path}: {where}")
 
     @pytest.mark.parametrize("command", ["check", "triangles", "features"])
     @pytest.mark.parametrize(

@@ -1,24 +1,30 @@
 """The indexed tree queries against the brute-force oracles in helpers.
 
-Inputs are every tree shape with 1-7 nodes (unary nodes included) and
-hypothesis-drawn random trees.  The command relations are checked pairwise,
-over all nodes, against references built here from brute_heights and
-brute_lca alone.
+Inputs are every tree shape with 1-7 nodes (unary nodes included), shapes
+under a unary root spine, and hypothesis-drawn random trees with unary nodes
+inserted.  The command relations are checked pairwise, over all nodes,
+against references built here from brute_heights and brute_lca alone.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ultratree import (
+    Disagreement,
     GovernorPolicy,
     PhraseTree,
+    c_command,
     c_command_matrix,
+    cu_command,
     cu_command_matrix,
+    cu_domain,
     dominance_matrix,
     dominates,
+    governs,
     government_matrix,
     leaf_matrix,
     random_tree,
+    theorem_check,
     tree_category_minima,
 )
 
@@ -30,16 +36,46 @@ from .helpers import (
     brute_leaf_distance,
 )
 
+
+def unary_spine(nested, length):
+    """``nested`` under ``length`` unary nodes: the topmost branching node,
+    if any, has no branching ancestor."""
+    for _ in range(length):
+        nested = ("U", [nested])
+    return nested
+
+
 SMALL_SHAPES = [
     PhraseTree.from_nested(nested) for count in range(1, 8) for nested in all_tree_shapes(count)
+] + [
+    PhraseTree.from_nested(unary_spine(nested, length))
+    for count in range(1, 6)
+    for nested in all_tree_shapes(count)
+    for length in (1, 3)
 ]
 
-RANDOM_TREES = st.builds(
-    random_tree,
-    st.integers(0, 10**6),
-    st.integers(1, 10),
-    st.sampled_from(["binary", "mixed:4"]),
-)
+
+def as_nested(node, unary):
+    """The nested form of ``node``, each node id in ``unary`` under that many unary nodes."""
+    if node.is_leaf:
+        nested = (node.label, node.word)
+    else:
+        nested = (node.label, [as_nested(child, unary) for child in node.children])
+    return unary_spine(nested, unary.get(node.id, 0))
+
+
+@st.composite
+def random_trees(draw):
+    """Random binary or mixed trees of 1-10 leaves, up to four nodes (the
+    root may be one) each under 1-3 inserted unary nodes."""
+    arity = draw(st.sampled_from(["binary", "mixed:4"]))
+    tree = random_tree(draw(st.integers(0, 10**6)), draw(st.integers(1, 10)), arity)
+    ids = st.sampled_from([n.id for n in tree.nodes])
+    unary = draw(st.dictionaries(ids, st.integers(1, 3), max_size=4))
+    return PhraseTree.from_nested(as_nested(tree.root, unary))
+
+
+RANDOM_TREES = random_trees()
 
 # Leaves of the small shapes are labeled W and internal nodes X, so this
 # lets leaves govern and keeps internal nodes from it.
@@ -92,7 +128,7 @@ def check_command_relations(tree):
     members = {a: cu_members(a) for a in ids}
     labels = {n.id: n.label for n in tree.nodes}
 
-    def governs(a, b):
+    def governs_ref(a, b):
         return (
             a != b
             and labels[a] in POLICY.governor_categories
@@ -111,8 +147,34 @@ def check_command_relations(tree):
         [b in members[a] for b in ids] for a in ids
     ]
     assert rows(government_matrix(tree, POLICY, nodes="all")) == [
-        [governs(a, b) for b in ids] for a in ids
+        [governs_ref(a, b) for b in ids] for a in ids
     ]
+
+    leaves = [n.id for n in tree.leaves]
+    for nodes, chosen in (("all", ids), ("leaves", leaves)):
+        expected = [
+            Disagreement(a, b, "c_command" if c_commands(a, b) else "cu_command")
+            for a in chosen
+            for b in chosen
+            if heights[a] == heights[b] and c_commands(a, b) != (b in members[a])
+        ]
+        assert theorem_check(tree, nodes=nodes) == expected
+
+    for a in ids:
+        domain = cu_domain(tree, a)
+        assert domain.owner == a and domain.members == members[a]
+        assert list(domain.distance_set.items()) == [
+            (b, heights[brute_lca(tree, a, b)] - heights[a]) for b in peers[a]
+        ]
+
+    # The single-pair functions each run the whole pass, so only small
+    # trees get every pair.
+    if len(ids) <= 16:
+        for a in ids:
+            for b in ids:
+                assert c_command(tree, a, b) == c_commands(a, b)
+                assert cu_command(tree, a, b) == (b in members[a])
+                assert governs(tree, a, b, POLICY) == governs_ref(a, b)
 
 
 CHECKS = [check_dominance, check_leaf_matrix, check_category_minima, check_command_relations]
