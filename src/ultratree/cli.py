@@ -363,38 +363,44 @@ _FIELDS = {
 }
 
 
-def _field(source: str, obj: dict, prefix: str, key: str, kind: str, default=None):
+def _field(obj: dict, prefix: str, key: str, kind: str, default=None):
     """``obj[key]`` checked as ``kind``, or ``default`` when absent and not
-    None.  Errors name the file and the JSON path, ``prefix + key``."""
+    None.  Errors name the JSON path, ``prefix + key``."""
     if key not in obj:
         if default is None:
-            raise UltratreeError(f"{source}: {prefix}{key}: missing")
+            raise UltratreeError(f"{prefix}{key}: missing")
         return default
     expected, test = _FIELDS[kind]
     if not test(obj[key]):
-        raise UltratreeError(f"{source}: {prefix}{key}: expected {expected}")
+        raise UltratreeError(f"{prefix}{key}: expected {expected}")
     return obj[key]
 
 
 def _cmd_hierarchy(args) -> int:
-    source = args.file
-    with open(source, encoding="utf-8") as handle:
+    with open(args.file, encoding="utf-8") as handle:
         document = json.load(handle)
+    try:
+        return _check_hierarchy(document)
+    except UltratreeError as exc:  # the library's errors name no file
+        raise type(exc)(f"{args.file}: {exc}") from exc
+
+
+def _check_hierarchy(document) -> int:
     if not isinstance(document, dict):
-        raise UltratreeError(f"{source}: hierarchy document must be a JSON object")
+        raise UltratreeError("hierarchy document must be a JSON object")
     kind = document.get("kind")
     if kind == "language":
-        chain = Chain(tuple(_field(source, document, "", "chain", "chain", Chain().elements)))
+        chain = Chain(tuple(_field(document, "", "chain", "chain", Chain().elements)))
         strategies = []
-        for i, item in enumerate(_field(source, document, "", "strategies", "list")):
+        for i, item in enumerate(_field(document, "", "strategies", "list")):
             where = f"strategies[{i}]"
             if not isinstance(item, dict):
-                raise UltratreeError(f"{source}: {where}: expected an object")
+                raise UltratreeError(f"{where}: expected an object")
             strategies.append(
                 Strategy(
-                    name=_field(source, item, f"{where}.", "name", "string", f"strategy{i}"),
-                    covered=frozenset(_field(source, item, f"{where}.", "covered", "strings")),
-                    primary=_field(source, item, f"{where}.", "primary", "bool", False),
+                    name=_field(item, f"{where}.", "name", "string", f"strategy{i}"),
+                    covered=frozenset(_field(item, f"{where}.", "covered", "strings")),
+                    primary=_field(item, f"{where}.", "primary", "bool", False),
                 )
             )
         violations = check_language(chain, strategies)
@@ -402,21 +408,23 @@ def _cmd_hierarchy(args) -> int:
         return EXIT_VIOLATIONS if violations else EXIT_OK
     if kind == "downset":
         if "order" in document:
-            order = _field(source, document, "", "order", "object")
-            _field(source, order, "order.", "nodes", "strings")
-            _field(source, order, "order.", "edges", "edges")
+            order = _field(document, "", "order", "object")
+            _field(order, "order.", "nodes", "strings")
+            _field(order, "order.", "edges", "edges")
             order = PartialOrder.from_json_dict(order)
         else:
             order = bundled_data.load_berlin_kay_order()
-        inventory = _field(source, document, "", "inventory", "strings")
+        inventory = _field(document, "", "inventory", "strings")
         closed = check_downset(order, inventory)
         _emit_json({"inventory": sorted(inventory), "downward_closed": closed})
         return EXIT_OK if closed else EXIT_VIOLATIONS
-    raise UltratreeError("hierarchy document needs \"kind\": \"language\" or \"downset\"")
+    raise UltratreeError("kind: expected \"language\" or \"downset\"")
 
 
 def _cmd_randtest(args) -> int:
     if args.exhaustive_leaves is not None:
+        if args.exhaustive_leaves < 1:
+            raise UltratreeError(f"exhaustive_leaves must be at least 1, got {args.exhaustive_leaves}")
         shapes = (
             tree
             for leaf_count in range(1, args.exhaustive_leaves + 1)

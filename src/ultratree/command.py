@@ -115,7 +115,7 @@ def first_branching_ancestor(tree: PhraseTree, node_id: int) -> int:
     q = _Facts(tree).above[tree._position(node_id)]
     if q < 0:
         raise NoBranchingAncestor(f"no branching ancestor above node {node_id}")
-    return tree.nodes[q].id
+    return q
 
 
 def same_height_distance(tree: PhraseTree, a: int, b: int) -> int:
@@ -150,9 +150,8 @@ def cu_domain(tree: PhraseTree, a: int) -> CuDomain:
     distance from one ``lca``.  When ``a`` is alone the domain is ``{a}``.
     """
     facts, p = _Facts(tree), tree._position(a)
-    ids = [n.id for n in tree.nodes]
-    distance_set = {ids[q]: same_height_distance(tree, a, ids[q]) for q in facts.peers[p]}
-    return CuDomain(a, distance_set, frozenset(ids[q] for q in facts.run(facts.cu_span, p)))
+    distance_set = {q: same_height_distance(tree, a, q) for q in facts.peers[p]}
+    return CuDomain(a, distance_set, frozenset(facts.run(facts.cu_span, p)))
 
 
 def cu_command(tree: PhraseTree, a: int, b: int) -> bool:
@@ -180,18 +179,16 @@ def theorem_check(tree: PhraseTree, nodes: str = "leaves") -> list[Disagreement]
         c, cu = facts.c_span[p], facts.cu_span[p]
         starts, stops = sorted((c.start, cu.start)), sorted((c.stop, cu.stop))
         for k in (*range(*starts), *range(*stops)):
-            b = tree.nodes[facts.peers[p][k]].id
-            found.append(Disagreement(tree.nodes[p].id, b, "c_command" if k in c else "cu_command"))
+            found.append(Disagreement(p, facts.peers[p][k], "c_command" if k in c else "cu_command"))
     return found
 
 
 def label_disagreements(tree: PhraseTree, found: list[Disagreement]) -> list[dict]:
     """Render disagreements with readable node names (leaf word or node label)."""
     names = disambiguate(n.word if n.is_leaf else n.label for n in tree.nodes)
-    labels = dict(zip((n.id for n in tree.nodes), names))
     bracketed = serialize_tree(tree)
     return [
-        {"tree": bracketed, "a": labels[d.a], "b": labels[d.b], "relation": d.holds}
+        {"tree": bracketed, "a": names[d.a], "b": names[d.b], "relation": d.holds}
         for d in found
     ]
 

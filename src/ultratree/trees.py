@@ -5,8 +5,9 @@ Trees are written in single-line labeled bracketing, with leaves of the form
 
     (S (NP (D the) (N man)) (VP (V ate) (NP (D a) (N dog))))
 
-Every tree is immutable once built.  Node ids are preorder positions, so the
-root is node 0 and leaves appear in left-to-right order.
+Every tree is built from its preorder ``(label, word, parent)`` records and
+is immutable once built.  Node ids are preorder positions, so the root is
+node 0 and leaves appear in left-to-right order.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ from .matrix import RelationMatrix
 DEFAULT_RANDOM_CATEGORIES = ("D", "N", "V", "A", "P")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Node:
-    """One tree position.  Leaves carry a word; internal nodes carry children."""
+    """One tree position.  Leaves carry a word; internal nodes carry children.
+    Equality, hashing and ``repr`` are structural and walk the subtree with a
+    stack, so deep chains do not recurse."""
 
     id: int
     label: str
@@ -42,47 +45,86 @@ class Node:
     def is_leaf(self) -> bool:
         return not self.children
 
+    def _signature(self) -> tuple[tuple[int, str, str | None, int], ...]:
+        # The subtree's preorder sequence with arities fixes the subtree.
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            out.append((node.id, node.label, node.word, len(node.children)))
+            stack.extend(reversed(node.children))
+        return tuple(out)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Node) and self._signature() == other._signature()
+
+    def __hash__(self) -> int:
+        return hash(self._signature())
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        stack: list[Node | str] = [self]  # nodes still to print, and the text between them
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append(f"Node(id={item.id!r}, label={item.label!r}, word={item.word!r}, children=(")
+            stack.append(",))" if len(item.children) == 1 else "))")
+            stack.extend(x for child in reversed(item.children) for x in (child, ", "))
+            if item.children:
+                stack.pop()  # no separator before the first child
+        return "".join(out)
+
 
 class PhraseTree:
     """A rooted, ordered, labeled, non-reticulate tree.
 
-    Construction validates that words appear exactly on childless nodes and
-    that node ids are unique, and indexes the tree once: each node's preorder
-    position, parent, subtree end and minimum height.  Ids may be any unique
-    integers, so the index is kept by preorder position.  All queries are
-    pure; instances may be shared freely across threads.
+    ``PhraseTree(records)`` takes the preorder records ``(label, word,
+    parent position)``: the root first with parent -1, a word on each leaf
+    and None on each internal node.  Node ids are the positions.  One
+    backward pass validates the records and indexes the tree: each node's
+    parent, subtree end and minimum height.  It raises ParseError when the
+    records are empty or not a preorder, and MixedNode or EmptyNode when a
+    node has both or neither of a word and children.  All queries are pure;
+    instances may be shared freely across threads.
     """
 
-    __slots__ = ("root", "_preorder", "_pos", "_up", "_end", "_height")
+    __slots__ = ("root", "_preorder", "_up", "_end", "_height")
 
-    def __init__(self, root: Node):
-        preorder: list[Node] = []
-        pos: dict[int, int] = {}
-        up: list[int] = []  # parent position, -1 at the root
-        stack: list[tuple[Node, int]] = [(root, -1)]
-        while stack:
-            node, parent = stack.pop()
-            if node.children and node.word is not None:
-                raise MixedNode(f"node {node.label!r} has both a word and children")
-            if not node.children and node.word is None:
-                raise EmptyNode(f"node {node.label!r} has neither a word nor children")
-            if node.id in pos:
-                raise ValueError(f"duplicate node id {node.id}")
-            here = pos[node.id] = len(preorder)
-            stack.extend((child, here) for child in reversed(node.children))
-            preorder.append(node)
-            up.append(parent)
-        # Children follow their parent in preorder, so one backward pass
-        # finishes every subtree before its root is read.
-        end = list(range(1, len(preorder) + 1))  # one past the subtree's last position
-        height = [0] * len(preorder)
-        for p in range(len(preorder) - 1, 0, -1):
-            parent = up[p]
+    def __init__(self, records: Sequence[tuple[str, str | None, int]]):
+        n = len(records)
+        if not n:
+            raise ParseError("a tree needs at least one record")
+        preorder: list[Node] = [None] * n  # type: ignore[list-item]
+        children: list[list[Node]] = [[] for _ in range(n)]  # last child first
+        up = [parent for _, _, parent in records]  # -1 at the root
+        end = list(range(1, n + 1))  # one past the subtree's last position
+        size = [1] * n
+        height = [0] * n
+        # Children follow their parent in preorder, so a backward pass
+        # finishes every subtree before its root is read.  In a preorder the
+        # subtree of p is exactly the records [p, end), so it holds end - p.
+        for p in range(n - 1, -1, -1):
+            label, word, parent = records[p]
+            kids = children[p]
+            if kids and word is not None:
+                raise MixedNode(f"node {label!r} has both a word and children")
+            if not kids and word is None:
+                raise EmptyNode(f"node {label!r} has neither a word nor children")
+            if size[p] != end[p] - p:
+                raise ParseError(f"not a preorder: record {p}'s descendants do not directly follow it")
+            preorder[p] = Node(p, label, word, tuple(reversed(kids)))
+            if not isinstance(parent, int) or not (0 if p else -1) <= parent < p:
+                wanted = "an earlier record" if p else "-1: the first record is the root"
+                raise ParseError(f"record {p}: parent {parent} is not {wanted}")
+            if not p:
+                break
+            children[parent].append(preorder[p])
             end[parent] = max(end[parent], end[p])
+            size[parent] += size[p]
             height[parent] = max(height[parent], height[p] + 1)
-        self.root = root
+        self.root = preorder[0]
         self._preorder = tuple(preorder)
-        self._pos = pos
         self._up = up
         self._end = end
         self._height = height
@@ -110,7 +152,7 @@ class PhraseTree:
                 records.append((label, None, parent))
                 here = len(records) - 1
                 stack.extend((child, here) for child in reversed(list(payload)))
-        return cls(_link(records))
+        return cls(records)
 
     # -- queries -----------------------------------------------------------
 
@@ -128,10 +170,9 @@ class PhraseTree:
         return len(self._preorder)
 
     def _position(self, node_id: int) -> int:
-        try:
-            return self._pos[node_id]
-        except KeyError:
-            raise UnknownNode(f"no node with id {node_id}") from None
+        if isinstance(node_id, int) and 0 <= node_id < len(self._preorder):
+            return node_id
+        raise UnknownNode(f"no node with id {node_id}")
 
     def node(self, node_id: int) -> Node:
         return self._preorder[self._position(node_id)]
@@ -142,7 +183,7 @@ class PhraseTree:
 
     def parent_id(self, node_id: int) -> int | None:
         parent = self._up[self._position(node_id)]
-        return None if parent < 0 else self._preorder[parent].id
+        return None if parent < 0 else parent
 
     def ancestor_ids(self, node_id: int, include_self: bool = False) -> Iterator[int]:
         """Walk upward from a node toward the root."""
@@ -150,7 +191,7 @@ class PhraseTree:
         if not include_self:
             p = self._up[p]
         while p >= 0:
-            yield self._preorder[p].id
+            yield p
             p = self._up[p]
 
     def leaf_blocks(self) -> Iterator[tuple[int, int, int, int]]:
@@ -195,16 +236,11 @@ class PhraseTree:
                 out.append(")")
         return "".join(out)
 
-    def _signature(self) -> tuple[tuple[int, str, str | None, int], ...]:
-        # The preorder sequence with arities fixes the tree, as recursive
-        # Node equality would, without recursing through deep chains.
-        return tuple((n.id, n.label, n.word, len(n.children)) for n in self._preorder)
-
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PhraseTree) and self._signature() == other._signature()
+        return isinstance(other, PhraseTree) and self.root == other.root
 
     def __hash__(self) -> int:
-        return hash(self._signature())
+        return hash(self.root)
 
     def __repr__(self) -> str:
         return f"PhraseTree({self.to_bracketed()!r})"
@@ -273,13 +309,7 @@ def parse_tree(text: str) -> PhraseTree:
             records.append([tokens[pos], None, open_groups[-1] if open_groups else -1])
             open_groups.append(len(records) - 1)
         elif token == ")":
-            here = open_groups.pop()
-            label, word, _ = records[here]
-            has_children = len(records) > here + 1
-            if word is not None and has_children:
-                raise MixedNode(f"node {label!r} has both a word and children")
-            if word is None and not has_children:
-                raise EmptyNode(f"node {label!r} has neither a word nor children")
+            open_groups.pop()
             if not open_groups:
                 break
         else:
@@ -292,19 +322,8 @@ def parse_tree(text: str) -> PhraseTree:
             raise UnbalancedBrackets("missing closing parenthesis")
     if pos + 1 != len(tokens):
         raise UnbalancedBrackets("trailing content after the tree")
-    return PhraseTree(_link(records))
+    return PhraseTree(records)
 
-
-def _link(records) -> Node:
-    """Build nodes bottom-up from ``(label, word, parent position)`` records in
-    preorder; node ids are the positions.  Returns the root."""
-    children: list[list[Node]] = [[] for _ in records]
-    for p in range(len(records) - 1, -1, -1):
-        label, word, parent = records[p]
-        node = Node(p, label, word, tuple(reversed(children[p])))
-        if parent >= 0:
-            children[parent].append(node)
-    return node
 
 
 def serialize_tree(tree: PhraseTree) -> str:
@@ -342,7 +361,7 @@ def assign_heights(tree: PhraseTree) -> dict[int, int]:
     available to it.  The tree computes it once when built; this returns a
     fresh copy keyed by node id.
     """
-    return {node.id: h for node, h in zip(tree._preorder, tree._height)}
+    return dict(enumerate(tree._height))
 
 
 def lca(tree: PhraseTree, a: int, b: int) -> int:
@@ -351,7 +370,7 @@ def lca(tree: PhraseTree, a: int, b: int) -> int:
     end, up = tree._end, tree._up
     while not p <= q < end[p]:
         p = up[p]
-    return tree._preorder[p].id
+    return p
 
 
 def dominates(tree: PhraseTree, a: int, b: int) -> bool:
@@ -364,10 +383,10 @@ def dominates(tree: PhraseTree, a: int, b: int) -> bool:
 
 
 def dominance_matrix(tree: PhraseTree) -> RelationMatrix:
-    """Boolean dominance matrix over all nodes in preorder."""
-    ids = [n.id for n in tree.nodes]
-    entries = tuple(tuple(dominates(tree, a, b) for b in ids) for a in ids)
-    return RelationMatrix(tree.node_labels(), entries)
+    """Boolean dominance matrix over all nodes in preorder: row p is true on p's subtree."""
+    n, end = len(tree), tree._end
+    rows = tuple((False,) * p + (True,) * (end[p] - p) + (False,) * (n - end[p]) for p in range(n))
+    return RelationMatrix(tree.node_labels(), rows)
 
 
 def is_switched(tree: PhraseTree) -> bool:
@@ -400,34 +419,30 @@ def random_tree(
 ) -> PhraseTree:
     """Deterministic random tree over ``leaf_count`` leaves.
 
-    The shape is drawn by recursive random splits of the leaf sequence; with
-    ``arity='mixed:K'`` each split picks between 2 and K parts.  Leaves are
-    words ``w1..wn`` with categories drawn from ``categories``.  The same seed
-    always yields the identical tree.
+    The shape is drawn by random splits of the leaf sequence, each node's
+    split before its children's; with ``arity='mixed:K'`` each split picks
+    between 2 and K parts.  Leaves are words ``w1..wn`` with categories drawn
+    from ``categories``.  The same seed always yields the identical tree.
     """
     if leaf_count < 1:
         raise ValueError("leaf_count must be at least 1")
     max_arity = _parse_arity(arity)
     rng = random.Random(seed)
-    leaves = [
-        (rng.choice(list(categories)), f"w{i + 1}") for i in range(leaf_count)
-    ]
-
-    def build(lo: int, hi: int):
-        n = hi - lo
-        if n == 1:
-            return leaves[lo]
-        if max_arity is None:
-            parts = 2
-        else:
-            parts = rng.randint(2, min(max_arity, n))
-        cuts = sorted(rng.sample(range(lo + 1, hi), parts - 1))
-        bounds = [lo, *cuts, hi]
-        return ("X", [build(bounds[i], bounds[i + 1]) for i in range(parts)])
-
-    if leaf_count == 1:
-        return PhraseTree.from_nested(leaves[0])
-    return PhraseTree.from_nested(build(0, leaf_count))
+    categories = list(categories)
+    leaf_categories = [rng.choice(categories) for _ in range(leaf_count)]
+    records: list[tuple[str, str | None, int]] = []
+    stack = [(0, leaf_count, -1)]  # leaf spans [lo, hi) still to draw, next on top
+    while stack:
+        lo, hi, parent = stack.pop()
+        if hi - lo == 1:
+            records.append((leaf_categories[lo], f"w{lo + 1}", parent))
+            continue
+        parts = 2 if max_arity is None else rng.randint(2, min(max_arity, hi - lo))
+        bounds = [lo, *sorted(rng.sample(range(lo + 1, hi), parts - 1)), hi]
+        records.append(("X", None, parent))
+        here = len(records) - 1
+        stack.extend((bounds[i], bounds[i + 1], here) for i in range(parts - 1, -1, -1))
+    return PhraseTree(records)
 
 
 def enumerate_binary_trees(leaf_count: int) -> Iterator[PhraseTree]:

@@ -431,6 +431,10 @@ class TestDeepInput:
         again = parse_tree(tree.to_bracketed())
         assert again == tree and hash(again) == hash(tree)
         assert parse_tree("(X " * self.DEPTH + "(W v)" + ")" * self.DEPTH) != tree
+        # The nodes themselves compare, hash and print without recursing.
+        assert again.root == tree.root and hash(again.root) == hash(tree.root)
+        assert again.root != parse_tree("(X " * self.DEPTH + "(W v)" + ")" * self.DEPTH).root
+        assert repr(tree.root).count("Node(") == self.DEPTH + 1
 
 
 class TestErrors:
@@ -454,6 +458,13 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: max_leaves must be at least 1, got 0\n"
+
+    @pytest.mark.parametrize("leaves", ["0", "-3"])
+    def test_randtest_exhaustive_leaves_below_one(self, capsys, leaves):
+        assert run(["randtest", "--seed", "1", "--exhaustive-leaves", leaves]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: exhaustive_leaves must be at least 1, got {leaves}\n"
 
     @pytest.mark.parametrize(
         "document, where",
@@ -492,12 +503,23 @@ class TestErrors:
                 {"kind": "downset", "order": {"nodes": ["a"], "edges": [["a"]]}, "inventory": []},
                 "order.edges: expected a list of [earlier, later] string pairs",
             ),
+            # Errors the library's checks raise, with the file named in front.
+            (
+                {"kind": "language", "strategies": [{"covered": ["ZZ"]}]},
+                "label 'ZZ' not on the chain",
+            ),
+            ({"kind": "downset", "inventory": ["zz"]}, "inventory label 'zz' not a node"),
+            (
+                {"kind": "downset", "order": {"nodes": ["a"], "edges": [["a", "b"]]}, "inventory": []},
+                "edge endpoint 'b' not a node",
+            ),
+            ({"kind": "tree"}, 'kind: expected "language" or "downset"'),
         ],
         ids=[
             "chain-number", "chain-empty", "chain-repeated", "no-strategies", "strategies-object",
             "strategy-number", "no-covered", "covered-number", "covered-numbers", "name-number",
             "primary-number", "no-inventory", "inventory-number", "order-number", "no-edges",
-            "edge-single",
+            "edge-single", "covered-off-chain", "inventory-off-order", "edge-off-order", "bad-kind",
         ],
     )
     def test_bad_hierarchy_document(self, tmp_path, capsys, document, where):

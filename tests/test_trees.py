@@ -14,6 +14,7 @@ from ultratree import (
     ParseError,
     PhraseTree,
     RelationMatrix,
+    UltratreeError,
     UnbalancedBrackets,
     UnknownNode,
     assign_heights,
@@ -39,6 +40,47 @@ FIGURE4 = "(S (C (A Alf) (M must)) (D (J jump) (H high)))"
 SMALL_SHAPES = [
     PhraseTree.from_nested(nested) for count in range(1, 8) for nested in all_tree_shapes(count)
 ]
+
+
+def records_of(tree):
+    return [
+        (n.label, n.word, -1 if p == 0 else tree.parent_id(p)) for p, n in enumerate(tree.nodes)
+    ]
+
+
+def reference_records_ok(records):
+    """Whether the records are a tree in preorder, checked front to back:
+    each parent is still open, and words sit exactly on childless nodes."""
+    has_children = {parent for _, _, parent in records}
+    open_nodes: list[int] = []
+    for p, (_, word, parent) in enumerate(records):
+        while open_nodes and open_nodes[-1] != parent:
+            open_nodes.pop()
+        if (word is None) != (p in has_children) or (parent != -1 if p == 0 else not open_nodes):
+            return False
+        open_nodes.append(p)
+    return bool(records)
+
+
+RECORD = st.tuples(st.sampled_from("XYW"), st.none() | st.sampled_from("ab"), st.integers(-2, 7))
+
+
+@st.composite
+def _mutated_shapes(draw):
+    """A small tree's records with up to two parents or words redrawn."""
+    records = records_of(draw(st.sampled_from(SMALL_SHAPES)))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(records) - 1))
+        label, word, parent = records[k]
+        if draw(st.booleans()):
+            parent = draw(st.integers(-1, k))
+        else:
+            word = draw(st.none() | st.sampled_from("ab"))
+        records[k] = (label, word, parent)
+    return records
+
+
+RECORD_SEQUENCES = st.lists(RECORD, max_size=7) | _mutated_shapes()
 
 
 class TestParse:
@@ -214,6 +256,21 @@ class TestAncestry:
         with pytest.raises(UnknownNode):
             lca(tree, 0, 99)
 
+    @pytest.mark.parametrize("bad", [-1, 3, "a"])
+    def test_ids_outside_the_tree(self, bad):
+        # Ids index lists, where -1 would quietly read the last node.
+        tree = parse_tree("(X (A a) (B b))")
+        for query in (
+            lambda: tree.height(bad),
+            lambda: tree.node(bad),
+            lambda: lca(tree, bad, 0),
+            lambda: lca(tree, 0, bad),
+            lambda: dominates(tree, bad, 0),
+            lambda: dominates(tree, 0, bad),
+        ):
+            with pytest.raises(UnknownNode, match=f"no node with id {bad}"):
+                query()
+
     @given(
         tree=st.one_of(
             st.builds(random_tree, st.integers(0, 10**6), st.integers(1, 12), st.just("mixed:4")),
@@ -330,16 +387,50 @@ class TestPhraseTreeValidation:
     def test_relation_matrix_type(self):
         assert isinstance(dominance_matrix(parse_tree("(X (A a) (B b))")), RelationMatrix)
 
-    def test_duplicate_ids_rejected(self):
-        from ultratree import Node
-
-        leaf = Node(1, "A", "a", ())
-        with pytest.raises(ValueError):
-            PhraseTree(Node(1, "X", None, (leaf,)))
-
     def test_word_on_internal_rejected(self):
-        from ultratree import Node
+        with pytest.raises(MixedNode, match="node 'X' has both a word and children"):
+            PhraseTree([("X", "oops", -1), ("A", "a", 0)])
 
-        leaf = Node(1, "A", "a", ())
-        with pytest.raises(MixedNode):
-            PhraseTree(Node(0, "X", "oops", (leaf,)))
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ([], "at least one record"),
+            ([("X", None, 0), ("A", "a", 0)], "record 0: parent 0 is not -1"),
+            ([("X", None, -1), ("A", "a", -1)], "record 1: parent -1 is not an earlier record"),
+            ([("X", None, -1), ("A", "a", 2), ("B", "b", 0)], "record 1: parent 2 is not an earlier record"),
+            ([("X", None, -1), ("A", "a", 0.0)], "record 1: parent 0.0 is not an earlier record"),
+            (
+                [("X", None, -1), ("Y", None, 0), ("A", "a", 0), ("B", "b", 1)],
+                "not a preorder: record 1's descendants",
+            ),
+            ([("X", None, -1), ("A", None, 0)], "node 'A' has neither a word nor children"),
+        ],
+        ids=["empty", "root-parent", "two-roots", "later-parent", "float-parent", "not-preorder", "empty-leaf"],
+    )
+    def test_bad_records_rejected(self, records, message):
+        with pytest.raises(ParseError, match=message):
+            PhraseTree(records)
+
+    @given(records=RECORD_SEQUENCES)
+    @settings(max_examples=300, deadline=None)
+    def test_records_build_or_raise(self, records):
+        """Every record sequence builds the tree its records describe, or
+        raises an UltratreeError exactly when a forward check rejects it."""
+        if not reference_records_ok(records):
+            with pytest.raises(UltratreeError):
+                PhraseTree(records)
+            return
+        tree = PhraseTree(records)
+        assert tree == parse_tree(tree.to_bracketed())
+        assert records_of(tree) == records
+
+    def test_node_repr_and_equality(self):
+        tree = parse_tree("(X (U (A a)) (B b))")
+        assert repr(tree.node(1)) == (
+            "Node(id=1, label='U', word=None, children="
+            "(Node(id=2, label='A', word='a', children=()),))"
+        )
+        again = parse_tree("(X (U (A a)) (B b))")
+        assert tree.root == again.root and hash(tree.root) == hash(again.root)
+        assert tree.root != parse_tree("(X (U (A a)) (B c))").root
+        assert tree.node(1) != tree.node(2) and tree.root != "X"
