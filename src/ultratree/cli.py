@@ -6,7 +6,7 @@ documents.  Exit codes separate outcomes so pipelines can branch on them:
 * 0: the analysis ran and found nothing wrong,
 * 1: the analysis ran and found violations (failed axioms, theorem
   disagreements, a failed pattern check, trees over the complexity bound),
-* 2: the input could not be read or parsed.
+* 2: the input could not be read or parsed (an UltratreeError or OSError).
 
 Tree files hold one bracketed tree per line; ``#`` starts a comment line and
 blank lines are ignored.  Matrix documents are JSON objects with ``labels``
@@ -33,17 +33,16 @@ from .command import (
     random_theorem_suite,
     theorem_report,
 )
-from .errors import UltratreeError
+from .errors import UltratreeError, _read_utf8
 from .features import (
     FeatureTable,
     build_feature_matrix,
     compare_feature_vs_ultrametric,
     determinant,
-    feature_distance,
     matrix_rank,
     pauli_assembly,
 )
-from .hierarchy import Chain, PartialOrder, Strategy, check_downset, check_language
+from .hierarchy import check_document
 from .lexdist import check_nested_pattern, complexity, min_distance_matrix
 from .matrix import CategoryDistanceMatrix, DistanceMatrix
 from .trees import dominance_matrix, enumerate_binary_trees, parse_tree_file
@@ -136,9 +135,15 @@ def _emit_matrices(matrices, fmt: str, single: bool = False) -> None:
         _emit("\n".join(m.to_csv() for m in matrices))
 
 
-def _load_matrix(path: str) -> DistanceMatrix:
-    with open(path, encoding="utf-8") as handle:
-        return DistanceMatrix.from_json_dict(json.load(handle), source=path)
+def _read_json(path: str):
+    """The JSON document in a UTF-8 file; every fault names the file."""
+    text = _read_utf8(path)  # outside the try: its UltratreeError is a ValueError
+    # A JSONDecodeError gives the line and column.  Other ValueErrors report
+    # an integer too long to convert, and RecursionError nesting too deep.
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise UltratreeError(f"{path}: {exc}") from None
 
 
 def _split_csv_flag(value: str) -> list[str]:
@@ -169,7 +174,7 @@ def _collect_checks(matrices) -> list[dict]:
 
 def _cmd_check(args) -> int:
     if args.matrix:
-        matrices = [_load_matrix(args.matrix)]
+        matrices = [DistanceMatrix.from_json_dict(_read_json(args.matrix), source=args.matrix)]
     elif args.file:
         matrices = [leaf_matrix(t) for t in parse_tree_file(args.file)]
     else:
@@ -197,7 +202,7 @@ def _cmd_triangles(args) -> int:
     if args.xbar:
         matrices = [xbar_template(args.i)]
     elif args.matrix:
-        matrices = [_load_matrix(args.matrix)]
+        matrices = [DistanceMatrix.from_json_dict(_read_json(args.matrix), source=args.matrix)]
     elif args.file:
         matrices = [leaf_matrix(t) for t in parse_tree_file(args.file)]
     else:
@@ -266,6 +271,8 @@ def _cmd_mindist(args) -> int:
     else:
         corpus = bundled_data.load_category_corpus()
     order = _split_csv_flag(args.order) if args.order else None
+    if order and len(set(order)) < len(order):
+        raise UltratreeError(f"--order: categories must be distinct, got {args.order!r}")
     matrix = min_distance_matrix(corpus, categories=order)
     if args.i is None:
         if args.format == "json":
@@ -311,10 +318,9 @@ def _cmd_features(args) -> int:
     entries = [[int(z.real) for z in row] for row in assembled]
     imag_zero = all(z.imag == 0 for row in assembled for z in row)
     if args.matrix:
-        with open(args.matrix, encoding="utf-8") as handle:
-            distances = CategoryDistanceMatrix.from_json_dict(
-                json.load(handle), source=args.matrix
-            )
+        distances = CategoryDistanceMatrix.from_json_dict(
+            _read_json(args.matrix), source=args.matrix
+        )
     else:
         distances = min_distance_matrix(bundled_data.load_category_corpus())
     comparison = compare_feature_vs_ultrametric(table, distances)
@@ -328,12 +334,8 @@ def _cmd_features(args) -> int:
         "pauli_assembly_real": imag_zero,
         "pauli_assembly_matches": entries == [list(r) for r in sign.entries],
         "feature_distances": [
-            {
-                "pair": [c1, c2],
-                "distance": feature_distance(table, c1, c2),
-            }
-            for i, c1 in enumerate(table.categories)
-            for c2 in table.categories[i + 1 :]
+            {"pair": p["pair"], "distance": p["feature_distance"]}
+            for p in comparison["pairs"]
         ],
         "comparison": comparison,
     }
@@ -341,84 +343,10 @@ def _cmd_features(args) -> int:
     return EXIT_OK
 
 
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
-
-
-# Each kind of hierarchy-document field: the phrase its error uses, and its test.
-_FIELDS = {
-    "chain": (
-        "a non-empty list of distinct strings",
-        lambda v: _strings(v) and 0 < len(v) == len(set(v)),
-    ),
-    "strings": ("a list of strings", _strings),
-    "list": ("a list", lambda v: isinstance(v, list)),
-    "object": ("an object", lambda v: isinstance(v, dict)),
-    "string": ("a string", lambda v: isinstance(v, str)),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "edges": (
-        "a list of [earlier, later] string pairs",
-        lambda v: isinstance(v, list) and all(_strings(e) and len(e) == 2 for e in v),
-    ),
-}
-
-
-def _field(obj: dict, prefix: str, key: str, kind: str, default=None):
-    """``obj[key]`` checked as ``kind``, or ``default`` when absent and not
-    None.  Errors name the JSON path, ``prefix + key``."""
-    if key not in obj:
-        if default is None:
-            raise UltratreeError(f"{prefix}{key}: missing")
-        return default
-    expected, test = _FIELDS[kind]
-    if not test(obj[key]):
-        raise UltratreeError(f"{prefix}{key}: expected {expected}")
-    return obj[key]
-
-
 def _cmd_hierarchy(args) -> int:
-    with open(args.file, encoding="utf-8") as handle:
-        document = json.load(handle)
-    try:
-        return _check_hierarchy(document)
-    except UltratreeError as exc:  # the library's errors name no file
-        raise type(exc)(f"{args.file}: {exc}") from exc
-
-
-def _check_hierarchy(document) -> int:
-    if not isinstance(document, dict):
-        raise UltratreeError("hierarchy document must be a JSON object")
-    kind = document.get("kind")
-    if kind == "language":
-        chain = Chain(tuple(_field(document, "", "chain", "chain", Chain().elements)))
-        strategies = []
-        for i, item in enumerate(_field(document, "", "strategies", "list")):
-            where = f"strategies[{i}]"
-            if not isinstance(item, dict):
-                raise UltratreeError(f"{where}: expected an object")
-            strategies.append(
-                Strategy(
-                    name=_field(item, f"{where}.", "name", "string", f"strategy{i}"),
-                    covered=frozenset(_field(item, f"{where}.", "covered", "strings")),
-                    primary=_field(item, f"{where}.", "primary", "bool", False),
-                )
-            )
-        violations = check_language(chain, strategies)
-        _emit_json([v.to_json_dict() for v in violations])
-        return EXIT_VIOLATIONS if violations else EXIT_OK
-    if kind == "downset":
-        if "order" in document:
-            order = _field(document, "", "order", "object")
-            _field(order, "order.", "nodes", "strings")
-            _field(order, "order.", "edges", "edges")
-            order = PartialOrder.from_json_dict(order)
-        else:
-            order = bundled_data.load_berlin_kay_order()
-        inventory = _field(document, "", "inventory", "strings")
-        closed = check_downset(order, inventory)
-        _emit_json({"inventory": sorted(inventory), "downward_closed": closed})
-        return EXIT_OK if closed else EXIT_VIOLATIONS
-    raise UltratreeError("kind: expected \"language\" or \"downset\"")
+    report, passed = check_document(_read_json(args.file), source=args.file)
+    _emit_json(report)
+    return EXIT_OK if passed else EXIT_VIOLATIONS
 
 
 def _cmd_randtest(args) -> int:
@@ -555,7 +483,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (UltratreeError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (UltratreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -59,7 +59,7 @@ class Disagreement:
 
 def _positions(tree: PhraseTree, nodes: str) -> list[int]:
     if nodes not in ("leaves", "all"):
-        raise ValueError(f"nodes must be 'leaves' or 'all', got {nodes!r}")
+        raise UltratreeError(f"nodes must be 'leaves' or 'all', got {nodes!r}")
     return [p for p, n in enumerate(tree.nodes) if nodes == "all" or n.is_leaf]
 
 

@@ -1,8 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and a UTF-8 file reader."""
 
 
-class UltratreeError(Exception):
-    """Base class for every error raised by this package."""
+class UltratreeError(ValueError):
+    """Base class for every error raised by this package (a ValueError)."""
 
 
 class ParseError(UltratreeError):
@@ -86,3 +86,15 @@ class UnknownCategory(UltratreeError):
 
 class CyclicOrder(UltratreeError):
     """An alleged partial order whose edge set contains a cycle."""
+
+
+def _read_utf8(path) -> str:
+    """The text of a UTF-8 file; other bytes raise UltratreeError naming the file and line."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # bytes.splitlines breaks lines where a text-mode file does: \n, \r, \r\n.
+        line = len((raw[: exc.start] + b".").splitlines())
+        raise UltratreeError(f"{path}:{line}: not UTF-8: {exc.reason} at byte {exc.start}") from None

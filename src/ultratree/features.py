@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .errors import MissingEntry, UnknownCategory
+from .errors import MissingEntry, NonSquare, UltratreeError, UnknownCategory
 from .matrix import CategoryDistanceMatrix, SignMatrix
 
 FEATURE_CATEGORIES = ("N", "V", "A", "P")
@@ -38,10 +38,10 @@ class FeatureTable:
 
     def __post_init__(self):
         if tuple(self.rows) != FEATURE_CATEGORIES:
-            raise ValueError(f"feature table must cover exactly {FEATURE_CATEGORIES}")
+            raise UltratreeError(f"feature table must cover exactly {FEATURE_CATEGORIES}")
         for category, (n_value, v_value) in self.rows.items():
             if n_value not in (1, -1) or v_value not in (1, -1):
-                raise ValueError(f"feature values for {category!r} must be +1 or -1")
+                raise UltratreeError(f"feature values for {category!r} must be +1 or -1")
 
     @property
     def categories(self) -> tuple[str, ...]:
@@ -66,7 +66,7 @@ def build_feature_matrix(
     """
     table = FeatureTable() if table is None else table
     if ap_value not in (1, -1):
-        raise ValueError("ap_value must be +1 or -1")
+        raise UltratreeError("ap_value must be +1 or -1")
     order = table.categories
     n = len(order)
     cells: list[list[int | None]] = [[None] * n for _ in range(n)]
@@ -79,7 +79,7 @@ def build_feature_matrix(
             if cells[j][i] is None:
                 cells[j][i] = cells[i][j]
             elif cells[j][i] != cells[i][j]:
-                raise ValueError("feature table does not symmetrize")
+                raise UltratreeError("feature table does not symmetrize")
     cells[2][2] = cells[3][3] = 1
     cells[2][3] = cells[3][2] = ap_value
     return SignMatrix(order, cells)
@@ -94,7 +94,7 @@ def determinant(matrix) -> int:
     m = [list(row) for row in rows]
     n = len(m)
     if any(len(row) != n for row in m):
-        raise ValueError("determinant needs a square matrix")
+        raise NonSquare("determinant needs a square matrix")
     if n == 0:
         return 1
     sign = 1
@@ -143,25 +143,16 @@ _SIGMA_2 = (((0, 0), (0, -1)), ((0, 1), (0, 0)))
 _SIGMA_3 = (((1, 0), (0, 0)), ((0, 0), (-1, 0)))
 
 
-def _block_add(x, y):
-    return tuple(
-        tuple((a[0] + b[0], a[1] + b[1]) for a, b in zip(xr, yr))
-        for xr, yr in zip(x, y)
-    )
-
-
-def _block_sub(x, y):
-    return tuple(
-        tuple((a[0] - b[0], a[1] - b[1]) for a, b in zip(xr, yr))
-        for xr, yr in zip(x, y)
-    )
-
-
-def _block_times_i(x, sign):
-    # (a + bi) * (sign * i) == -sign*b + sign*a i
-    return tuple(
-        tuple((-sign * a[1], sign * a[0]) for a in row) for row in x
-    )
+def _combine(*terms):
+    """The 2x2 block sum of ``coefficient * block`` over ``(coefficient,
+    block)`` terms, each coefficient a (real, imag) integer pair."""
+    out = [[(0, 0), (0, 0)], [(0, 0), (0, 0)]]
+    for (a, b), block in terms:
+        for i, row in enumerate(block):
+            for j, (c, d) in enumerate(row):
+                real, imag = out[i][j]
+                out[i][j] = (real + a * c - b * d, imag + a * d + b * c)
+    return out
 
 
 def pauli_assembly() -> list[list[complex]]:
@@ -171,25 +162,18 @@ def pauli_assembly() -> list[list[complex]]:
     -i*sigma2 + sigma3, bottom-left is +i*sigma2 + sigma3.  The imaginary
     parts cancel exactly, leaving the integer sign matrix.
     """
-    top_left = _block_sub(_IDENTITY_2, _SIGMA_1)
-    top_right = _block_add(_block_times_i(_SIGMA_2, -1), _SIGMA_3)
-    bottom_left = _block_add(_block_times_i(_SIGMA_2, 1), _SIGMA_3)
-    bottom_right = _block_sub(_IDENTITY_2, _SIGMA_1)
-    assembled = [[None] * 4 for _ in range(4)]
-    for i in range(2):
-        for j in range(2):
-            assembled[i][j] = top_left[i][j]
-            assembled[i][j + 2] = top_right[i][j]
-            assembled[i + 2][j] = bottom_left[i][j]
-            assembled[i + 2][j + 2] = bottom_right[i][j]
-    return [[complex(re, im) for re, im in row] for row in assembled]
+    one = (1, 0)
+    diagonal = _combine((one, _IDENTITY_2), ((-1, 0), _SIGMA_1))
+    blocks = (
+        (diagonal, _combine(((0, -1), _SIGMA_2), (one, _SIGMA_3))),
+        (_combine(((0, 1), _SIGMA_2), (one, _SIGMA_3)), diagonal),
+    )
+    return [[complex(*blocks[r // 2][c // 2][r % 2][c % 2]) for c in range(4)] for r in range(4)]
 
 
 def feature_distance(table: FeatureTable, c1: str, c2: str) -> int:
     """Hamming distance between two categories' feature vectors (0, 1, or 2)."""
-    v1 = table.vector(c1)
-    v2 = table.vector(c2)
-    return sum(1 for a, b in zip(v1, v2) if a != b)
+    return sum(a != b for a, b in zip(table.vector(c1), table.vector(c2)))
 
 
 def _is_monotone_map(pairs: list[tuple[int, int]]) -> bool:

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import CyclicOrder, UnknownLabel
+from .errors import CyclicOrder, UltratreeError, UnknownLabel
 
 ACCESSIBILITY_HIERARCHY = ("SU", "DO", "IO", "OBL", "GEN", "OCOMP")
 
@@ -34,7 +34,7 @@ class Chain:
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
         if len(set(self.elements)) != len(self.elements):
-            raise ValueError("chain elements must be unique")
+            raise UltratreeError("chain elements must be unique")
 
     def position(self, label: str) -> int:
         try:
@@ -141,8 +141,11 @@ class PartialOrder:
         )
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "PartialOrder":
-        return cls(frozenset(data["nodes"]), frozenset(map(tuple, data["edges"])))
+    def from_json_dict(cls, data: dict, at: str = "") -> "PartialOrder":
+        """Read ``{"nodes": [str, ...], "edges": [[earlier, later], ...]}``; errors
+        name the JSON path at fault, ``at`` being the path of ``data``."""
+        data = _object(data, at)
+        return cls(_field(data, at, "nodes", "strings"), _field(data, at, "edges", "edges"))
 
     def to_json_dict(self) -> dict:
         return {
@@ -201,3 +204,74 @@ def check_downset(order: PartialOrder, inventory: Iterable[str]) -> bool:
         if label not in order.nodes:
             raise UnknownLabel(f"inventory label {label!r} not a node")
     return all(order.predecessors(label) <= members for label in members)
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+# Each kind of document field: the phrase its error uses, and its test.
+_FIELDS = {
+    "chain": ("a non-empty list of distinct strings", lambda v: _strings(v) and 0 < len(v) == len(set(v))),
+    "strings": ("a list of strings", _strings),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "edges": (
+        "a list of [earlier, later] string pairs",
+        lambda v: isinstance(v, list) and all(_strings(e) and len(e) == 2 for e in v),
+    ),
+}
+
+
+def _object(value, at: str) -> dict:
+    if not isinstance(value, dict):
+        raise UltratreeError(f"{at or 'document'}: expected an object")
+    return value
+
+
+def _field(obj: dict, at: str, key: str, kind: str, default=None):
+    """``obj[key]`` checked as ``kind``, or ``default`` if absent; ``at`` is the JSON path of ``obj``."""
+    path = f"{at}.{key}" if at else key
+    if key not in obj:
+        if default is None:
+            raise UltratreeError(f"{path}: missing")
+        return default
+    expected, test = _FIELDS[kind]
+    if not test(obj[key]):
+        raise UltratreeError(f"{path}: expected {expected}")
+    return obj[key]
+
+
+def check_document(data, source: str = "<json>") -> tuple[object, bool]:
+    """The JSON report of the check a hierarchy document asks for, and whether
+    it passed: check_language for ``"kind": "language"``, check_downset for
+    ``"kind": "downset"``.  Every error names ``source`` and the JSON path."""
+    try:
+        kind = _object(data, "").get("kind")
+        if kind == "language":
+            chain = Chain(_field(data, "", "chain", "chain", ACCESSIBILITY_HIERARCHY))
+            strategies = []
+            for i, item in enumerate(_field(data, "", "strategies", "list")):
+                at = f"strategies[{i}]"
+                strategies.append(
+                    Strategy(
+                        name=_field(_object(item, at), at, "name", "string", f"strategy{i}"),
+                        covered=frozenset(_field(item, at, "covered", "strings")),
+                        primary=_field(item, at, "primary", "bool", False),
+                    )
+                )
+            violations = check_language(chain, strategies)
+            return [v.to_json_dict() for v in violations], not violations
+        if kind == "downset":
+            if "order" in data:
+                order = PartialOrder.from_json_dict(data["order"], "order")
+            else:
+                from .data import load_berlin_kay_order  # data imports this module
+                order = load_berlin_kay_order()
+            inventory = _field(data, "", "inventory", "strings")
+            closed = check_downset(order, inventory)
+            return {"inventory": sorted(inventory), "downward_closed": closed}, closed
+        raise UltratreeError('kind: expected "language" or "downset"')
+    except UltratreeError as exc:
+        raise type(exc)(f"{source}: {exc}") from exc

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from typing import Sequence
 
-from .errors import BadMatrixDocument, NonSquare, UnknownLabel
+from .errors import BadMatrixDocument, NonSquare, UltratreeError, UnknownLabel
+
+_surrogate = re.compile("[\ud800-\udfff]").search
 
 
 class LabeledMatrix:
@@ -32,15 +35,17 @@ class LabeledMatrix:
         self.entries = rows
         self._index = {label: i for i, label in enumerate(labels)}
         if len(self._index) != len(labels):
-            raise ValueError("matrix labels must be unique")
+            raise UltratreeError("matrix labels must be unique")
 
     def _check_entries(self, rows) -> None:
+        check = self._check_entry  # one attribute lookup, not one per entry
         for row in rows:
             for value in row:
-                self._check_entry(value)
+                check(value)
 
-    def _check_entry(self, value) -> None:
-        raise NotImplementedError
+    @staticmethod
+    def _check_entry(value) -> None:
+        """Raise UltratreeError when ``value`` is not an entry of this kind."""
 
     @property
     def size(self) -> int:
@@ -90,7 +95,8 @@ class LabeledMatrix:
 
         Raises BadMatrixDocument, naming ``source`` and the JSON path, when
         the document is not an object, or ``labels`` or ``rows`` is missing,
-        ``labels`` is not a list of strings or ``rows`` not a list of lists.
+        ``labels`` is not a list of distinct strings, ``rows`` not a square
+        list of lists, or an entry is not of this matrix kind.
         """
 
         def bad(path: str, problem: str):
@@ -105,12 +111,34 @@ class LabeledMatrix:
                 raise bad(key, "expected a list")
         labels, rows = data["labels"], data["rows"]
         for i, label in enumerate(labels):
-            if not isinstance(label, str):
-                raise bad(f"labels[{i}]", "expected a string")
+            # A lone surrogate, from a "\ud800" escape, cannot be written out.
+            if not isinstance(label, str) or _surrogate(label):
+                raise bad(f"labels[{i}]", "expected a string of Unicode text")
         for i, row in enumerate(rows):
             if not isinstance(row, list):
                 raise bad(f"rows[{i}]", "expected a list")
-        return cls(labels, [[cls._cell_from_json(v) for v in row] for row in rows])
+        cells = [[cls._cell_from_json(v) for v in row] for row in rows]
+        try:
+            return cls(labels, cells)
+        except UltratreeError as exc:
+            raise bad(cls._fault_path(labels, cells), exc) from None
+
+    @classmethod
+    def _fault_path(cls, labels: list, rows: list) -> str:
+        """The JSON path of the first fault ``__init__`` rejects, found
+        again on the error path so that building a matrix costs no more."""
+        if len(rows) != len(labels):
+            return "rows"
+        for i, row in enumerate(rows):
+            if len(row) != len(labels):
+                return f"rows[{i}]"
+        for i, row in enumerate(rows):
+            for j, value in enumerate(row):
+                try:
+                    cls._check_entry(value)
+                except UltratreeError:
+                    return f"rows[{i}][{j}]"
+        return next((f"labels[{j}]" for j, x in enumerate(labels) if x in labels[:j]), "labels")
 
     def to_csv(self) -> str:
         buffer = io.StringIO()
@@ -128,9 +156,10 @@ class LabeledMatrix:
 class DistanceMatrix(LabeledMatrix):
     """Integer distances; symmetry and axioms are checked, not enforced."""
 
-    def _check_entry(self, value) -> None:
+    @staticmethod
+    def _check_entry(value) -> None:
         if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"distance entries must be integers, got {value!r}")
+            raise UltratreeError(f"distance entries must be integers, got {value!r}")
 
 
 class RelationMatrix(LabeledMatrix):
@@ -159,21 +188,23 @@ class RelationMatrix(LabeledMatrix):
 class SignMatrix(LabeledMatrix):
     """Square matrix over {+1, -1}."""
 
-    def _check_entry(self, value) -> None:
+    @staticmethod
+    def _check_entry(value) -> None:
         if value not in (1, -1) or isinstance(value, bool):
-            raise ValueError(f"sign entries must be +1 or -1, got {value!r}")
+            raise UltratreeError(f"sign entries must be +1 or -1, got {value!r}")
 
 
 class CategoryDistanceMatrix(LabeledMatrix):
     """Minimum distances per category pair; absent entries are None."""
 
-    def _check_entry(self, value) -> None:
+    @staticmethod
+    def _check_entry(value) -> None:
         if value is None:
             return
         if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"entries must be integers or None, got {value!r}")
+            raise UltratreeError(f"entries must be integers or None, got {value!r}")
         if value < 1:
-            raise ValueError(f"present entries must be at least 1, got {value!r}")
+            raise UltratreeError(f"present entries must be at least 1, got {value!r}")
 
     @property
     def categories(self) -> tuple[str, ...]:

@@ -12,6 +12,7 @@ node 0 and leaves appear in left-to-right order.
 
 from __future__ import annotations
 
+import io
 import random
 import re
 from dataclasses import dataclass
@@ -22,8 +23,10 @@ from .errors import (
     EmptyNode,
     MixedNode,
     ParseError,
+    UltratreeError,
     UnbalancedBrackets,
     UnknownNode,
+    _read_utf8,
 )
 from .matrix import RelationMatrix
 
@@ -84,8 +87,10 @@ class PhraseTree:
     and None on each internal node.  Node ids are the positions.  One
     backward pass validates the records and indexes the tree: each node's
     parent, subtree end and minimum height.  It raises ParseError when the
-    records are empty or not a preorder, and MixedNode or EmptyNode when a
-    node has both or neither of a word and children.  All queries are pure;
+    records are empty or not a preorder, or when a label or word is not one
+    token (a non-empty string free of whitespace and parentheses) and so
+    could not print back; and MixedNode or EmptyNode when a node has both
+    or neither of a word and children.  All queries are pure;
     instances may be shared freely across threads.
     """
 
@@ -106,6 +111,14 @@ class PhraseTree:
         # subtree of p is exactly the records [p, end), so it holds end - p.
         for p in range(n - 1, -1, -1):
             label, word, parent = records[p]
+            try:  # most tokens are alphanumeric and skip the regex
+                printable = (str.isalnum(label) or _token(label)) and (
+                    word is None or str.isalnum(word) or _token(word)
+                )
+            except TypeError:  # a label or word that is not a string
+                printable = False
+            if not printable:
+                raise _bad_token(p, label, word)
             kids = children[p]
             if kids and word is not None:
                 raise MixedNode(f"node {label!r} has both a word and children")
@@ -246,6 +259,14 @@ class PhraseTree:
         return f"PhraseTree({self.to_bracketed()!r})"
 
 
+def _bad_token(p: int, label, word) -> ParseError:
+    """The error for record ``p``, whose label or word is not one token."""
+    kind, token = ("word", word) if isinstance(label, str) and _token(label) else ("label", label)
+    return ParseError(
+        f"record {p}: {kind} {token!r} is not a non-empty string free of whitespace and parentheses"
+    )
+
+
 def disambiguate(labels: Iterable[str]) -> tuple[str, ...]:
     """Suffix repeated labels with ``#k`` (k-th occurrence, 1-based).
 
@@ -272,6 +293,8 @@ def disambiguate(labels: Iterable[str]) -> tuple[str, ...]:
 # Regex ``\s`` and ``str.isspace`` agree on every code point, so this splits
 # where a character loop testing ``isspace`` would.
 _tokenize = re.compile(r"[()]|[^\s()]+").findall
+# A label or word must be one token, so that a tree prints back as it parses.
+_token = re.compile(r"[^\s()]+").fullmatch
 
 
 def parse_tree(text: str) -> PhraseTree:
@@ -346,9 +369,8 @@ def parse_tree_lines(lines: Iterable[str], source: str = "<text>") -> list[Phras
 
 
 def parse_tree_file(path) -> list[PhraseTree]:
-    """Read a UTF-8 tree file (one bracketed tree per line)."""
-    with open(path, encoding="utf-8") as handle:
-        return parse_tree_lines(handle, source=str(path))
+    """Read a UTF-8 tree file, one bracketed tree per line; errors name the file and line."""
+    return parse_tree_lines(io.StringIO(_read_utf8(path), newline=None), source=str(path))
 
 
 # -- heights and ancestry --------------------------------------------------
@@ -425,7 +447,7 @@ def random_tree(
     from ``categories``.  The same seed always yields the identical tree.
     """
     if leaf_count < 1:
-        raise ValueError("leaf_count must be at least 1")
+        raise UltratreeError("leaf_count must be at least 1")
     max_arity = _parse_arity(arity)
     rng = random.Random(seed)
     categories = list(categories)
@@ -452,7 +474,7 @@ def enumerate_binary_trees(leaf_count: int) -> Iterator[PhraseTree]:
     ``(W w1) .. (W wn)`` and internal nodes are labeled ``X``.
     """
     if leaf_count < 1:
-        raise ValueError("leaf_count must be at least 1")
+        raise UltratreeError("leaf_count must be at least 1")
 
     def shapes(lo: int, hi: int):
         if hi - lo == 1:

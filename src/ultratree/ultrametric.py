@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .errors import DuplicateVertex, TooFewLabels
+from .errors import DuplicateVertex, TooFewLabels, UltratreeError
 from .matrix import DistanceMatrix
 from .trees import PhraseTree
 
@@ -229,7 +229,7 @@ def xbar_template(i: int) -> DistanceMatrix:
     equilateral.
     """
     if i < 0:
-        raise ValueError("template height must be non-negative")
+        raise UltratreeError("template height must be non-negative")
     far = i + 2
     near = i + 1
     return DistanceMatrix(

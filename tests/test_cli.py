@@ -452,6 +452,75 @@ class TestErrors:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert run(["check", "--matrix", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: Expecting property name")
+
+    @staticmethod
+    def one_error(capsys) -> str:
+        """The single error line of an exit-2 run that printed nothing else."""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        return captured.err
+
+    @pytest.mark.parametrize(
+        "command, document, where",
+        [
+            ("check", {"labels": ["a", "b"], "rows": [[0, True], [1, 0]]},
+             "rows[0][1]: distance entries must be integers, got True"),
+            ("triangles", {"labels": ["a", "b", "c"], "rows": [[0, 1, 1], [1, 0, 1], [1, 1, "1"]]},
+             "rows[2][2]: distance entries must be integers, got '1'"),
+            ("check", {"labels": ["a", "a"], "rows": [[0, 1], [1, 0]]}, "labels[1]: matrix labels must be unique"),
+            ("features", {"labels": ["N", "V"], "rows": [[1, 0], [0, 1]]},
+             "rows[0][1]: present entries must be at least 1, got 0"),
+            ("check", {"labels": ["a", "b"], "rows": [[0, 1]]}, "rows: matrix with 2 labels must be 2x2"),
+        ],
+        ids=["true-entry", "string-entry", "repeated-labels", "zero-category-entry", "missing-row"],
+    )
+    def test_bad_matrix_entry_names_file_and_path(self, tmp_path, capsys, command, document, where):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(document))
+        assert run([command, "--matrix", str(path)]) == 2
+        assert self.one_error(capsys) == f"error: {path}: {where}\n"
+
+    def test_repeated_order_names_the_flag(self, capsys):
+        assert run(["mindist", "--order", "N,N"]) == 2
+        assert self.one_error(capsys) == "error: --order: categories must be distinct, got 'N,N'\n"
+
+    @pytest.mark.parametrize("command", ["matrix", "check", "theorem", "mindist"])
+    def test_tree_file_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"(X (A a) (B b))\n(X (A caf\xe9) (B b))\n")
+        assert run([command, str(path)]) == 2
+        assert self.one_error(capsys).startswith(f"error: {path}:2: not UTF-8: invalid continuation byte")
+
+    @pytest.mark.parametrize("command", [["check", "--matrix"], ["features", "--matrix"], ["hierarchy"]])
+    def test_json_file_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"labels": ["caf\xe9"]}')
+        assert run([*command, str(path)]) == 2
+        assert self.one_error(capsys).startswith(f"error: {path}:1: not UTF-8: ")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+            ('{"labels": ["a"], "rows": [[' + "1" * 5000 + "]]}", "Exceeds the limit (4300 digits)"),
+        ],
+        ids=["nested-too-deeply", "integer-too-long"],
+    )
+    def test_json_the_decoder_rejects(self, tmp_path, capsys, text, message):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        assert run(["check", "--matrix", str(path)]) == 2
+        assert self.one_error(capsys).startswith(f"error: {path}: {message}")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unwritable_label_rejected_on_read(self, tmp_path, capsys, fmt):
+        # A lone surrogate would make the CSV writer raise UnicodeEncodeError.
+        path = tmp_path / "m.json"
+        path.write_text('{"labels": ["a", "b", "\\ud800"], "rows": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}')
+        assert run(["triangles", "--format", fmt, "--matrix", str(path)]) == 2
+        assert self.one_error(capsys) == f"error: {path}: labels[2]: expected a string of Unicode text\n"
 
     def test_randtest_max_leaves_below_one(self, capsys):
         assert run(["randtest", "--seed", "1", "--trees", "3", "--max-leaves", "0"]) == 2

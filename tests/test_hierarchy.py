@@ -11,12 +11,14 @@ from ultratree import (
     CyclicOrder,
     PartialOrder,
     Strategy,
+    UltratreeError,
     UnknownLabel,
     check_downset,
     check_language,
     check_strategy,
     load_berlin_kay_order,
 )
+from ultratree.hierarchy import check_document
 
 
 def strategy(covered, primary=False, name="s"):
@@ -206,3 +208,53 @@ class TestBerlinKayData:
         order = load_berlin_kay_order()
         assert check_downset(order, {"black", "white", "red", "green"})
         assert check_downset(order, {"black", "white", "red", "yellow"})
+
+
+class TestDocuments:
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"nodes": 3, "edges": []}, "nodes: expected a list of strings"),
+            ({"nodes": ["a"]}, "edges: missing"),
+            ({"nodes": ["a"], "edges": [["a"]]}, "edges: expected a list of [earlier, later] string pairs"),
+            ([["a", "b"]], "document: expected an object"),
+        ],
+        ids=["nodes-number", "no-edges", "edge-single", "array"],
+    )
+    def test_partial_order_names_json_path(self, document, message):
+        with pytest.raises(UltratreeError) as err:
+            PartialOrder.from_json_dict(document)
+        assert str(err.value) == message
+        with pytest.raises(ValueError):  # UltratreeError is a ValueError
+            PartialOrder.from_json_dict(document)
+
+    def test_partial_order_path_within_a_document(self):
+        with pytest.raises(UltratreeError, match=r"^order\.edges: missing$"):
+            PartialOrder.from_json_dict({"nodes": []}, "order")
+
+    def test_partial_order_round_trip(self):
+        order = load_berlin_kay_order()
+        assert PartialOrder.from_json_dict(order.to_json_dict()) == order
+
+    def test_check_document_reports(self):
+        language = {"kind": "language", "strategies": [{"covered": ["SU", "IO"], "primary": True}]}
+        report, passed = check_document(language)
+        assert not passed
+        assert [v["constraint"] for v in report] == ["AHC2", "PRC2"]
+        downset = {"kind": "downset", "inventory": ["white", "black"]}
+        assert check_document(downset) == ({"inventory": ["black", "white"], "downward_closed": True}, True)
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"kind": "downset", "order": {"nodes": ["a"]}, "inventory": []}, "h.json: order.edges: missing"),
+            ({"kind": "downset", "inventory": ["zz"]}, "h.json: inventory label 'zz' not a node"),
+            ({"kind": "language", "strategies": [{"covered": ["ZZ"]}]}, "h.json: label 'ZZ' not on the chain"),
+            (3, "h.json: document: expected an object"),
+        ],
+        ids=["order-path", "inventory-check", "chain-check", "number"],
+    )
+    def test_check_document_names_source_once(self, document, message):
+        with pytest.raises(UltratreeError) as err:
+            check_document(document, source="h.json")
+        assert str(err.value) == message

@@ -28,6 +28,16 @@ class TestDistanceMatrix:
             ({"labels": "a", "rows": [[0]]}, "m.json: labels: expected a list"),
             ({"labels": ["a", 1], "rows": []}, "m.json: labels[1]: expected a string"),
             ({"labels": ["a"], "rows": [(0,)]}, "m.json: rows[0]: expected a list"),
+            # Faults the constructor finds, located again on the error path.
+            ({"labels": ["a", "b"], "rows": [[0, 1]]}, "m.json: rows: matrix with 2 labels must be 2x2"),
+            ({"labels": ["a", "b"], "rows": [[0, True], [1]]}, "m.json: rows[1]: matrix with 2 labels"),
+            (
+                {"labels": ["a", "b"], "rows": [[0, 1], [1, True]]},
+                "m.json: rows[1][1]: distance entries must be integers, got True",
+            ),
+            ({"labels": ["a", "b"], "rows": [[0, 1.5], [1, 0]]}, "m.json: rows[0][1]: distance entries"),
+            ({"labels": ["a", "b", "a"], "rows": [[0] * 3] * 3}, "m.json: labels[2]: matrix labels must be unique"),
+            ({"labels": ["a", "\udc80"], "rows": [[0, 1], [1, 0]]}, "m.json: labels[1]: expected a string"),
         ],
     )
     def test_bad_json_document_names_source_and_path(self, document, message):
@@ -103,6 +113,17 @@ class TestCategoryDistanceMatrix:
     def test_zero_entry_rejected(self):
         with pytest.raises(ValueError):
             CategoryDistanceMatrix(("D", "N"), ((None, 0), (0, None)))
+
+    def test_zero_entry_in_document_names_path(self):
+        document = {"labels": ["D", "N"], "rows": [[None, 1], [0, None]]}
+        message = "c.json: rows[1][0]: present entries must be at least 1, got 0"
+        with pytest.raises(BadMatrixDocument, match=re.escape(message)):
+            CategoryDistanceMatrix.from_json_dict(document, source="c.json")
+
+    def test_relation_document_with_repeated_labels(self):
+        document = {"labels": ["a", "a"], "rows": [[1, 0], [0, 1]]}
+        with pytest.raises(BadMatrixDocument, match=re.escape("r.json: labels[1]: matrix labels")):
+            RelationMatrix.from_json_dict(document, source="r.json")
 
     def test_get(self):
         m = CategoryDistanceMatrix(("D", "N"), ((None, 4), (4, None)))

@@ -48,34 +48,47 @@ def records_of(tree):
     ]
 
 
+def one_token(value):
+    """Whether ``value`` prints back as one token, checked by characters."""
+    return isinstance(value, str) and value != "" and not any(c.isspace() or c in "()" for c in value)
+
+
 def reference_records_ok(records):
     """Whether the records are a tree in preorder, checked front to back:
-    each parent is still open, and words sit exactly on childless nodes."""
+    each parent is still open, words sit exactly on childless nodes, and
+    every label and word is one token."""
     has_children = {parent for _, _, parent in records}
     open_nodes: list[int] = []
-    for p, (_, word, parent) in enumerate(records):
+    for p, (label, word, parent) in enumerate(records):
         while open_nodes and open_nodes[-1] != parent:
             open_nodes.pop()
         if (word is None) != (p in has_children) or (parent != -1 if p == 0 else not open_nodes):
+            return False
+        if not one_token(label) or (word is not None and not one_token(word)):
             return False
         open_nodes.append(p)
     return bool(records)
 
 
 RECORD = st.tuples(st.sampled_from("XYW"), st.none() | st.sampled_from("ab"), st.integers(-2, 7))
+# Labels and words that could not print back as one token.
+BAD_TOKENS = st.sampled_from(["", "A B", "a)", "(", "a\u3000", "\tb", 5, None])
 
 
 @st.composite
 def _mutated_shapes(draw):
-    """A small tree's records with up to two parents or words redrawn."""
+    """A small tree's records with up to two parents, words or labels redrawn."""
     records = records_of(draw(st.sampled_from(SMALL_SHAPES)))
     for _ in range(draw(st.integers(0, 2))):
         k = draw(st.integers(0, len(records) - 1))
         label, word, parent = records[k]
-        if draw(st.booleans()):
+        field = draw(st.sampled_from(["parent", "word", "label"]))
+        if field == "parent":
             parent = draw(st.integers(-1, k))
+        elif field == "word":
+            word = draw(st.none() | st.sampled_from("ab") | BAD_TOKENS)
         else:
-            word = draw(st.none() | st.sampled_from("ab"))
+            label = draw(st.sampled_from("XYW") | BAD_TOKENS)
         records[k] = (label, word, parent)
     return records
 
@@ -168,6 +181,17 @@ class TestTreeFile:
         trees = parse_tree_file(path)
         assert len(trees) == 2
         assert trees[1].root.label == "Y"
+
+    def test_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"(X (A a) (B b))\r\n(X (A caf\xe9) (B b))\n")
+        with pytest.raises(UltratreeError, match=f"^{re.escape(str(path))}:2: not UTF-8: "):
+            parse_tree_file(path)
+
+    def test_lines_split_as_in_text_mode(self, tmp_path):
+        path = tmp_path / "mixed.txt"
+        path.write_bytes(b"(X (A a) (B b))\r(Y (C c\x0c) (D d\xc2\x85))\r\n(Z (E e) (F f))")
+        assert [t.root.label for t in parse_tree_file(path)] == ["X", "Y", "Z"]
 
     def test_parse_error_carries_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -404,8 +428,20 @@ class TestPhraseTreeValidation:
                 "not a preorder: record 1's descendants",
             ),
             ([("X", None, -1), ("A", None, 0)], "node 'A' has neither a word nor children"),
+            # Tokens that would print as something that does not parse back.
+            ([("A B", "w", -1)], "record 0: label 'A B' is not a non-empty string"),
+            ([("X", None, -1), ("A", "w)", 0)], "record 1: word 'w\\)' is not"),
+            ([("X", None, -1), ("", "w", 0)], "record 1: label '' is not"),
+            ([("X", None, -1), ("A", "", 0)], "record 1: word '' is not"),
+            ([("X", None, -1), ("A", "a\tb", 0)], "record 1: word 'a\\\\tb' is not"),
+            ([("X", None, -1), ("A", 5, 0)], "record 1: word 5 is not"),
+            ([(None, "w", -1)], "record 0: label None is not"),
         ],
-        ids=["empty", "root-parent", "two-roots", "later-parent", "float-parent", "not-preorder", "empty-leaf"],
+        ids=[
+            "empty", "root-parent", "two-roots", "later-parent", "float-parent", "not-preorder",
+            "empty-leaf", "spaced-label", "paren-word", "empty-label", "empty-word", "tab-word",
+            "int-word", "none-label",
+        ],
     )
     def test_bad_records_rejected(self, records, message):
         with pytest.raises(ParseError, match=message):
