@@ -22,6 +22,7 @@ import functools
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
 from . import data as bundled_data
@@ -33,7 +34,7 @@ from .command import (
     random_theorem_suite,
     theorem_report,
 )
-from .errors import UltratreeError, _read_utf8
+from .errors import MissingEntry, TooFewLabels, UltratreeError, _read_utf8
 from .features import (
     FeatureTable,
     build_feature_matrix,
@@ -48,7 +49,7 @@ from .matrix import CategoryDistanceMatrix, DistanceMatrix
 from .trees import dominance_matrix, enumerate_binary_trees, parse_tree_file
 from .ultrametric import (
     ViolationReport,
-    all_triangles,
+    _triangles,
     check_metric,
     check_ultrametric,
     leaf_matrix,
@@ -114,8 +115,43 @@ def _emit(text: str) -> None:
         sys.stdout.write("\n")
 
 
+def _json_text(obj, level: int = 0) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for ``obj`` nested
+    ``level`` containers deep.
+
+    Lists, string-keyed dicts, strings, ints, bools and None are laid out
+    here: given an indent, the standard library switches to its pure-Python
+    encoder, which is slow and leaves reference cycles behind on every call.
+    Anything else (floats, tuples, other keys, subclasses) goes through
+    ``json.dumps`` and is re-indented, which is exact because JSON text
+    never holds a raw newline.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is list or kind is dict and all(type(key) is str for key in obj):
+        if not obj:
+            return "[]" if kind is list else "{}"
+        pad = "\n" + "  " * (level + 1)
+        if kind is dict:
+            items = [f"{_quote(key)}: {_json_text(value, level + 1)}" for key, value in obj.items()]
+        elif all(type(value) is int for value in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json_text(value, level + 1) for value in obj]
+        start, end = "[]" if kind is list else "{}"
+        return start + pad + ("," + pad).join(items) + pad[:-2] + end
+    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * level)
+
+
 def _emit_json(obj) -> None:
-    _emit(json.dumps(obj, indent=2))
+    _emit(_json_text(obj))
 
 
 def _csv_rows(rows: list[list]) -> str:
@@ -198,39 +234,48 @@ def _cmd_check(args) -> int:
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
+# One record of the ``triangles`` JSON list, as json.dumps(records, indent=2)
+# lays it out: tree, three quoted labels, kind, the sides ascending and the
+# base (an int or null).  Matrix entries are plain ints, so %d and %s print
+# them as json does.
+_TRIANGLE_JSON = (
+    '{\n    "tree": %d,\n    "vertices": [\n      %s,\n      %s,\n      %s\n    ],\n'
+    '    "kind": "%s",\n    "sides": [\n      %d,\n      %d,\n      %d\n    ],\n    "base": %s\n  }'
+)
+
+
+def _triangle_text(matrices, fmt: str) -> str:
+    """Every triangle of every matrix, the matrix's index as its tree.  A
+    matrix of fewer than 3 labels has no triples and adds no records."""
+    if fmt == "csv":
+        rows = [["tree", "vertices", "kind", "sides", "base"]]
+        for tree, matrix in enumerate(matrices):
+            labels = matrix.labels
+            for x, y, z, kind, (a, b, c) in _triangles(matrix.entries):
+                base = a if kind == "isosceles" else ""
+                rows.append([tree, f"{labels[x]} {labels[y]} {labels[z]}", kind, f"{a} {b} {c}", base])
+        return _csv_rows(rows)
+    records = []
+    for tree, matrix in enumerate(matrices):
+        quoted = [_quote(label) for label in matrix.labels]
+        for x, y, z, kind, (a, b, c) in _triangles(matrix.entries):
+            base = a if kind == "isosceles" else "null"
+            records.append(_TRIANGLE_JSON % (tree, quoted[x], quoted[y], quoted[z], kind, a, b, c, base))
+    return "[\n  " + ",\n  ".join(records) + "\n]" if records else "[]"
+
+
 def _cmd_triangles(args) -> int:
     if args.xbar:
         matrices = [xbar_template(args.i)]
     elif args.matrix:
         matrices = [DistanceMatrix.from_json_dict(_read_json(args.matrix), source=args.matrix)]
+        if matrices[0].size < 3:
+            raise TooFewLabels(f"{args.matrix}: need at least 3 labels, got {matrices[0].size}")
     elif args.file:
         matrices = [leaf_matrix(t) for t in parse_tree_file(args.file)]
     else:
         raise UltratreeError("triangles needs a tree file, --matrix, or --xbar")
-    records = []
-    for index, matrix in enumerate(matrices):
-        for (x, y, z), cls in all_triangles(matrix):
-            records.append(
-                {"tree": index, "vertices": [x, y, z], **cls.to_json_dict()}
-            )
-    if args.format == "json":
-        _emit_json(records)
-    else:
-        _emit(
-            _csv_rows(
-                [["tree", "vertices", "kind", "sides", "base"]]
-                + [
-                    [
-                        r["tree"],
-                        " ".join(r["vertices"]),
-                        r["kind"],
-                        " ".join(map(str, r["sides"])),
-                        "" if r["base"] is None else r["base"],
-                    ]
-                    for r in records
-                ]
-            )
-        )
+    _emit(_triangle_text(matrices, args.format))
     return EXIT_OK
 
 
@@ -323,7 +368,10 @@ def _cmd_features(args) -> int:
         )
     else:
         distances = min_distance_matrix(bundled_data.load_category_corpus())
-    comparison = compare_feature_vs_ultrametric(table, distances)
+    try:
+        comparison = compare_feature_vs_ultrametric(table, distances)
+    except MissingEntry as exc:  # only a --matrix document can lack a pair
+        raise MissingEntry(f"{args.matrix}: {exc}") from None
     positive = sum(1 for row in sign.entries for v in row if v > 0)
     report = {
         "feature_matrix": sign.to_json_dict(),
@@ -370,7 +418,7 @@ def _cmd_randtest(args) -> int:
     _emit_json(report)
     if report["disagreements"] and args.counterexamples:
         with open(args.counterexamples, "w", encoding="utf-8") as handle:
-            json.dump(report["disagreements"], handle, indent=2)
+            handle.write(_json_text(report["disagreements"]))
     return EXIT_VIOLATIONS if report["disagreements"] else EXIT_OK
 
 

@@ -25,7 +25,10 @@ class LabeledMatrix:
 
     def __init__(self, labels: Sequence[str], entries: Sequence[Sequence]):
         labels = tuple(labels)
-        rows = tuple(tuple(row) for row in entries)
+        # tuple() of a list, not of a generator: that grows the tuple by
+        # resizing, and the resized tuples pile up in CPython's tuple free
+        # lists, which only a full garbage collection empties.
+        rows = tuple([tuple(row) for row in entries])
         if len(rows) != len(labels) or any(len(row) != len(labels) for row in rows):
             raise NonSquare(
                 f"matrix with {len(labels)} labels must be {len(labels)}x{len(labels)}"

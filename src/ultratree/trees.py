@@ -177,7 +177,7 @@ class PhraseTree:
     @property
     def leaves(self) -> tuple[Node, ...]:
         """Leaves in left-to-right order."""
-        return tuple(n for n in self._preorder if n.is_leaf)
+        return tuple([n for n in self._preorder if n.is_leaf])  # a list first, as in LabeledMatrix
 
     def __len__(self) -> int:
         return len(self._preorder)
@@ -407,7 +407,7 @@ def dominates(tree: PhraseTree, a: int, b: int) -> bool:
 def dominance_matrix(tree: PhraseTree) -> RelationMatrix:
     """Boolean dominance matrix over all nodes in preorder: row p is true on p's subtree."""
     n, end = len(tree), tree._end
-    rows = tuple((False,) * p + (True,) * (end[p] - p) + (False,) * (n - end[p]) for p in range(n))
+    rows = [(False,) * p + (True,) * (end[p] - p) + (False,) * (n - end[p]) for p in range(n)]
     return RelationMatrix(tree.node_labels(), rows)
 
 
@@ -475,15 +475,17 @@ def enumerate_binary_trees(leaf_count: int) -> Iterator[PhraseTree]:
     """
     if leaf_count < 1:
         raise UltratreeError("leaf_count must be at least 1")
-
-    def shapes(lo: int, hi: int):
-        if hi - lo == 1:
-            yield ("W", f"w{lo + 1}")
-            return
-        for split in range(lo + 1, hi):
-            for left in shapes(lo, split):
-                for right in shapes(split, hi):
-                    yield ("X", [left, right])
-
-    for nested in shapes(0, leaf_count):
+    for nested in _binary_shapes(0, leaf_count):
         yield PhraseTree.from_nested(nested)
+
+
+def _binary_shapes(lo: int, hi: int):
+    # Module level: a nested recursive function would be a reference cycle
+    # (function, closure cell, function) left behind by every call.
+    if hi - lo == 1:
+        yield ("W", f"w{lo + 1}")
+        return
+    for split in range(lo + 1, hi):
+        for left in _binary_shapes(lo, split):
+            for right in _binary_shapes(split, hi):
+                yield ("X", [left, right])

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 
 from .errors import DuplicateVertex, TooFewLabels, UltratreeError
 from .matrix import DistanceMatrix
@@ -211,13 +210,35 @@ def classify_triangle(matrix: DistanceMatrix, x: str, y: str, z: str) -> Triangl
     return TriangleClass(TriangleKind.VIOLATING, sides)
 
 
+def _triangles(m):
+    """Yield ``(x, y, z, kind, sides)`` for every position triple x < y < z.
+
+    ``sides`` sorts ``m[x][y]``, ``m[x][z]``, ``m[y][z]`` ascending and
+    ``kind`` is the plain ``TriangleKind`` value, as ``classify_triangle``
+    decides it; triples come in ``itertools.combinations`` order.
+    """
+    n = len(m)
+    for x in range(n):
+        row_x = m[x]
+        for y in range(x + 1, n):
+            row_y, d_xy = m[y], row_x[y]
+            for z in range(y + 1, n):
+                a, b, c = sides = tuple(sorted((d_xy, row_x[z], row_y[z])))
+                kind = "equilateral" if a == c else "isosceles" if b == c else "violating"
+                yield x, y, z, kind, sides
+
+
 def all_triangles(matrix: DistanceMatrix) -> list[tuple[tuple[str, str, str], TriangleClass]]:
     """Classify every unordered label triple."""
     if matrix.size < 3:
         raise TooFewLabels(f"need at least 3 labels, got {matrix.size}")
+    labels = matrix.labels
     return [
-        ((x, y, z), classify_triangle(matrix, x, y, z))
-        for x, y, z in combinations(matrix.labels, 3)
+        (
+            (labels[x], labels[y], labels[z]),
+            TriangleClass(TriangleKind(kind), sides, sides[0] if kind == "isosceles" else None),
+        )
+        for x, y, z, kind, sides in _triangles(matrix.entries)
     ]
 
 

@@ -143,6 +143,19 @@ class TestTrianglesCommand:
         payload = get_json(capsys)
         assert payload[0]["kind"] == "isosceles" and payload[0]["base"] == 1
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_tree_with_two_leaves_adds_no_records(self, tmp_path, capsys, fmt):
+        path = tmp_path / "t.txt"
+        path.write_text("(X (A a) (B b) (C c))\n(X (A a) (B b))\n(X (A a))\n")
+        assert run(["triangles", "--format", fmt, str(path)]) == 0
+        out = capsys.readouterr().out
+        if fmt == "csv":
+            assert out == "tree,vertices,kind,sides,base\n0,a b c,equilateral,1 1 1,\n"
+        else:
+            assert json.loads(out) == [
+                {"tree": 0, "vertices": ["a", "b", "c"], "kind": "equilateral", "sides": [1, 1, 1], "base": None}
+            ]
+
 
 class TestRelationCommands:
     def test_dominance(self, tmp_path, capsys):
@@ -481,6 +494,22 @@ class TestErrors:
         path.write_text(json.dumps(document))
         assert run([command, "--matrix", str(path)]) == 2
         assert self.one_error(capsys) == f"error: {path}: {where}\n"
+
+    @pytest.mark.parametrize(
+        "command, document, message",
+        [
+            (["triangles"], {"labels": ["a", "b"], "rows": [[0, 1], [1, 0]]}, "need at least 3 labels, got 2"),
+            (["triangles", "--format", "csv"], {"labels": [], "rows": []}, "need at least 3 labels, got 0"),
+            (["features"], {"labels": ["N", "A"], "rows": [[None, 2], [2, None]]},
+             "no ultrametric distance for pair (N, V)"),
+        ],
+        ids=["triangles-two-labels", "triangles-csv-empty", "features-no-n-v"],
+    )
+    def test_analysis_fault_names_file(self, tmp_path, capsys, command, document, message):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(document))
+        assert run([*command, "--matrix", str(path)]) == 2
+        assert self.one_error(capsys) == f"error: {path}: {message}\n"
 
     def test_repeated_order_names_the_flag(self, capsys):
         assert run(["mindist", "--order", "N,N"]) == 2

@@ -1,0 +1,232 @@
+"""The CLI's JSON and CSV writers against the standard library's.
+
+``cli._json_text`` must equal ``json.dumps(obj, indent=2)`` byte for byte,
+and the ``triangles`` output must equal ``json.dumps``/``csv`` of the record
+dicts built from ``classify_triangle``.  No subcommand may leave reference
+cycles behind, so memory does not depend on when the collector runs.
+"""
+
+import csv
+import gc
+import io
+import json
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ultratree import DistanceMatrix, all_triangles, classify_triangle, leaf_matrix, random_tree
+from ultratree.cli import _json_text, _triangle_text, run
+
+from . import helpers as fx
+
+# Text with quotes, backslashes, control characters, non-ASCII and lone
+# surrogates, which json escapes.
+TEXT = st.text(
+    st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", " ", "😀", "\ud800", "a", " "])
+    | st.characters(),
+    max_size=6,
+)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**40), 10**40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | TEXT
+)
+KEYS = TEXT | st.integers(-5, 5) | st.booleans() | st.none()
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.integers(), max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(TEXT, inner, max_size=4)
+    | st.dictionaries(KEYS, inner, max_size=3),
+    max_leaves=16,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=400, deadline=None)
+    @given(DOCUMENTS)
+    def test_matches_json_dumps(self, obj):
+        assert _json_text(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [], {}, [[]], [{}], {"a": []}, {"a": {}}, True, False, None, -0, 10**30, "",
+            [True, False, 1], [1, True], {"": None}, {1: "a", "1": "b"}, {True: 1, None: 2},
+            (), (1, "a"), [float("nan"), float("inf"), -float("inf"), -0.0], {"x": [1.5, (2, [3])]},
+            ["\ud800", '"', "\\", "\x00\n", "é😀"],
+        ],
+    )
+    def test_edge_cases(self, obj):
+        assert _json_text(obj) == json.dumps(obj, indent=2)
+
+    def test_nested_level(self):
+        # A fallback value deep inside takes the indent of its place.
+        obj = {"a": [1, {"b": (1, [2.5])}]}
+        assert _json_text(obj) == json.dumps(obj, indent=2)
+        assert _json_text([2.5, (1,)], level=2) == json.dumps([2.5, (1,)], indent=2).replace("\n", "\n    ")
+
+
+def reference_records(matrices) -> list[dict]:
+    """The triangle records as the CLI built them from classify_triangle."""
+    return [
+        {"tree": tree, "vertices": [x, y, z], **classify_triangle(matrix, x, y, z).to_json_dict()}
+        for tree, matrix in enumerate(matrices)
+        for x, y, z in combinations(matrix.labels, 3)
+    ]
+
+
+def reference_csv(records: list[dict]) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(
+        [["tree", "vertices", "kind", "sides", "base"]]
+        + [
+            [
+                r["tree"],
+                " ".join(r["vertices"]),
+                r["kind"],
+                " ".join(map(str, r["sides"])),
+                "" if r["base"] is None else r["base"],
+            ]
+            for r in records
+        ]
+    )
+    return buffer.getvalue()
+
+
+# Labels as a matrix document may hold them: any text without a lone
+# surrogate, including quotes, commas, spaces and newlines.
+LABELS = st.text(
+    st.sampled_from(['"', ",", " ", "\n", "\\", "é", "😀", "a", "b"])
+    | st.characters(blacklist_categories=("Cs",)),
+    max_size=4,
+)
+
+
+@st.composite
+def distance_matrices(draw):
+    """Small matrices whose entries repeat often, so every kind appears;
+    some are negative, asymmetric or have a nonzero diagonal."""
+    n = draw(st.integers(0, 6))
+    labels = draw(st.lists(LABELS, min_size=n, max_size=n, unique=True))
+    values = st.integers(-2, 3) | st.integers(-(10**20), 10**20)
+    rows = [draw(st.lists(values, min_size=n, max_size=n)) for _ in range(n)]
+    return DistanceMatrix(labels, rows)
+
+
+class TestTriangleText:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(distance_matrices(), max_size=4))
+    def test_matches_record_dicts(self, matrices):
+        records = reference_records(matrices)
+        assert _triangle_text(matrices, "json") == json.dumps(records, indent=2)
+        assert _triangle_text(matrices, "csv") == reference_csv(records)
+
+    def test_every_kind_is_written(self):
+        matrices = [
+            DistanceMatrix(("a", 'b"', "c,d"), ((0, 1, 1), (1, 0, 1), (1, 1, 0))),
+            DistanceMatrix(("x", "y", "z"), ((0, 1, 2), (1, 0, 2), (2, 2, 0))),
+            DistanceMatrix(("p", "q", "r"), ((0, -1, 3), (5, 0, 2), (3, 2, 0))),
+            DistanceMatrix(("u", "v"), ((0, 1), (1, 0))),
+        ]
+        records = reference_records(matrices)
+        assert [r["kind"] for r in records] == ["equilateral", "isosceles", "violating"]
+        assert _triangle_text(matrices, "json") == json.dumps(records, indent=2)
+        assert _triangle_text(matrices, "csv") == reference_csv(records)
+
+    def test_no_triangles(self):
+        assert _triangle_text([], "json") == "[]"
+        assert _triangle_text([DistanceMatrix(("a",), ((0,),))], "csv") == "tree,vertices,kind,sides,base\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 9)), min_size=1, max_size=3))
+    def test_tree_matrices(self, shapes):
+        matrices = [leaf_matrix(random_tree(seed, leaves, "mixed:4")) for seed, leaves in shapes]
+        records = reference_records(matrices)
+        assert _triangle_text(matrices, "json") == json.dumps(records, indent=2)
+        assert _triangle_text(matrices, "csv") == reference_csv(records)
+
+
+class TestAllTriangles:
+    @settings(max_examples=200, deadline=None)
+    @given(distance_matrices())
+    def test_matches_classify_triangle(self, matrix):
+        if matrix.size < 3:
+            return
+        assert all_triangles(matrix) == [
+            ((x, y, z), classify_triangle(matrix, x, y, z)) for x, y, z in combinations(matrix.labels, 3)
+        ]
+
+
+@pytest.fixture()
+def inputs(tmp_path):
+    """Paths of a tree file, a distance matrix, a category matrix and two
+    hierarchy documents."""
+    paths = {
+        "trees": f"{fx.TREE_FIRST}\n(X (A a) (B b))\n",
+        "matrix": json.dumps({"labels": ["a", "b", "c", "d"], "rows": [[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 5], [2, 2, 5, 0]]}),
+        "categories": json.dumps(
+            {
+                "labels": ["N", "V", "A", "P"],
+                "rows": [[None, 2, 3, 4], [2, None, 3, 4], [3, 3, None, 4], [4, 4, 4, None]],
+            }
+        ),
+        "language": json.dumps({"kind": "language", "strategies": [{"covered": ["SU", "DO"], "primary": True}]}),
+        "downset": json.dumps(
+            {"kind": "downset", "order": {"nodes": ["a", "b"], "edges": [["a", "b"]]}, "inventory": ["a"]}
+        ),
+    }
+    for name, text in paths.items():
+        (tmp_path / name).write_text(text)
+        paths[name] = str(tmp_path / name)
+    paths["out"] = str(tmp_path / "counterexamples.json")
+    return paths
+
+
+# Every subcommand form that exits 0 or 1; {name} is an input path.
+FORMS = [
+    "matrix {trees}", "matrix {trees} --format csv", "matrix --xbar", "matrix --xbar --i 2 --format csv",
+    "check {trees}", "check --matrix {matrix}", "check --matrix {matrix} --format csv",
+    "triangles {trees}", "triangles --matrix {matrix}", "triangles --xbar", "triangles {trees} --format csv",
+    "dominance {trees}", "dominance {trees} --format csv",
+    "ccommand {trees}", "ccommand {trees} --nodes all --format csv",
+    "cucommand {trees} --nodes all", "govern {trees}", "govern {trees} --format csv",
+    "theorem {trees}", "theorem {trees} --nodes all",
+    "mindist", "mindist {trees}", "mindist --format csv", "mindist --i 0", "mindist --order N,V,A,P --i 1",
+    "complexity {trees}", "complexity {trees} --bound 1 --format csv",
+    "features", "features --ap 1", "features --matrix {categories}",
+    "hierarchy {language}", "hierarchy {downset}",
+    "randtest --seed 3 --trees 20", "randtest --seed 3 --trees 20 --nodes all --counterexamples {out}",
+    "randtest --seed 0 --exhaustive-leaves 4 --nodes all",
+]
+
+
+class TestNoCyclicGarbage:
+    @pytest.mark.parametrize("form", FORMS)
+    def test_run_leaves_no_cycles(self, inputs, capsys, form):
+        argv = form.format(**inputs).split()
+        code = run(argv)  # first call: the parser and any lazy state are built
+        assert code in (0, 1)
+        gc.disable()
+        try:
+            gc.collect()
+            assert run(argv) == code
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        capsys.readouterr()
+
+
+class TestCounterexamplesFile:
+    def test_same_bytes_as_json_dump(self, inputs, capsys):
+        assert run(["randtest", "--seed", "3", "--trees", "20", "--nodes", "all", "--counterexamples", inputs["out"]]) == 1
+        report = json.loads(capsys.readouterr().out)
+        with open(inputs["out"], encoding="utf-8") as handle:
+            written = handle.read()
+        assert report["disagreements"]
+        assert written == json.dumps(report["disagreements"], indent=2)
