@@ -161,12 +161,31 @@ def _csv_rows(rows: list[list]) -> str:
     return buffer.getvalue()
 
 
+def _matrix_text(m, level: int = 0) -> str:
+    """``_json_text(m.to_json_dict(), level)``, written straight from the
+    labels and rows when every entry of the kind has a fixed text."""
+    cell = m._cell_text
+    if cell is None:
+        return _json_text(m.to_json_dict(), level)
+    pad = "\n" + "  " * level
+    if not m.labels:
+        return '{%s  "labels": [],%s  "rows": []%s}' % (pad, pad, pad)
+    item, entry = pad + "    ", pad + "      "  # a label or row; an entry
+    items, entries = "," + item, "," + entry
+    labels = items.join(map(_quote, m.labels))
+    rows = items.join(["[" + entry + entries.join(map(cell, row)) + item + "]" for row in m.entries])
+    return '{%s  "labels": [%s%s%s  ],%s  "rows": [%s%s%s  ]%s}' % (
+        pad, item, labels, pad, pad, item, rows, pad, pad
+    )
+
+
 def _emit_matrices(matrices, fmt: str, single: bool = False) -> None:
     if fmt == "json":
         if single:
-            _emit_json(matrices[0].to_json_dict())
+            _emit(_matrix_text(matrices[0]))
         else:
-            _emit_json([m.to_json_dict() for m in matrices])
+            texts = [_matrix_text(m, 1) for m in matrices]
+            _emit("[\n  " + ",\n  ".join(texts) + "\n]" if texts else "[]")
     else:
         _emit("\n".join(m.to_csv() for m in matrices))
 
@@ -320,10 +339,7 @@ def _cmd_mindist(args) -> int:
         raise UltratreeError(f"--order: categories must be distinct, got {args.order!r}")
     matrix = min_distance_matrix(corpus, categories=order)
     if args.i is None:
-        if args.format == "json":
-            _emit_json(matrix.to_json_dict())
-        else:
-            _emit(matrix.to_csv())
+        _emit_matrices([matrix], args.format, single=True)
         return EXIT_OK
     pattern_order = order if order else list(matrix.labels)
     matches = check_nested_pattern(matrix, pattern_order, args.i)

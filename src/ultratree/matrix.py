@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+from itertools import chain
 from typing import Sequence
 
 from .errors import BadMatrixDocument, NonSquare, UltratreeError, UnknownLabel
@@ -77,6 +78,10 @@ class LabeledMatrix:
         return f"{type(self).__name__}(labels={self.labels!r}, entries={self.entries!r})"
 
     # -- serialization ----------------------------------------------------
+
+    # The JSON text of one entry, for kinds whose every entry has a fixed
+    # one; None sends the matrix through ``to_json_dict``.
+    _cell_text = None
 
     @staticmethod
     def _cell_to_json(value):
@@ -159,6 +164,14 @@ class LabeledMatrix:
 class DistanceMatrix(LabeledMatrix):
     """Integer distances; symmetry and axioms are checked, not enforced."""
 
+    _cell_text = staticmethod(int.__repr__)
+
+    def _check_entries(self, rows) -> None:
+        # One scan of the entry types at C speed; the per-entry check runs
+        # only for int subclasses and faults.
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            super()._check_entries(rows)
+
     @staticmethod
     def _check_entry(value) -> None:
         if not isinstance(value, int) or isinstance(value, bool):
@@ -168,9 +181,10 @@ class DistanceMatrix(LabeledMatrix):
 class RelationMatrix(LabeledMatrix):
     """Boolean relation over labeled nodes; serialized as 0/1."""
 
+    _cell_text = ("0", "1").__getitem__
+
     def __init__(self, labels: Sequence[str], entries: Sequence[Sequence]):
-        coerced = [[bool(v) for v in row] for row in entries]
-        super().__init__(labels, coerced)
+        super().__init__(labels, [[*map(bool, row)] for row in entries])
 
     def _check_entries(self, rows) -> None:
         """``__init__`` coerced every entry to bool, so none can fail a check."""
@@ -193,12 +207,17 @@ class SignMatrix(LabeledMatrix):
 
     @staticmethod
     def _check_entry(value) -> None:
-        if value not in (1, -1) or isinstance(value, bool):
+        # Only ints: 1.0 and Fraction(1) compare equal to 1 but are not exact.
+        if not isinstance(value, int) or isinstance(value, bool) or value not in (1, -1):
             raise UltratreeError(f"sign entries must be +1 or -1, got {value!r}")
 
 
 class CategoryDistanceMatrix(LabeledMatrix):
     """Minimum distances per category pair; absent entries are None."""
+
+    @staticmethod
+    def _cell_text(value) -> str:
+        return "null" if value is None else int.__repr__(value)
 
     @staticmethod
     def _check_entry(value) -> None:

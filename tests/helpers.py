@@ -6,6 +6,7 @@ the node structure so library results can be checked against a second path.
 
 from __future__ import annotations
 
+import enum
 from typing import Iterator
 
 from ultratree import Node, PhraseTree
@@ -21,6 +22,14 @@ TREE_SEVENTH = "(S (W A) (X (W M) (W J) (W H)))"
 TREE_EIGHTH = "(S (W A) (W M) (W J) (W H))"
 
 LABELS_AMJH = ("A", "M", "J", "H")
+
+
+class Level(enum.IntEnum):
+    """An int subclass for matrix entries; json writes its members as ints."""
+
+    MINUS = -1
+    ONE = 1
+    HUGE = 10**30
 
 MATRIX_FIRST = ((0, 1, 2, 2), (1, 0, 2, 2), (2, 2, 0, 1), (2, 2, 1, 0))
 MATRIX_SECOND = ((0, 3, 3, 3), (3, 0, 2, 2), (3, 2, 0, 1), (3, 2, 1, 0))

@@ -1,8 +1,10 @@
 """Matrix containers and their JSON/CSV wire formats."""
 
 import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultratree import (
     BadMatrixDocument,
@@ -11,8 +13,25 @@ from ultratree import (
     NonSquare,
     RelationMatrix,
     SignMatrix,
+    UltratreeError,
     UnknownLabel,
 )
+
+from .helpers import Level
+
+
+def reference_fault(rows):
+    """The JSON path and message of the first entry a per-entry distance
+    check rejects, in row-major order; None when every entry passes."""
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row):
+            if not isinstance(value, int) or isinstance(value, bool):
+                return f"rows[{i}][{j}]", f"distance entries must be integers, got {value!r}"
+    return None
+
+
+INTS = st.integers(-(10**30), 10**30) | st.sampled_from(Level)
+BAD = st.sampled_from([True, False, 1.0, "1", None, Fraction(1), 0.5, [1]])
 
 
 class TestDistanceMatrix:
@@ -73,6 +92,29 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError):
             DistanceMatrix(("a", "a"), ((0, 1), (1, 0)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_type_scan_matches_per_entry_check(self, n, data):
+        labels = [f"x{i}" for i in range(n)]
+        rows = [data.draw(st.lists(INTS, min_size=n, max_size=n)) for _ in range(n)]
+        for _ in range(data.draw(st.integers(1, 2))):
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            rows[i][j] = data.draw(BAD)
+        path, message = reference_fault(rows)
+        with pytest.raises(UltratreeError) as built:
+            DistanceMatrix(labels, rows)
+        assert str(built.value) == message
+        with pytest.raises(BadMatrixDocument) as loaded:
+            DistanceMatrix.from_json_dict({"labels": labels, "rows": rows}, source="m.json")
+        assert str(loaded.value) == f"m.json: {path}: {message}"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda n: st.lists(st.lists(INTS, min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_int_entries_and_subclasses_accepted(self, rows):
+        assert reference_fault(rows) is None
+        m = DistanceMatrix([f"x{i}" for i in range(len(rows))], rows)
+        assert m.entries == tuple(map(tuple, rows))
+
 
 class TestRelationMatrix:
     def test_json_uses_zero_one(self):
@@ -87,6 +129,21 @@ class TestRelationMatrix:
         m = RelationMatrix(("a", "b"), ((True, False), (True, True)))
         assert m.to_csv() == ",a,b\na,1,0\nb,1,1\n"
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from([0, 1, 2, -1, None, "x", "", 0.0, [], True, False]), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    def test_entries_are_bool_of_input(self, rows):
+        m = RelationMatrix([f"x{i}" for i in range(len(rows))], rows)
+        assert m.entries == tuple(tuple(bool(v) for v in row) for row in rows)
+        assert all(type(v) is bool for row in m.entries for v in row)
+
 
 class TestSignMatrix:
     def test_valid(self):
@@ -96,6 +153,26 @@ class TestSignMatrix:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             SignMatrix(("x", "y"), ((1, 0), (0, 1)))
+
+    @pytest.mark.parametrize("value", [1.0, -1.0, Fraction(1), Fraction(-1), True, "1", None])
+    def test_inexact_entries_rejected(self, value):
+        # 1.0 and Fraction(1) equal 1, but would make the determinant
+        # inexact and the JSON output fail.
+        with pytest.raises(UltratreeError, match=re.escape(f"sign entries must be +1 or -1, got {value!r}")):
+            SignMatrix(("a", "b"), ((1, -1), (value, 1)))
+
+    def test_float_and_fraction_matrix_rejected(self):
+        with pytest.raises(UltratreeError, match=re.escape("sign entries must be +1 or -1, got 1.0")):
+            SignMatrix(["a", "b"], [[1.0, -1], [Fraction(-1), 1]])
+
+    def test_float_in_document_names_path(self):
+        message = "s.json: rows[0][0]: sign entries must be +1 or -1, got 1.0"
+        with pytest.raises(BadMatrixDocument, match=re.escape(message)):
+            SignMatrix.from_json_dict({"labels": ["a"], "rows": [[1.0]]}, source="s.json")
+
+    def test_int_subclass_accepted(self):
+        m = SignMatrix(("x", "y"), ((Level.ONE, Level.MINUS), (-1, 1)))
+        assert m.entries == ((1, -1), (-1, 1))
 
 
 class TestCategoryDistanceMatrix:

@@ -1,11 +1,13 @@
 """The CLI's JSON and CSV writers against the standard library's.
 
 ``cli._json_text`` must equal ``json.dumps(obj, indent=2)`` byte for byte,
-and the ``triangles`` output must equal ``json.dumps``/``csv`` of the record
-dicts built from ``classify_triangle``.  No subcommand may leave reference
+matrix documents must equal ``json.dumps`` of ``to_json_dict()``, and the
+``triangles`` output must equal ``json.dumps``/``csv`` of the record dicts
+built from ``classify_triangle``.  No subcommand may leave reference
 cycles behind, so memory does not depend on when the collector runs.
 """
 
+import contextlib
 import csv
 import gc
 import io
@@ -15,8 +17,18 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultratree import DistanceMatrix, all_triangles, classify_triangle, leaf_matrix, random_tree
-from ultratree.cli import _json_text, _triangle_text, run
+from ultratree import (
+    CategoryDistanceMatrix,
+    DistanceMatrix,
+    LabeledMatrix,
+    RelationMatrix,
+    SignMatrix,
+    all_triangles,
+    classify_triangle,
+    leaf_matrix,
+    random_tree,
+)
+from ultratree.cli import _emit_matrices, _json_text, _matrix_text, _triangle_text, run
 
 from . import helpers as fx
 
@@ -70,6 +82,70 @@ class TestJsonText:
         obj = {"a": [1, {"b": (1, [2.5])}]}
         assert _json_text(obj) == json.dumps(obj, indent=2)
         assert _json_text([2.5, (1,)], level=2) == json.dumps([2.5, (1,)], indent=2).replace("\n", "\n    ")
+
+
+# Entries of each matrix kind, as its public constructor takes them.
+ENTRIES = {
+    LabeledMatrix: SCALARS,
+    DistanceMatrix: st.integers() | st.integers(-(10**40), 10**40) | st.sampled_from(fx.Level),
+    RelationMatrix: st.sampled_from([0, 1, None, "x", "", True, False, 2]),
+    SignMatrix: st.sampled_from([1, -1, fx.Level.ONE, fx.Level.MINUS]),
+    CategoryDistanceMatrix: st.none() | st.integers(min_value=1) | st.sampled_from([fx.Level.ONE, fx.Level.HUGE]),
+}
+
+
+@st.composite
+def any_matrices(draw):
+    """A matrix of any kind with 0-7 labels; labels may hold quotes,
+    backslashes, non-ASCII and lone surrogates."""
+    kind = draw(st.sampled_from(list(ENTRIES)))
+    n = draw(st.integers(0, 7))
+    labels = draw(st.lists(TEXT, min_size=n, max_size=n, unique=True))
+    rows = [draw(st.lists(ENTRIES[kind], min_size=n, max_size=n)) for _ in range(n)]
+    return kind(labels, rows)
+
+
+def emitted(matrices, single: bool) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_matrices(matrices, "json", single=single)
+    return out.getvalue()
+
+
+class TestMatrixText:
+    @settings(max_examples=400, deadline=None)
+    @given(any_matrices(), st.integers(0, 3))
+    def test_matches_json_dumps(self, matrix, level):
+        expected = json.dumps(matrix.to_json_dict(), indent=2).replace("\n", "\n" + "  " * level)
+        assert _matrix_text(matrix, level) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(any_matrices(), max_size=3))
+    def test_single_and_list_forms(self, matrices):
+        documents = [m.to_json_dict() for m in matrices]
+        assert emitted(matrices, single=False) == json.dumps(documents, indent=2) + "\n"
+        if matrices:
+            assert emitted(matrices, single=True) == json.dumps(documents[0], indent=2) + "\n"
+
+    def test_empty(self):
+        assert emitted([], single=False) == "[]\n"
+        for kind in ENTRIES:
+            empty = kind([], [])
+            assert emitted([empty], single=True) == json.dumps(empty.to_json_dict(), indent=2) + "\n"
+            assert emitted([empty], single=False) == json.dumps([empty.to_json_dict()], indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            DistanceMatrix(("a", 'b"'), ((0, -3), (10**40, fx.Level.HUGE))),
+            RelationMatrix(("a", "b\\"), ((1, None), ("x", 0))),
+            CategoryDistanceMatrix(("é", "\ud800"), ((None, 1), (fx.Level.ONE, None))),
+        ],
+    )
+    def test_fixed_kinds_skip_to_json_dict(self, monkeypatch, matrix):
+        expected = json.dumps([matrix.to_json_dict()] * 2, indent=2) + "\n"
+        monkeypatch.setattr(LabeledMatrix, "to_json_dict", None)
+        assert emitted([matrix, matrix], single=False) == expected
 
 
 def reference_records(matrices) -> list[dict]:
