@@ -60,7 +60,7 @@ class Disagreement:
 def _positions(tree: PhraseTree, nodes: str) -> list[int]:
     if nodes not in ("leaves", "all"):
         raise UltratreeError(f"nodes must be 'leaves' or 'all', got {nodes!r}")
-    return [p for p, n in enumerate(tree.nodes) if nodes == "all" or n.is_leaf]
+    return [p for p, word in enumerate(tree._word) if nodes == "all" or word is not None]
 
 
 class _Facts:
@@ -70,38 +70,56 @@ class _Facts:
     contiguous run of them in preorder, found by bisection.  C-command is
     the run under the first branching ancestor, cu-command the run under the
     lowest ancestor holding the node's previous or next peer; a node lacking
-    either is alone at its height, and the root's run is just the node.
+    either is alone at its height, and its runs are just the node.
     """
 
     def __init__(self, tree: PhraseTree):
-        nodes, up, end, height = tree.nodes, tree._up, tree._end, tree._height
-        n = len(nodes)
-        self.above = [-1] * n  # first branching ancestor, -1 where there is none
+        up, end, height, arity = tree._up, tree._end, tree._height, tree._arity
+        n = len(up)
+        above = self.above = [-1] * n  # first branching ancestor, -1 where there is none
         for p in range(1, n):
-            self.above[p] = up[p] if len(nodes[up[p]].children) > 1 else self.above[up[p]]
+            above[p] = up[p] if arity[up[p]] > 1 else above[up[p]]
         levels: list[list[int]] = [[] for _ in range(height[0] + 1)]
-        for p in range(n):
-            levels[height[p]].append(p)
+        index = self.index = [0] * n  # each node's index among its peers
+        for p, h in enumerate(height):
+            index[p] = len(levels[h])
+            levels[h].append(p)
         self.peers = [levels[h] for h in height]  # positions at each node's height
-        self.c_span: list[range] = []  # indices of the peers each node c-commands
-        self.cu_span: list[range] = []  # indices of the peers in each cu-domain
+        # Indices of the peers each node c-commands, and of those in its
+        # cu-domain; a node alone at its height, as the root is, has itself.
+        c_span = self.c_span = [range(0, 1)] * n
+        cu_span = self.cu_span = [range(0, 1)] * n
         for p, level in enumerate(self.peers):
-            i = bisect_left(level, p)
+            if len(level) == 1:
+                continue
+            i = index[p]
             before = level[i - 1] if i else -1
             after = level[i + 1] if i + 1 < len(level) else n
-            q = up[p] if len(level) > 1 else 0  # the root holds no other peer
+            q = up[p]
             while before < q and end[q] <= after:
                 q = up[q]
-            for spans, top in ((self.c_span, max(self.above[p], 0)), (self.cu_span, q)):
-                spans.append(range(bisect_left(level, top), bisect_left(level, end[top])))
+            top = max(above[p], 0)
+            c_span[p] = range(bisect_left(level, top, 0, i), bisect_left(level, end[top], i + 1))
+            cu_span[p] = range(bisect_left(level, q, 0, i), bisect_left(level, end[q], i + 1))
 
     def run(self, spans: list[range], p: int) -> list[int]:
-        return [self.peers[p][k] for k in spans[p]]
+        return self.peers[p][spans[p].start : spans[p].stop]
+
+    def holds(self, spans: list[range], p: int, q: int) -> bool:
+        """Whether ``q`` is in ``p``'s run of ``spans``."""
+        return self.peers[p] is self.peers[q] and self.index[q] in spans[p]
+
+
+def _facts_of(tree: PhraseTree) -> _Facts:
+    """The tree's command facts, built by the first call and kept on the tree."""
+    if tree._facts is None:
+        tree._facts = _Facts(tree)
+    return tree._facts
 
 
 def _relation(tree: PhraseTree, nodes: str, related) -> RelationMatrix:
     """The matrix over the chosen nodes; row p marks the positions ``related(facts, p)``."""
-    positions, facts = _positions(tree, nodes), _Facts(tree)
+    positions, facts = _positions(tree, nodes), _facts_of(tree)
     column = {p: k for k, p in enumerate(positions)}
     entries = [[False] * len(positions) for _ in positions]
     for row, p in zip(entries, positions):
@@ -112,7 +130,7 @@ def _relation(tree: PhraseTree, nodes: str, related) -> RelationMatrix:
 
 def first_branching_ancestor(tree: PhraseTree, node_id: int) -> int:
     """Nearest strict ancestor with at least two children; unary nodes are skipped."""
-    q = _Facts(tree).above[tree._position(node_id)]
+    q = _facts_of(tree).above[tree._position(node_id)]
     if q < 0:
         raise NoBranchingAncestor(f"no branching ancestor above node {node_id}")
     return q
@@ -135,8 +153,8 @@ def c_command(tree: PhraseTree, a: int, b: int) -> bool:
     The relation includes the self pair and applies only between nodes at
     the same height.
     """
-    facts = _Facts(tree)
-    return tree._position(b) in facts.run(facts.c_span, tree._position(a))
+    facts = _facts_of(tree)
+    return facts.holds(facts.c_span, tree._position(a), tree._position(b))
 
 
 def c_command_matrix(tree: PhraseTree, nodes: str = "leaves") -> RelationMatrix:
@@ -146,16 +164,25 @@ def c_command_matrix(tree: PhraseTree, nodes: str = "leaves") -> RelationMatrix:
 def cu_domain(tree: PhraseTree, a: int) -> CuDomain:
     """Distances from ``a`` to its height peers and the set of closest ones.
 
-    The members come from the pass behind the relation matrices, and each
-    distance from one ``lca``.  When ``a`` is alone the domain is ``{a}``.
+    The members come from the pass behind the relation matrices, and the
+    distances from one climb to the root: each ancestor's subtree adds the
+    peers not yet reached, at its height above ``a``.  When ``a`` is alone
+    the domain is ``{a}``.
     """
-    facts, p = _Facts(tree), tree._position(a)
-    distance_set = {q: same_height_distance(tree, a, q) for q in facts.peers[p]}
-    return CuDomain(a, distance_set, frozenset(facts.run(facts.cu_span, p)))
+    facts, p = _facts_of(tree), tree._position(a)
+    level, lo = facts.peers[p], facts.index[p]
+    hi, distances = lo + 1, [0] * len(level)  # the peers [lo, hi) have their distance
+    for q in tree.ancestor_ids(p):
+        new_lo, new_hi = bisect_left(level, q, 0, lo), bisect_left(level, tree._end[q], hi)
+        d = tree._height[q] - tree._height[p]
+        distances[new_lo:lo], distances[hi:new_hi] = [d] * (lo - new_lo), [d] * (new_hi - hi)
+        lo, hi = new_lo, new_hi
+    return CuDomain(a, dict(zip(level, distances)), frozenset(facts.run(facts.cu_span, p)))
 
 
 def cu_command(tree: PhraseTree, a: int, b: int) -> bool:
-    return b in cu_domain(tree, a).members
+    facts = _facts_of(tree)
+    return facts.holds(facts.cu_span, tree._position(a), tree._position(b))
 
 
 def cu_command_matrix(tree: PhraseTree, nodes: str = "leaves") -> RelationMatrix:
@@ -173,10 +200,12 @@ def theorem_check(tree: PhraseTree, nodes: str = "leaves") -> list[Disagreement]
     it does not c-command.  Both relations of ``a`` are runs of its peers
     holding it, so only the runs' ends are visited: O(N·depth + output).
     """
-    positions, facts = _positions(tree, nodes), _Facts(tree)
+    positions, facts = _positions(tree, nodes), _facts_of(tree)
     found: list[Disagreement] = []
     for p in positions:
         c, cu = facts.c_span[p], facts.cu_span[p]
+        if c == cu:  # the common case: the two relations agree on all of p's peers
+            continue
         starts, stops = sorted((c.start, cu.start)), sorted((c.stop, cu.stop))
         for k in (*range(*starts), *range(*stops)):
             found.append(Disagreement(p, facts.peers[p][k], "c_command" if k in c else "cu_command"))
@@ -185,7 +214,9 @@ def theorem_check(tree: PhraseTree, nodes: str = "leaves") -> list[Disagreement]
 
 def label_disagreements(tree: PhraseTree, found: list[Disagreement]) -> list[dict]:
     """Render disagreements with readable node names (leaf word or node label)."""
-    names = disambiguate(n.word if n.is_leaf else n.label for n in tree.nodes)
+    if not found:
+        return []
+    names = disambiguate([word or label for label, word in zip(tree._label, tree._word)])
     bracketed = serialize_tree(tree)
     return [
         {"tree": bracketed, "a": names[d.a], "b": names[d.b], "relation": d.holds}
@@ -233,9 +264,9 @@ def _checked(policy: GovernorPolicy | None) -> GovernorPolicy:
 
 def _governed(tree: PhraseTree, facts: _Facts, policy: GovernorPolicy, p: int) -> list[int]:
     """The positions p governs: mutual cu-domain members, if p's label governs."""
-    if tree.nodes[p].label not in policy.governor_categories:
+    if tree._label[p] not in policy.governor_categories:
         return []
-    i, cu_span = bisect_left(facts.peers[p], p), facts.cu_span
+    i, cu_span = facts.index[p], facts.cu_span
     return [q for q in facts.run(cu_span, p) if q != p and i in cu_span[q]]
 
 
@@ -246,7 +277,7 @@ def governs(tree: PhraseTree, a: int, b: int, policy: GovernorPolicy | None = No
     each node lies in the other's cu-domain.  Self government is excluded.
     """
     policy, p, q = _checked(policy), tree._position(a), tree._position(b)
-    return q in _governed(tree, _Facts(tree), policy, p)
+    return q in _governed(tree, _facts_of(tree), policy, p)
 
 
 def government_matrix(

@@ -18,7 +18,7 @@ def tree_category_minima(tree: PhraseTree) -> dict[tuple[str, str], int]:
     Same-category pairs are included when the tree holds two or more tokens
     of the category.  A tree with fewer than two leaves yields an empty map.
     """
-    categories = [leaf.label for leaf in tree.leaves]
+    categories = [label for label, word in zip(tree._label, tree._word) if word is not None]
     minima: dict[tuple[str, str], int] = {}
     for d, lo, mid, hi in tree.leaf_blocks():
         later = dict.fromkeys(categories[mid:hi])
@@ -45,8 +45,7 @@ def min_distance_matrix(
     combined: dict[tuple[str, str], int] = {}
     seen: set[str] = set()
     for tree in corpus:
-        for leaf in tree.leaves:
-            seen.add(leaf.label)
+        seen.update(label for label, word in zip(tree._label, tree._word) if word is not None)
         for pair, d in tree_category_minima(tree).items():
             if pair not in combined or d < combined[pair]:
                 combined[pair] = d
@@ -111,7 +110,7 @@ def complexity(corpus: Sequence[PhraseTree], bound: int = 12) -> ComplexityRepor
     """
     per_tree = []
     for index, tree in enumerate(corpus):
-        per_tree.append((index, tree.height(tree.root.id)))
+        per_tree.append((index, tree.height(0)))  # the root is position 0
     max_height = max((h for _, h in per_tree), default=0)
     exceeding = tuple(i for i, h in per_tree if h > bound)
     return ComplexityReport(tuple(per_tree), max_height, bound, exceeding)

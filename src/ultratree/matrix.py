@@ -87,10 +87,6 @@ class LabeledMatrix:
     def _cell_to_json(value):
         return value
 
-    @classmethod
-    def _cell_from_json(cls, value):
-        return value
-
     def to_json_dict(self) -> dict:
         return {
             "labels": list(self.labels),
@@ -125,11 +121,10 @@ class LabeledMatrix:
         for i, row in enumerate(rows):
             if not isinstance(row, list):
                 raise bad(f"rows[{i}]", "expected a list")
-        cells = [[cls._cell_from_json(v) for v in row] for row in rows]
         try:
-            return cls(labels, cells)
+            return cls(labels, rows)
         except UltratreeError as exc:
-            raise bad(cls._fault_path(labels, cells), exc) from None
+            raise bad(cls._fault_path(labels, rows), exc) from None
 
     @classmethod
     def _fault_path(cls, labels: list, rows: list) -> str:
@@ -193,10 +188,6 @@ class RelationMatrix(LabeledMatrix):
     def _cell_to_json(value):
         return int(value)
 
-    @classmethod
-    def _cell_from_json(cls, value):
-        return bool(value)
-
     @staticmethod
     def _cell_to_csv(value):
         return int(value)
@@ -204,6 +195,8 @@ class RelationMatrix(LabeledMatrix):
 
 class SignMatrix(LabeledMatrix):
     """Square matrix over {+1, -1}."""
+
+    _cell_text = staticmethod(int.__repr__)
 
     @staticmethod
     def _check_entry(value) -> None:

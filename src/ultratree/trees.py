@@ -16,6 +16,7 @@ import io
 import random
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -35,9 +36,9 @@ DEFAULT_RANDOM_CATEGORIES = ("D", "N", "V", "A", "P")
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Node:
-    """One tree position.  Leaves carry a word; internal nodes carry children.
-    Equality, hashing and ``repr`` are structural and walk the subtree with a
-    stack, so deep chains do not recurse."""
+    """A view of one tree position.  Leaves carry a word; internal nodes carry
+    children.  Equality, hashing and ``repr`` are structural and walk the
+    subtree with a stack, so deep chains do not recurse."""
 
     id: int
     label: str
@@ -85,27 +86,26 @@ class PhraseTree:
     ``PhraseTree(records)`` takes the preorder records ``(label, word,
     parent position)``: the root first with parent -1, a word on each leaf
     and None on each internal node.  Node ids are the positions.  One
-    backward pass validates the records and indexes the tree: each node's
-    parent, subtree end and minimum height.  It raises ParseError when the
-    records are empty or not a preorder, or when a label or word is not one
-    token (a non-empty string free of whitespace and parentheses) and so
-    could not print back; and MixedNode or EmptyNode when a node has both
-    or neither of a word and children.  All queries are pure;
-    instances may be shared freely across threads.
+    backward pass validates the records and stores each node's label, word,
+    parent, subtree end, minimum height and child count in lists by
+    position.  It raises ParseError when the records are empty or not a
+    preorder, or when a label or word is not one token (a non-empty string
+    free of whitespace and parentheses) and so could not print back; and
+    MixedNode or EmptyNode when a node has both or neither of a word and
+    children.  ``Node`` views and the command pass are built on first use.
+    All queries are pure; instances may be shared freely across threads.
     """
 
-    __slots__ = ("root", "_preorder", "_up", "_end", "_height")
+    __slots__ = ("_label", "_word", "_up", "_end", "_height", "_arity", "_views", "_facts")
 
     def __init__(self, records: Sequence[tuple[str, str | None, int]]):
         n = len(records)
         if not n:
             raise ParseError("a tree needs at least one record")
-        preorder: list[Node] = [None] * n  # type: ignore[list-item]
-        children: list[list[Node]] = [[] for _ in range(n)]  # last child first
+        labels, words = [None] * n, [None] * n  # words stay None on internal nodes
         up = [parent for _, _, parent in records]  # -1 at the root
         end = list(range(1, n + 1))  # one past the subtree's last position
-        size = [1] * n
-        height = [0] * n
+        size, height, arity = [1] * n, [0] * n, [0] * n  # arity: the child count
         # Children follow their parent in preorder, so a backward pass
         # finishes every subtree before its root is read.  In a preorder the
         # subtree of p is exactly the records [p, end), so it holds end - p.
@@ -119,28 +119,25 @@ class PhraseTree:
                 printable = False
             if not printable:
                 raise _bad_token(p, label, word)
-            kids = children[p]
-            if kids and word is not None:
+            if arity[p] and word is not None:
                 raise MixedNode(f"node {label!r} has both a word and children")
-            if not kids and word is None:
+            if not arity[p] and word is None:
                 raise EmptyNode(f"node {label!r} has neither a word nor children")
             if size[p] != end[p] - p:
                 raise ParseError(f"not a preorder: record {p}'s descendants do not directly follow it")
-            preorder[p] = Node(p, label, word, tuple(reversed(kids)))
+            labels[p], words[p] = label, word
             if not isinstance(parent, int) or not (0 if p else -1) <= parent < p:
                 wanted = "an earlier record" if p else "-1: the first record is the root"
                 raise ParseError(f"record {p}: parent {parent} is not {wanted}")
             if not p:
                 break
-            children[parent].append(preorder[p])
+            arity[parent] += 1
             end[parent] = max(end[parent], end[p])
             size[parent] += size[p]
             height[parent] = max(height[parent], height[p] + 1)
-        self.root = preorder[0]
-        self._preorder = tuple(preorder)
-        self._up = up
-        self._end = end
-        self._height = height
+        self._label, self._word, self._up, self._end = labels, words, up, end
+        self._height, self._arity = height, arity
+        self._views = self._facts = None  # Node views, and command's pass, built on first use
 
     # -- construction ------------------------------------------------------
 
@@ -171,24 +168,38 @@ class PhraseTree:
 
     @property
     def nodes(self) -> tuple[Node, ...]:
-        """All nodes in preorder."""
-        return self._preorder
+        """All nodes in preorder, as views built on first use."""
+        if self._views is None:
+            end, views = self._end, [None] * len(self)
+            for p in range(len(views) - 1, -1, -1):  # every child before its parent
+                kids, child = [], p + 1
+                while child < end[p]:
+                    kids.append(views[child])
+                    child = end[child]
+                views[p] = Node(p, self._label[p], self._word[p], tuple(kids))
+            self._views = tuple(views)
+        return self._views
+
+    @property
+    def root(self) -> Node:
+        return self.nodes[0]
 
     @property
     def leaves(self) -> tuple[Node, ...]:
         """Leaves in left-to-right order."""
-        return tuple([n for n in self._preorder if n.is_leaf])  # a list first, as in LabeledMatrix
+        # A list first, as in LabeledMatrix.
+        return tuple([v for v, word in zip(self.nodes, self._word) if word is not None])
 
     def __len__(self) -> int:
-        return len(self._preorder)
+        return len(self._up)
 
     def _position(self, node_id: int) -> int:
-        if isinstance(node_id, int) and 0 <= node_id < len(self._preorder):
+        if isinstance(node_id, int) and 0 <= node_id < len(self._up):
             return node_id
         raise UnknownNode(f"no node with id {node_id}")
 
     def node(self, node_id: int) -> Node:
-        return self._preorder[self._position(node_id)]
+        return self.nodes[self._position(node_id)]
 
     def height(self, node_id: int) -> int:
         """Minimum branching height: leaves at 0, parents one above their tallest child."""
@@ -215,33 +226,32 @@ class PhraseTree:
         at that node, of the given height; each pair of distinct leaves lies
         in exactly one block.
         """
-        rank = [0]  # leaves before each preorder position
-        for node in self._preorder:
-            rank.append(rank[-1] + node.is_leaf)
-        end = self._end
-        for p, node in enumerate(self._preorder):
+        # Leaves before each preorder position.
+        rank = [*accumulate([word is not None for word in self._word], initial=0)]
+        end, height = self._end, self._height
+        for p, arity in enumerate(self._arity):
             child = p + 1
-            while node.children and end[child] < end[p]:
-                yield self._height[p], rank[child], rank[end[child]], rank[end[p]]
+            while arity > 1 and end[child] < end[p]:
+                yield height[p], rank[child], rank[end[child]], rank[end[p]]
                 child = end[child]
 
     def node_labels(self) -> tuple[str, ...]:
         """Node labels in preorder, suffixed ``#k`` where duplicated."""
-        return disambiguate(n.label for n in self._preorder)
+        return disambiguate(self._label)
 
     def leaf_labels(self) -> tuple[str, ...]:
         """Leaf words in left-to-right order, suffixed ``#k`` where duplicated."""
-        return disambiguate(n.word for n in self.leaves)  # type: ignore[misc]
+        return disambiguate([word for word in self._word if word is not None])
 
     # -- serialization -----------------------------------------------------
 
     def to_bracketed(self) -> str:
         out: list[str] = []
         closing: list[int] = []  # subtree ends of the open internal nodes
-        for p, node in enumerate(self._preorder):
-            out.append(f" ({node.label}" if p else f"({node.label}")
-            if node.is_leaf:
-                out.append(f" {node.word})")
+        for p, (label, word) in enumerate(zip(self._label, self._word)):
+            out.append(f" ({label}" if p else f"({label}")
+            if word is not None:
+                out.append(f" {word})")
             else:
                 closing.append(self._end[p])
             while closing and closing[-1] == p + 1:
@@ -249,11 +259,12 @@ class PhraseTree:
                 out.append(")")
         return "".join(out)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PhraseTree) and self.root == other.root
+    def __eq__(self, other: object) -> bool:  # labels, words and parents fix a tree
+        same = isinstance(other, PhraseTree) and self._up == other._up
+        return same and self._label == other._label and self._word == other._word
 
     def __hash__(self) -> int:
-        return hash(self.root)
+        return hash((tuple(self._label), tuple(self._word), tuple(self._up)))
 
     def __repr__(self) -> str:
         return f"PhraseTree({self.to_bracketed()!r})"
@@ -413,7 +424,7 @@ def dominance_matrix(tree: PhraseTree) -> RelationMatrix:
 
 def is_switched(tree: PhraseTree) -> bool:
     """True when every internal node branches exactly in two."""
-    return all(n.is_leaf or len(n.children) == 2 for n in tree.nodes)
+    return all(arity in (0, 2) for arity in tree._arity)
 
 
 # -- generation ------------------------------------------------------------

@@ -140,15 +140,12 @@ def check_command_relations(tree):
     def rows(matrix):
         return [list(row) for row in matrix.entries]
 
-    assert rows(c_command_matrix(tree, nodes="all")) == [
-        [c_commands(a, b) for b in ids] for a in ids
-    ]
-    assert rows(cu_command_matrix(tree, nodes="all")) == [
-        [b in members[a] for b in ids] for a in ids
-    ]
-    assert rows(government_matrix(tree, POLICY, nodes="all")) == [
-        [governs_ref(a, b) for b in ids] for a in ids
-    ]
+    c_expected = [[c_commands(a, b) for b in ids] for a in ids]
+    cu_expected = [[b in members[a] for b in ids] for a in ids]
+    governs_expected = [[governs_ref(a, b) for b in ids] for a in ids]
+    assert rows(c_command_matrix(tree, nodes="all")) == c_expected
+    assert rows(cu_command_matrix(tree, nodes="all")) == cu_expected
+    assert rows(government_matrix(tree, POLICY, nodes="all")) == governs_expected
 
     leaves = [n.id for n in tree.leaves]
     for nodes, chosen in (("all", ids), ("leaves", leaves)):
@@ -167,14 +164,11 @@ def check_command_relations(tree):
             (b, heights[brute_lca(tree, a, b)] - heights[a]) for b in peers[a]
         ]
 
-    # The single-pair functions each run the whole pass, so only small
-    # trees get every pair.
-    if len(ids) <= 16:
-        for a in ids:
-            for b in ids:
-                assert c_command(tree, a, b) == c_commands(a, b)
-                assert cu_command(tree, a, b) == (b in members[a])
-                assert governs(tree, a, b, POLICY) == governs_ref(a, b)
+    # The single-pair functions read the pass cached on the tree, so every
+    # tree gets every pair.
+    assert [[c_command(tree, a, b) for b in ids] for a in ids] == c_expected
+    assert [[cu_command(tree, a, b) for b in ids] for a in ids] == cu_expected
+    assert [[governs(tree, a, b, POLICY) for b in ids] for a in ids] == governs_expected
 
 
 CHECKS = [check_dominance, check_leaf_matrix, check_category_minima, check_command_relations]
@@ -191,3 +185,27 @@ def test_every_small_shape(check):
 @settings(max_examples=40, deadline=None)
 def test_random_trees(check, tree):
     check(tree)
+
+
+@st.composite
+def deep_trees_and_owners(draw):
+    """A random tree of up to 40 leaves with up to eight nodes under 1-4
+    inserted unary nodes, and a few of its node ids."""
+    tree = random_tree(draw(st.integers(0, 10**6)), draw(st.integers(1, 40)), "mixed:4")
+    unary = draw(st.dictionaries(st.sampled_from([n.id for n in tree.nodes]), st.integers(1, 4), max_size=8))
+    tree = PhraseTree.from_nested(as_nested(tree.root, unary))
+    return tree, draw(st.lists(st.sampled_from([n.id for n in tree.nodes]), min_size=1, max_size=6))
+
+
+@given(deep_trees_and_owners())
+@settings(max_examples=60, deadline=None)
+def test_cu_domain_distances_from_one_climb(case):
+    """Each peer's distance comes from the lowest ancestor of the owner that
+    holds it; brute_lca finds that ancestor from the ancestor chains."""
+    tree, owners = case
+    heights = brute_heights(tree)
+    for a in owners:
+        peers = [n.id for n in tree.nodes if heights[n.id] == heights[a]]
+        assert list(cu_domain(tree, a).distance_set.items()) == [
+            (b, heights[brute_lca(tree, a, b)] - heights[a]) for b in peers
+        ]

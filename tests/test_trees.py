@@ -470,3 +470,71 @@ class TestPhraseTreeValidation:
         assert tree.root == again.root and hash(tree.root) == hash(again.root)
         assert tree.root != parse_tree("(X (U (A a)) (B c))").root
         assert tree.node(1) != tree.node(2) and tree.root != "X"
+
+
+@st.composite
+def preorder_records(draw, max_nodes=30):
+    """Valid records of any ordered tree shape with 1 to ``max_nodes`` nodes:
+    each record's parent is drawn from the path still open at it."""
+    count = draw(st.integers(1, max_nodes))
+    records, path = [[draw(st.sampled_from("XYV")), None, -1]], [0]
+    for p in range(1, count):
+        del path[draw(st.integers(1, len(path))) :]
+        records.append([draw(st.sampled_from("XYV")), None, path[-1]])
+        path.append(p)
+    internal = {parent for _, _, parent in records}
+    for p, record in enumerate(records):
+        if p not in internal:
+            record[1] = draw(st.sampled_from(["a", "b", "c"]))
+    return [tuple(record) for record in records]
+
+
+class TestArrays:
+    @given(records=preorder_records())
+    @settings(max_examples=200, deadline=None)
+    def test_node_views_match_the_records(self, records):
+        tree = PhraseTree(records)
+        children = {p: [] for p in range(len(records))}
+        for p, (_, _, parent) in enumerate(records):
+            if parent >= 0:
+                children[parent].append(p)
+        expected = [
+            (p, label, word, tuple(children[p])) for p, (label, word, _) in enumerate(records)
+        ]
+        nodes = tree.nodes
+        assert [(n.id, n.label, n.word, tuple(c.id for c in n.children)) for n in nodes] == expected
+        # One set of views, shared by every accessor and by the children tuples.
+        assert tree.nodes is nodes and tree.root is nodes[0]
+        assert all(tree.node(p) is nodes[p] for p in range(len(nodes)))
+        assert all(child is nodes[child.id] for n in nodes for child in n.children)
+        assert [n.id for n in tree.leaves] == [p for p, (_, word, _) in enumerate(records) if word]
+
+    @given(records=preorder_records(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_changed_field_breaks_equality(self, records, data):
+        tree = PhraseTree(records)
+        again = PhraseTree([tuple(record) for record in records])
+        assert tree == again and hash(tree) == hash(again)
+        assert tree != records and tree != tree.root
+        changed = [list(record) for record in records]
+        # A record's parent can move down the path open at it, to an
+        # internal node below the old parent; the records stay a preorder.
+        movable = [
+            (p, q)
+            for p in range(1, len(records))
+            for q in tree.ancestor_ids(p - 1, include_self=True)
+            if q > records[p][2] and records[q][1] is None
+        ]
+        field = data.draw(st.sampled_from(["label", "word", "parent"] if movable else ["label", "word"]))
+        if field == "label":
+            p = data.draw(st.integers(0, len(records) - 1))
+            changed[p][0] += "Z"
+        elif field == "word":
+            p = data.draw(st.sampled_from([p for p, (_, word, _) in enumerate(records) if word]))
+            changed[p][1] += "z"
+        else:
+            p, parent = data.draw(st.sampled_from(movable))
+            changed[p][2] = parent
+        other = PhraseTree(changed)
+        assert other != tree and tree != other
+        assert other == PhraseTree(changed) and hash(other) == hash(PhraseTree(changed))

@@ -139,6 +139,7 @@ class TestMatrixText:
         [
             DistanceMatrix(("a", 'b"'), ((0, -3), (10**40, fx.Level.HUGE))),
             RelationMatrix(("a", "b\\"), ((1, None), ("x", 0))),
+            SignMatrix(("a", "b"), ((1, fx.Level.MINUS), (-1, fx.Level.ONE))),
             CategoryDistanceMatrix(("é", "\ud800"), ((None, 1), (fx.Level.ONE, None))),
         ],
     )
