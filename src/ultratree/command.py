@@ -60,7 +60,7 @@ class Disagreement:
 def _positions(tree: PhraseTree, nodes: str) -> list[int]:
     if nodes not in ("leaves", "all"):
         raise UltratreeError(f"nodes must be 'leaves' or 'all', got {nodes!r}")
-    return [p for p, word in enumerate(tree._word) if nodes == "all" or word is not None]
+    return [p for p, arity in enumerate(tree._arity) if nodes == "all" or not arity]
 
 
 class _Facts:
@@ -110,16 +110,9 @@ class _Facts:
         return self.peers[p] is self.peers[q] and self.index[q] in spans[p]
 
 
-def _facts_of(tree: PhraseTree) -> _Facts:
-    """The tree's command facts, built by the first call and kept on the tree."""
-    if tree._facts is None:
-        tree._facts = _Facts(tree)
-    return tree._facts
-
-
 def _relation(tree: PhraseTree, nodes: str, related) -> RelationMatrix:
     """The matrix over the chosen nodes; row p marks the positions ``related(facts, p)``."""
-    positions, facts = _positions(tree, nodes), _facts_of(tree)
+    positions, facts = _positions(tree, nodes), _Facts(tree)
     column = {p: k for k, p in enumerate(positions)}
     entries = [[False] * len(positions) for _ in positions]
     for row, p in zip(entries, positions):
@@ -130,7 +123,7 @@ def _relation(tree: PhraseTree, nodes: str, related) -> RelationMatrix:
 
 def first_branching_ancestor(tree: PhraseTree, node_id: int) -> int:
     """Nearest strict ancestor with at least two children; unary nodes are skipped."""
-    q = _facts_of(tree).above[tree._position(node_id)]
+    q = _Facts(tree).above[tree._position(node_id)]
     if q < 0:
         raise NoBranchingAncestor(f"no branching ancestor above node {node_id}")
     return q
@@ -153,7 +146,7 @@ def c_command(tree: PhraseTree, a: int, b: int) -> bool:
     The relation includes the self pair and applies only between nodes at
     the same height.
     """
-    facts = _facts_of(tree)
+    facts = _Facts(tree)
     return facts.holds(facts.c_span, tree._position(a), tree._position(b))
 
 
@@ -164,24 +157,16 @@ def c_command_matrix(tree: PhraseTree, nodes: str = "leaves") -> RelationMatrix:
 def cu_domain(tree: PhraseTree, a: int) -> CuDomain:
     """Distances from ``a`` to its height peers and the set of closest ones.
 
-    The members come from the pass behind the relation matrices, and the
-    distances from one climb to the root: each ancestor's subtree adds the
-    peers not yet reached, at its height above ``a``.  When ``a`` is alone
-    the domain is ``{a}``.
+    The members come from the pass behind the relation matrices, and each
+    distance from one ``lca``.  When ``a`` is alone the domain is ``{a}``.
     """
-    facts, p = _facts_of(tree), tree._position(a)
-    level, lo = facts.peers[p], facts.index[p]
-    hi, distances = lo + 1, [0] * len(level)  # the peers [lo, hi) have their distance
-    for q in tree.ancestor_ids(p):
-        new_lo, new_hi = bisect_left(level, q, 0, lo), bisect_left(level, tree._end[q], hi)
-        d = tree._height[q] - tree._height[p]
-        distances[new_lo:lo], distances[hi:new_hi] = [d] * (lo - new_lo), [d] * (new_hi - hi)
-        lo, hi = new_lo, new_hi
-    return CuDomain(a, dict(zip(level, distances)), frozenset(facts.run(facts.cu_span, p)))
+    facts, p = _Facts(tree), tree._position(a)
+    distance_set = {q: same_height_distance(tree, a, q) for q in facts.peers[p]}
+    return CuDomain(a, distance_set, frozenset(facts.run(facts.cu_span, p)))
 
 
 def cu_command(tree: PhraseTree, a: int, b: int) -> bool:
-    facts = _facts_of(tree)
+    facts = _Facts(tree)
     return facts.holds(facts.cu_span, tree._position(a), tree._position(b))
 
 
@@ -200,7 +185,7 @@ def theorem_check(tree: PhraseTree, nodes: str = "leaves") -> list[Disagreement]
     it does not c-command.  Both relations of ``a`` are runs of its peers
     holding it, so only the runs' ends are visited: O(N·depth + output).
     """
-    positions, facts = _positions(tree, nodes), _facts_of(tree)
+    positions, facts = _positions(tree, nodes), _Facts(tree)
     found: list[Disagreement] = []
     for p in positions:
         c, cu = facts.c_span[p], facts.cu_span[p]
@@ -277,7 +262,7 @@ def governs(tree: PhraseTree, a: int, b: int, policy: GovernorPolicy | None = No
     each node lies in the other's cu-domain.  Self government is excluded.
     """
     policy, p, q = _checked(policy), tree._position(a), tree._position(b)
-    return q in _governed(tree, _facts_of(tree), policy, p)
+    return q in _governed(tree, _Facts(tree), policy, p)
 
 
 def government_matrix(

@@ -18,7 +18,7 @@ def tree_category_minima(tree: PhraseTree) -> dict[tuple[str, str], int]:
     Same-category pairs are included when the tree holds two or more tokens
     of the category.  A tree with fewer than two leaves yields an empty map.
     """
-    categories = [label for label, word in zip(tree._label, tree._word) if word is not None]
+    categories = tree.leaf_categories()
     minima: dict[tuple[str, str], int] = {}
     for d, lo, mid, hi in tree.leaf_blocks():
         later = dict.fromkeys(categories[mid:hi])
@@ -45,7 +45,7 @@ def min_distance_matrix(
     combined: dict[tuple[str, str], int] = {}
     seen: set[str] = set()
     for tree in corpus:
-        seen.update(label for label, word in zip(tree._label, tree._word) if word is not None)
+        seen.update(tree.leaf_categories())
         for pair, d in tree_category_minima(tree).items():
             if pair not in combined or d < combined[pair]:
                 combined[pair] = d

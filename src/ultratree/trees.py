@@ -92,11 +92,11 @@ class PhraseTree:
     preorder, or when a label or word is not one token (a non-empty string
     free of whitespace and parentheses) and so could not print back; and
     MixedNode or EmptyNode when a node has both or neither of a word and
-    children.  ``Node`` views and the command pass are built on first use.
+    children.  ``Node`` views are built on first use.
     All queries are pure; instances may be shared freely across threads.
     """
 
-    __slots__ = ("_label", "_word", "_up", "_end", "_height", "_arity", "_views", "_facts")
+    __slots__ = ("_label", "_word", "_up", "_end", "_height", "_arity", "_views")
 
     def __init__(self, records: Sequence[tuple[str, str | None, int]]):
         n = len(records)
@@ -137,7 +137,7 @@ class PhraseTree:
             height[parent] = max(height[parent], height[p] + 1)
         self._label, self._word, self._up, self._end = labels, words, up, end
         self._height, self._arity = height, arity
-        self._views = self._facts = None  # Node views, and command's pass, built on first use
+        self._views = None  # the Node views, built on first use
 
     # -- construction ------------------------------------------------------
 
@@ -238,6 +238,10 @@ class PhraseTree:
     def node_labels(self) -> tuple[str, ...]:
         """Node labels in preorder, suffixed ``#k`` where duplicated."""
         return disambiguate(self._label)
+
+    def leaf_categories(self) -> list[str]:
+        """Leaf labels, the lexical categories, in left-to-right order."""
+        return [label for label, word in zip(self._label, self._word) if word is not None]
 
     def leaf_labels(self) -> tuple[str, ...]:
         """Leaf words in left-to-right order, suffixed ``#k`` where duplicated."""

@@ -2,7 +2,6 @@
 
 import pytest
 
-from ultratree import command as command_module
 from ultratree import (
     EmptyPolicy,
     GovernorPolicy,
@@ -230,36 +229,7 @@ class TestGovernment:
         assert all(not matrix.entries[i][i] for i in range(matrix.size))
 
 
-class TestFactsCache:
-    def test_one_pass_serves_every_single_pair_query(self, monkeypatch):
-        builds = []
-        original = command_module._Facts.__init__
-
-        def counting(self, tree):
-            builds.append(tree)
-            original(self, tree)
-
-        monkeypatch.setattr(command_module._Facts, "__init__", counting)
-        tree = random_tree(7, 40, "mixed:4")
-        n, root = len(tree), tree.root.id
-        queries = [
-            lambda a, b: c_command(tree, a, b),
-            lambda a, b: cu_command(tree, a, b),
-            lambda a, b: governs(tree, a, b),
-            lambda a, b: cu_domain(tree, a),
-            lambda a, b: a == root or first_branching_ancestor(tree, a),
-        ]
-        for k in range(1000):
-            queries[k % len(queries)]((k * 7) % n, (k * 13) % n)
-        assert builds == [tree]
-        # The matrices and the theorem check read the same pass.
-        c_command_matrix(tree, nodes="all")
-        theorem_check(tree, nodes="all")
-        assert builds == [tree]
-        # An equal tree is a different object, with a pass of its own.
-        c_command(parse_tree(tree.to_bracketed()), 0, 0)
-        assert len(builds) == 2
-
+class TestPairQueries:
     @pytest.mark.parametrize("bad", [-1, 99, "a"])
     def test_pair_queries_reject_unknown_ids(self, f13, bad):
         for query in (c_command, cu_command, governs):

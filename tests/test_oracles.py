@@ -164,11 +164,12 @@ def check_command_relations(tree):
             (b, heights[brute_lca(tree, a, b)] - heights[a]) for b in peers[a]
         ]
 
-    # The single-pair functions read the pass cached on the tree, so every
-    # tree gets every pair.
-    assert [[c_command(tree, a, b) for b in ids] for a in ids] == c_expected
-    assert [[cu_command(tree, a, b) for b in ids] for a in ids] == cu_expected
-    assert [[governs(tree, a, b, POLICY) for b in ids] for a in ids] == governs_expected
+    # The single-pair functions each run the whole pass, so only small
+    # trees get every pair.
+    if len(ids) <= 16:
+        assert [[c_command(tree, a, b) for b in ids] for a in ids] == c_expected
+        assert [[cu_command(tree, a, b) for b in ids] for a in ids] == cu_expected
+        assert [[governs(tree, a, b, POLICY) for b in ids] for a in ids] == governs_expected
 
 
 CHECKS = [check_dominance, check_leaf_matrix, check_category_minima, check_command_relations]
@@ -199,9 +200,9 @@ def deep_trees_and_owners(draw):
 
 @given(deep_trees_and_owners())
 @settings(max_examples=60, deadline=None)
-def test_cu_domain_distances_from_one_climb(case):
-    """Each peer's distance comes from the lowest ancestor of the owner that
-    holds it; brute_lca finds that ancestor from the ancestor chains."""
+def test_cu_domain_distances_match_brute_lca(case):
+    """Each peer's distance is the height of its lowest common ancestor with
+    the owner, above the owner; brute_lca finds it from the ancestor chains."""
     tree, owners = case
     heights = brute_heights(tree)
     for a in owners:
