@@ -5,203 +5,70 @@ distance matrices, verify the metric and ultrametric axioms, classify
 triangles, compute dominance / c-command / cu-command / government
 relations, aggregate minimum lexical-category distances over corpora, and
 validate linguistic partial-order hierarchies.
+
+Importing the package loads none of its modules: each exported name is
+imported from its module on first use (PEP 562), so a program, the command
+line included, pays only for the modules it touches.
 """
 
-from .command import (
-    DEFAULT_GOVERNOR_CATEGORIES,
-    CuDomain,
-    Disagreement,
-    GovernorPolicy,
-    c_command,
-    c_command_matrix,
-    cu_command,
-    cu_command_matrix,
-    cu_domain,
-    first_branching_ancestor,
-    government_matrix,
-    governs,
-    random_theorem_suite,
-    same_height_distance,
-    theorem_check,
-    theorem_report,
-)
-from .data import load_berlin_kay_order, load_category_corpus
-from .errors import (
-    BadAritySpec,
-    BadMatrixDocument,
-    CyclicOrder,
-    DuplicateVertex,
-    EmptyCorpus,
-    EmptyNode,
-    EmptyPolicy,
-    HeightMismatch,
-    MissingEntry,
-    MixedNode,
-    NoBranchingAncestor,
-    NonSquare,
-    ParseError,
-    TooFewLabels,
-    UltratreeError,
-    UnbalancedBrackets,
-    UnknownCategory,
-    UnknownLabel,
-    UnknownNode,
-)
-from .features import (
-    DEFAULT_FEATURE_ROWS,
-    FeatureTable,
-    build_feature_matrix,
-    compare_feature_vs_ultrametric,
-    determinant,
-    feature_distance,
-    matrix_rank,
-    pauli_assembly,
-)
-from .hierarchy import (
-    ACCESSIBILITY_HIERARCHY,
-    Chain,
-    ConstraintViolation,
-    PartialOrder,
-    Strategy,
-    check_document,
-    check_downset,
-    check_language,
-    check_strategy,
-)
-from .lexdist import (
-    DEFAULT_CATEGORY_ORDER,
-    ComplexityReport,
-    check_nested_pattern,
-    complexity,
-    min_distance_matrix,
-    tree_category_minima,
-)
-from .matrix import (
-    CategoryDistanceMatrix,
-    DistanceMatrix,
-    LabeledMatrix,
-    RelationMatrix,
-    SignMatrix,
-)
-from .trees import (
-    Node,
-    PhraseTree,
-    assign_heights,
-    disambiguate,
-    dominance_matrix,
-    dominates,
-    enumerate_binary_trees,
-    is_switched,
-    lca,
-    parse_tree,
-    parse_tree_file,
-    parse_tree_lines,
-    random_tree,
-    serialize_tree,
-)
-from .ultrametric import (
-    TriangleClass,
-    TriangleKind,
-    Violation,
-    ViolationReport,
-    all_triangles,
-    check_metric,
-    check_ultrametric,
-    classify_triangle,
-    leaf_matrix,
-    xbar_template,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ACCESSIBILITY_HIERARCHY",
-    "BadAritySpec",
-    "BadMatrixDocument",
-    "CategoryDistanceMatrix",
-    "Chain",
-    "ComplexityReport",
-    "ConstraintViolation",
-    "CuDomain",
-    "CyclicOrder",
-    "DEFAULT_CATEGORY_ORDER",
-    "DEFAULT_FEATURE_ROWS",
-    "DEFAULT_GOVERNOR_CATEGORIES",
-    "Disagreement",
-    "DistanceMatrix",
-    "DuplicateVertex",
-    "EmptyCorpus",
-    "EmptyNode",
-    "EmptyPolicy",
-    "FeatureTable",
-    "GovernorPolicy",
-    "HeightMismatch",
-    "LabeledMatrix",
-    "MissingEntry",
-    "MixedNode",
-    "NoBranchingAncestor",
-    "Node",
-    "NonSquare",
-    "ParseError",
-    "PartialOrder",
-    "PhraseTree",
-    "RelationMatrix",
-    "SignMatrix",
-    "Strategy",
-    "TooFewLabels",
-    "TriangleClass",
-    "TriangleKind",
-    "UltratreeError",
-    "UnbalancedBrackets",
-    "UnknownCategory",
-    "UnknownLabel",
-    "UnknownNode",
-    "Violation",
-    "ViolationReport",
-    "all_triangles",
-    "assign_heights",
-    "build_feature_matrix",
-    "c_command",
-    "c_command_matrix",
-    "check_document",
-    "check_downset",
-    "check_language",
-    "check_metric",
-    "check_nested_pattern",
-    "check_strategy",
-    "check_ultrametric",
-    "classify_triangle",
-    "compare_feature_vs_ultrametric",
-    "complexity",
-    "cu_command",
-    "cu_command_matrix",
-    "cu_domain",
-    "determinant",
-    "disambiguate",
-    "dominance_matrix",
-    "dominates",
-    "enumerate_binary_trees",
-    "feature_distance",
-    "first_branching_ancestor",
-    "government_matrix",
-    "governs",
-    "is_switched",
-    "lca",
-    "leaf_matrix",
-    "load_berlin_kay_order",
-    "load_category_corpus",
-    "matrix_rank",
-    "min_distance_matrix",
-    "parse_tree",
-    "parse_tree_file",
-    "parse_tree_lines",
-    "pauli_assembly",
-    "random_theorem_suite",
-    "random_tree",
-    "same_height_distance",
-    "serialize_tree",
-    "theorem_check",
-    "theorem_report",
-    "tree_category_minima",
-    "xbar_template",
-]
+# The public names of each module.
+_MODULE_EXPORTS = {
+    "command": (
+        "DEFAULT_GOVERNOR_CATEGORIES CuDomain Disagreement GovernorPolicy c_command"
+        " c_command_matrix cu_command cu_command_matrix cu_domain first_branching_ancestor"
+        " government_matrix governs random_theorem_suite same_height_distance theorem_check"
+        " theorem_report"
+    ),
+    "data": "load_berlin_kay_order load_category_corpus",
+    "errors": (
+        "BadAritySpec BadMatrixDocument CyclicOrder DuplicateVertex EmptyCorpus EmptyNode"
+        " EmptyPolicy HeightMismatch MissingEntry MixedNode NoBranchingAncestor NonSquare"
+        " ParseError TooFewLabels UltratreeError UnbalancedBrackets UnknownCategory UnknownLabel"
+        " UnknownNode"
+    ),
+    "features": (
+        "DEFAULT_FEATURE_ROWS FeatureTable build_feature_matrix compare_feature_vs_ultrametric"
+        " determinant feature_distance matrix_rank pauli_assembly"
+    ),
+    "hierarchy": (
+        "ACCESSIBILITY_HIERARCHY Chain ConstraintViolation PartialOrder Strategy check_document"
+        " check_downset check_language check_strategy"
+    ),
+    "lexdist": (
+        "DEFAULT_CATEGORY_ORDER ComplexityReport check_nested_pattern complexity"
+        " min_distance_matrix tree_category_minima"
+    ),
+    "matrix": "CategoryDistanceMatrix DistanceMatrix LabeledMatrix RelationMatrix SignMatrix",
+    "trees": (
+        "Node PhraseTree assign_heights disambiguate dominance_matrix dominates"
+        " enumerate_binary_trees is_switched lca parse_tree parse_tree_file parse_tree_lines"
+        " random_tree serialize_tree"
+    ),
+    "ultrametric": (
+        "TriangleClass TriangleKind Violation ViolationReport all_triangles check_metric"
+        " check_ultrametric classify_triangle leaf_matrix xbar_template"
+    ),
+}
+_EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """An exported name or a submodule, imported on first use and then kept."""
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    elif name in _MODULE_EXPORTS:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

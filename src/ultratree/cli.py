@@ -17,15 +17,13 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
 import sys
+from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Sequence
 
-from . import data as bundled_data
 from .command import (
     GovernorPolicy,
     c_command_matrix,
@@ -35,15 +33,6 @@ from .command import (
     theorem_report,
 )
 from .errors import MissingEntry, TooFewLabels, UltratreeError, _read_utf8
-from .features import (
-    FeatureTable,
-    build_feature_matrix,
-    compare_feature_vs_ultrametric,
-    determinant,
-    matrix_rank,
-    pauli_assembly,
-)
-from .hierarchy import check_document
 from .lexdist import check_nested_pattern, complexity, min_distance_matrix
 from .matrix import CategoryDistanceMatrix, DistanceMatrix
 from .trees import dominance_matrix, enumerate_binary_trees, parse_tree_file
@@ -155,6 +144,8 @@ def _emit_json(obj) -> None:
 
 
 def _csv_rows(rows: list[list]) -> str:
+    import csv  # only CSV output pays for it
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerows(rows)
@@ -333,7 +324,9 @@ def _cmd_mindist(args) -> int:
     if args.file:
         corpus = parse_tree_file(args.file)
     else:
-        corpus = bundled_data.load_category_corpus()
+        from .data import load_category_corpus
+
+        corpus = load_category_corpus()
     order = _split_csv_flag(args.order) if args.order else None
     if order and len(set(order)) < len(order):
         raise UltratreeError(f"--order: categories must be distinct, got {args.order!r}")
@@ -373,6 +366,10 @@ def _cmd_complexity(args) -> int:
 
 
 def _cmd_features(args) -> int:
+    from .data import load_category_corpus
+    from .features import FeatureTable, build_feature_matrix, compare_feature_vs_ultrametric
+    from .features import determinant, matrix_rank, pauli_assembly
+
     table = FeatureTable()
     sign = build_feature_matrix(table, ap_value=args.ap)
     assembled = pauli_assembly()
@@ -383,7 +380,7 @@ def _cmd_features(args) -> int:
             _read_json(args.matrix), source=args.matrix
         )
     else:
-        distances = min_distance_matrix(bundled_data.load_category_corpus())
+        distances = min_distance_matrix(load_category_corpus())
     try:
         comparison = compare_feature_vs_ultrametric(table, distances)
     except MissingEntry as exc:  # only a --matrix document can lack a pair
@@ -408,6 +405,8 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_hierarchy(args) -> int:
+    from .hierarchy import check_document
+
     report, passed = check_document(_read_json(args.file), source=args.file)
     _emit_json(report)
     return EXIT_OK if passed else EXIT_VIOLATIONS

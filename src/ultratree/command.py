@@ -13,29 +13,26 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
-from .errors import EmptyPolicy, HeightMismatch, NoBranchingAncestor, UltratreeError
+from .errors import EmptyPolicy, HeightMismatch, NoBranchingAncestor, UltratreeError, _Record, _set
 from .matrix import RelationMatrix
 from .trees import PhraseTree, disambiguate, lca, random_tree, serialize_tree
 
 DEFAULT_GOVERNOR_CATEGORIES = frozenset({"V", "P"})
 
 
-@dataclass(frozen=True)
-class GovernorPolicy:
+class GovernorPolicy(_Record):
     """The categories allowed to govern; there is no canonical inventory, so
     the set is caller configuration.  Verbs and prepositions by default."""
 
-    governor_categories: frozenset[str] = DEFAULT_GOVERNOR_CATEGORIES
+    __slots__ = _fields = ("governor_categories",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "governor_categories", frozenset(self.governor_categories))
+    def __init__(self, governor_categories: Iterable[str] = DEFAULT_GOVERNOR_CATEGORIES):
+        _set(self, "governor_categories", frozenset(governor_categories))
 
 
-@dataclass(frozen=True)
-class CuDomain:
+class CuDomain(_Record):
     """Distances from a node to its height peers, and the closest of them.
 
     ``distance_set`` maps every node at the owner's height (owner included,
@@ -43,18 +40,23 @@ class CuDomain:
     all peers attaining the minimum positive distance.
     """
 
-    owner: int
-    distance_set: Mapping[int, int]
-    members: frozenset[int]
+    __slots__ = _fields = ("owner", "distance_set", "members")
+
+    def __init__(self, owner: int, distance_set: Mapping[int, int], members: frozenset[int]):
+        _set(self, "owner", owner)
+        _set(self, "distance_set", distance_set)
+        _set(self, "members", members)
 
 
-@dataclass(frozen=True)
-class Disagreement:
+class Disagreement(_Record):
     """A same-height pair on which exactly one of the two relations holds."""
 
-    a: int
-    b: int
-    holds: str  # "c_command" or "cu_command"
+    __slots__ = _fields = ("a", "b", "holds")
+
+    def __init__(self, a: int, b: int, holds: str):  # holds: "c_command" or "cu_command"
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "holds", holds)
 
 
 def _positions(tree: PhraseTree, nodes: str) -> list[int]:
@@ -230,6 +232,8 @@ def random_theorem_suite(
     """Run theorem_report over seeded random trees; deterministic for a fixed seed."""
     if max_leaves < 1:
         raise UltratreeError(f"max_leaves must be at least 1, got {max_leaves}")
+    if trees < 0:
+        raise UltratreeError(f"trees must be at least 0, got {trees}")
     rng = random.Random(seed)
 
     def generate():

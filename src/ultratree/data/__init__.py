@@ -9,14 +9,14 @@ JSON document of ``nodes`` and ``(earlier, later)`` edges.
 from __future__ import annotations
 
 import json
-from importlib.resources import files
+import os
 
-from ..hierarchy import PartialOrder
+from ..errors import _read_utf8
 from ..trees import PhraseTree, parse_tree_lines
 
 
 def _read(name: str) -> str:
-    return files(__package__).joinpath(name).read_text(encoding="utf-8")
+    return _read_utf8(os.path.join(os.path.dirname(__file__), name))
 
 
 def load_category_corpus() -> list[PhraseTree]:
@@ -24,6 +24,8 @@ def load_category_corpus() -> list[PhraseTree]:
     return parse_tree_lines(_read("category_corpus.trees").splitlines(), source="category_corpus.trees")
 
 
-def load_berlin_kay_order() -> PartialOrder:
-    """The bundled color-term partial order."""
+def load_berlin_kay_order():
+    """The bundled color-term partial order, a ``hierarchy.PartialOrder``."""
+    from ..hierarchy import PartialOrder  # only here, so the corpus loads without it
+
     return PartialOrder.from_json_dict(json.loads(_read("berlin_kay.json")))

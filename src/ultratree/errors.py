@@ -1,4 +1,47 @@
-"""Exception types shared across the package, and a UTF-8 file reader."""
+"""Exception types and the record base shared across the package, and a UTF-8 file reader."""
+
+_set = object.__setattr__  # how a record's ``__init__`` fills its slots
+
+
+class _Record:
+    """Base of the package's immutable records.
+
+    A record lists its fields in ``_fields`` (its ``__slots__``), in
+    ``__init__`` order, and fills them with ``_set``.  The base gives the
+    behaviour of a frozen dataclass: a ``repr`` naming every field,
+    equality and hashing over the fields for records of the same class
+    only, AttributeError on assignment and ``del``, and a ``__reduce__`` that
+    rebuilds the record through ``__init__`` for copy and pickle.  It does
+    so without importing ``dataclasses`` and ``inspect``, whose import cost
+    every CLI run more than the analysis of a small input.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class UltratreeError(ValueError):

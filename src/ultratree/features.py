@@ -11,11 +11,10 @@ checkable here in exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from itertools import combinations
-from typing import Mapping, Sequence
 
-from .errors import MissingEntry, NonSquare, UltratreeError, UnknownCategory
+from .errors import MissingEntry, NonSquare, UltratreeError, UnknownCategory, _Record, _set
 from .matrix import CategoryDistanceMatrix, SignMatrix
 
 FEATURE_CATEGORIES = ("N", "V", "A", "P")
@@ -28,20 +27,19 @@ DEFAULT_FEATURE_ROWS: Mapping[str, tuple[int, int]] = {
 }
 
 
-@dataclass(frozen=True)
-class FeatureTable:
+class FeatureTable(_Record):
     """(+/-N, +/-V) feature values for the four major categories."""
 
-    rows: Mapping[str, tuple[int, int]] = field(
-        default_factory=lambda: dict(DEFAULT_FEATURE_ROWS)
-    )
+    __slots__ = _fields = ("rows",)
 
-    def __post_init__(self):
-        if tuple(self.rows) != FEATURE_CATEGORIES:
+    def __init__(self, rows: Mapping[str, tuple[int, int]] = DEFAULT_FEATURE_ROWS):
+        rows = dict(rows) if rows is DEFAULT_FEATURE_ROWS else rows  # each table its own copy
+        if tuple(rows) != FEATURE_CATEGORIES:
             raise UltratreeError(f"feature table must cover exactly {FEATURE_CATEGORIES}")
-        for category, (n_value, v_value) in self.rows.items():
+        for category, (n_value, v_value) in rows.items():
             if n_value not in (1, -1) or v_value not in (1, -1):
                 raise UltratreeError(f"feature values for {category!r} must be +1 or -1")
+        _set(self, "rows", rows)
 
     @property
     def categories(self) -> tuple[str, ...]:

@@ -12,10 +12,9 @@ any order can be supplied).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
-from .errors import CyclicOrder, UltratreeError, UnknownLabel
+from .errors import CyclicOrder, UltratreeError, UnknownLabel, _Record, _set
 
 ACCESSIBILITY_HIERARCHY = ("SU", "DO", "IO", "OBL", "GEN", "OCOMP")
 
@@ -25,16 +24,16 @@ PRC1 = "PRC1"  # a language has a primary strategy
 PRC2 = "PRC2"  # a primary strategy covers everything above its low point
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(_Record):
     """A total order of grammatical positions, most accessible first."""
 
-    elements: tuple[str, ...] = ACCESSIBILITY_HIERARCHY
+    __slots__ = _fields = ("elements",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        if len(set(self.elements)) != len(self.elements):
+    def __init__(self, elements: Iterable[str] = ACCESSIBILITY_HIERARCHY):
+        elements = tuple(elements)
+        if len(set(elements)) != len(elements):
             raise UltratreeError("chain elements must be unique")
+        _set(self, "elements", elements)
 
     def position(self, label: str) -> int:
         try:
@@ -43,22 +42,23 @@ class Chain:
             raise UnknownLabel(f"label {label!r} not on the chain") from None
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(_Record):
     """A relative-clause forming strategy and the positions it covers."""
 
-    name: str
-    covered: frozenset[str]
-    primary: bool = False
+    __slots__ = _fields = ("name", "covered", "primary")
 
-    def __post_init__(self):
-        object.__setattr__(self, "covered", frozenset(self.covered))
+    def __init__(self, name: str, covered: Iterable[str], primary: bool = False):
+        _set(self, "name", name)
+        _set(self, "covered", frozenset(covered))
+        _set(self, "primary", primary)
 
 
-@dataclass(frozen=True)
-class ConstraintViolation:
-    constraint: str
-    detail: str
+class ConstraintViolation(_Record):
+    __slots__ = _fields = ("constraint", "detail")
+
+    def __init__(self, constraint: str, detail: str):
+        _set(self, "constraint", constraint)
+        _set(self, "detail", detail)
 
     def to_json_dict(self) -> dict:
         return {"constraint": self.constraint, "detail": self.detail}
@@ -127,18 +127,14 @@ def check_language(chain: Chain, strategies: Sequence[Strategy]) -> list[Constra
     return violations
 
 
-@dataclass(frozen=True)
-class PartialOrder:
+class PartialOrder(_Record):
     """A finite strict partial order given by nodes and (earlier, later) edges."""
 
-    nodes: frozenset[str]
-    edges: frozenset[tuple[str, str]] = field(default_factory=frozenset)
+    __slots__ = _fields = ("nodes", "edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(
-            self, "edges", frozenset((a, b) for a, b in self.edges)
-        )
+    def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = frozenset()):
+        _set(self, "nodes", frozenset(nodes))
+        _set(self, "edges", frozenset((a, b) for a, b in edges))
 
     @classmethod
     def from_json_dict(cls, data: dict, at: str = "") -> "PartialOrder":
@@ -267,7 +263,7 @@ def check_document(data, source: str = "<json>") -> tuple[object, bool]:
             if "order" in data:
                 order = PartialOrder.from_json_dict(data["order"], "order")
             else:
-                from .data import load_berlin_kay_order  # data imports this module
+                from .data import load_berlin_kay_order  # read only when no order is given
                 order = load_berlin_kay_order()
             inventory = _field(data, "", "inventory", "strings")
             closed = check_downset(order, inventory)

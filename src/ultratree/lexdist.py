@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-from .errors import EmptyCorpus, MissingEntry, UnknownLabel
+from .errors import EmptyCorpus, MissingEntry, UnknownLabel, _Record, _set
 from .matrix import CategoryDistanceMatrix
 from .trees import PhraseTree
 
@@ -84,14 +83,22 @@ def check_nested_pattern(
     return all(matrix.get(c1, c2) == expected for c1, c2, expected in required)
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
+class ComplexityReport(_Record):
     """Root heights per tree, their maximum, and the trees over the bound."""
 
-    per_tree: tuple[tuple[int, int], ...]  # (tree index, root height)
-    max_height: int
-    bound: int
-    exceeding: tuple[int, ...]
+    __slots__ = _fields = ("per_tree", "max_height", "bound", "exceeding")
+
+    def __init__(
+        self,
+        per_tree: tuple[tuple[int, int], ...],  # (tree index, root height)
+        max_height: int,
+        bound: int,
+        exceeding: tuple[int, ...],
+    ):
+        _set(self, "per_tree", per_tree)
+        _set(self, "max_height", max_height)
+        _set(self, "bound", bound)
+        _set(self, "exceeding", exceeding)
 
     def to_json_dict(self) -> dict:
         return {

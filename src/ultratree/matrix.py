@@ -8,11 +8,10 @@ entries as JSON null and empty CSV cells.
 
 from __future__ import annotations
 
-import csv
 import io
 import re
+from collections.abc import Sequence
 from itertools import chain
-from typing import Sequence
 
 from .errors import BadMatrixDocument, NonSquare, UltratreeError, UnknownLabel
 
@@ -144,6 +143,8 @@ class LabeledMatrix:
         return next((f"labels[{j}]" for j, x in enumerate(labels) if x in labels[:j]), "labels")
 
     def to_csv(self) -> str:
+        import csv  # only CSV output pays for it
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["", *self.labels])

@@ -15,9 +15,8 @@ from __future__ import annotations
 import io
 import random
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadAritySpec,
@@ -28,22 +27,26 @@ from .errors import (
     UnbalancedBrackets,
     UnknownNode,
     _read_utf8,
+    _Record,
+    _set,
 )
 from .matrix import RelationMatrix
 
 DEFAULT_RANDOM_CATEGORIES = ("D", "N", "V", "A", "P")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Node:
+class Node(_Record):
     """A view of one tree position.  Leaves carry a word; internal nodes carry
     children.  Equality, hashing and ``repr`` are structural and walk the
     subtree with a stack, so deep chains do not recurse."""
 
-    id: int
-    label: str
-    word: str | None
-    children: tuple["Node", ...]
+    __slots__ = _fields = ("id", "label", "word", "children")
+
+    def __init__(self, id: int, label: str, word: str | None, children: tuple[Node, ...]):
+        _set(self, "id", id)
+        _set(self, "label", label)
+        _set(self, "word", word)
+        _set(self, "children", children)
 
     @property
     def is_leaf(self) -> bool:

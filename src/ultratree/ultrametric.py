@@ -8,10 +8,9 @@ equilateral, and strictly binary branching rules the equilateral case out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DuplicateVertex, TooFewLabels, UltratreeError
+from .errors import DuplicateVertex, TooFewLabels, UltratreeError, _Record, _set
 from .matrix import DistanceMatrix
 from .trees import PhraseTree
 
@@ -22,21 +21,29 @@ AXIOM_TRIANGLE = "triangle_inequality"
 AXIOM_ULTRAMETRIC = "ultrametric"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One failed axiom instance; indices point into the matrix labels."""
 
-    axiom: str
-    indices: tuple[int, ...]
+    __slots__ = _fields = ("axiom", "indices")
+
+    def __init__(self, axiom: str, indices: tuple[int, ...]):
+        _set(self, "axiom", axiom)
+        _set(self, "indices", indices)
 
     def to_json_dict(self) -> dict:
         return {"axiom": self.axiom, "indices": list(self.indices)}
 
 
-@dataclass(frozen=True)
-class ViolationReport:
-    metric_violations: tuple[Violation, ...] = ()
-    ultrametric_violations: tuple[Violation, ...] = ()
+class ViolationReport(_Record):
+    __slots__ = _fields = ("metric_violations", "ultrametric_violations")
+
+    def __init__(
+        self,
+        metric_violations: tuple[Violation, ...] = (),
+        ultrametric_violations: tuple[Violation, ...] = (),
+    ):
+        _set(self, "metric_violations", metric_violations)
+        _set(self, "ultrametric_violations", ultrametric_violations)
 
     @property
     def ok(self) -> bool:
@@ -64,13 +71,15 @@ class TriangleKind(str, Enum):
     VIOLATING = "violating"
 
 
-@dataclass(frozen=True)
-class TriangleClass:
+class TriangleClass(_Record):
     """Classified triangle: sides sorted ascending, base set when isosceles."""
 
-    kind: TriangleKind
-    sides: tuple[int, int, int]
-    base: int | None = None
+    __slots__ = _fields = ("kind", "sides", "base")
+
+    def __init__(self, kind: TriangleKind, sides: tuple[int, int, int], base: int | None = None):
+        _set(self, "kind", kind)
+        _set(self, "sides", sides)
+        _set(self, "base", base)
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind.value, "sides": list(self.sides), "base": self.base}

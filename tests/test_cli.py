@@ -1,6 +1,7 @@
 """The command-line surface: outputs, exit codes, determinism, coverage."""
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -467,6 +468,10 @@ class TestErrors:
         assert run(["check", "--matrix", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: Expecting property name")
 
+    def test_randtest_negative_trees(self, capsys):
+        assert run(["randtest", "--seed", "1", "--trees", "-3"]) == 2
+        assert self.one_error(capsys) == "error: trees must be at least 0, got -3\n"
+
     @staticmethod
     def one_error(capsys) -> str:
         """The single error line of an exit-2 run that printed nothing else."""
@@ -717,6 +722,90 @@ class TestEntryPoint:
     def test_import_builds_no_parser(self):
         child = self.python("-c", "import ultratree.cli as c; print(c._parser.cache_info().currsize)")
         assert (child.returncode, child.stdout) == (0, "0\n")
+
+
+class TestStartup:
+    """What ``import ultratree.cli`` loads, in an isolated interpreter.
+
+    The tests above share one process, which other tests have filled with
+    every module; a child started with ``-I -S`` sees only what the import
+    itself loads.
+    """
+
+    HEAVY = [
+        "dataclasses", "inspect", "typing", "csv", "importlib.resources",
+        "ultratree.features", "ultratree.hierarchy", "ultratree.data",
+    ]
+    CORE = [
+        "ultratree.trees", "ultratree.ultrametric", "ultratree.command", "ultratree.lexdist",
+        "ultratree.matrix",
+    ]
+    CHILD = """
+import io, json, sys
+sys.path.insert(0, {src!r})
+import ultratree.cli
+report = {{"import": [m for m in {heavy!r} if m in sys.modules], "core": [m for m in {core!r} if m in sys.modules]}}
+stdout, sys.stdout = sys.stdout, io.StringIO()
+report["codes"] = [ultratree.cli.run(argv) for argv in {runs!r}]
+sys.stdout = stdout
+report["runs"] = [m for m in {heavy!r} if m in sys.modules]
+print(json.dumps(report))
+"""
+
+    def test_import_loads_only_what_the_hot_subcommands_use(self, tree_file):
+        runs = [
+            ["check", tree_file], ["matrix", tree_file], ["complexity", tree_file],
+            ["randtest", "--seed", "1", "--trees", "5"],
+        ]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = self.CHILD.format(src=src, heavy=self.HEAVY, core=self.CORE, runs=runs)
+        child = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert (child.returncode, child.stderr) == (0, "")
+        report = json.loads(child.stdout)
+        assert report["import"] == [] and report["core"] == self.CORE
+        assert report["codes"] == [0, 0, 0, 0]
+        assert "dataclasses" not in report["runs"]
+
+    # The package's names before its exports became lazy.
+    ALL = """
+        ACCESSIBILITY_HIERARCHY BadAritySpec BadMatrixDocument CategoryDistanceMatrix Chain
+        ComplexityReport ConstraintViolation CuDomain CyclicOrder DEFAULT_CATEGORY_ORDER
+        DEFAULT_FEATURE_ROWS DEFAULT_GOVERNOR_CATEGORIES Disagreement DistanceMatrix DuplicateVertex
+        EmptyCorpus EmptyNode EmptyPolicy FeatureTable GovernorPolicy HeightMismatch LabeledMatrix
+        MissingEntry MixedNode NoBranchingAncestor Node NonSquare ParseError PartialOrder PhraseTree
+        RelationMatrix SignMatrix Strategy TooFewLabels TriangleClass TriangleKind UltratreeError
+        UnbalancedBrackets UnknownCategory UnknownLabel UnknownNode Violation ViolationReport
+        all_triangles assign_heights build_feature_matrix c_command c_command_matrix check_document
+        check_downset check_language check_metric check_nested_pattern check_strategy
+        check_ultrametric classify_triangle compare_feature_vs_ultrametric complexity cu_command
+        cu_command_matrix cu_domain determinant disambiguate dominance_matrix dominates
+        enumerate_binary_trees feature_distance first_branching_ancestor government_matrix governs
+        is_switched lca leaf_matrix load_berlin_kay_order load_category_corpus matrix_rank
+        min_distance_matrix parse_tree parse_tree_file parse_tree_lines pauli_assembly
+        random_theorem_suite random_tree same_height_distance serialize_tree theorem_check
+        theorem_report tree_category_minima xbar_template
+    """.split()
+
+    def test_star_import_binds_the_same_names(self):
+        import ultratree
+
+        namespace = {}
+        exec("from ultratree import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(ultratree.__all__) == sorted(self.ALL) == sorted(namespace)
+        assert set(self.ALL) <= set(dir(ultratree))
+        for name, value in namespace.items():
+            module = importlib.import_module(f"ultratree.{ultratree._EXPORTS[name]}")
+            assert getattr(module, name) is value is getattr(ultratree, name)
+
+    def test_submodules_and_unknown_names(self):
+        import ultratree
+
+        assert ultratree.hierarchy is importlib.import_module("ultratree.hierarchy")
+        with pytest.raises(AttributeError, match="no_such_name"):
+            ultratree.no_such_name
 
 
 def test_command_table_covers_public_operations():
