@@ -36,14 +36,7 @@ from .errors import MissingEntry, TooFewLabels, UltratreeError, _read_utf8
 from .lexdist import check_nested_pattern, complexity, min_distance_matrix
 from .matrix import CategoryDistanceMatrix, DistanceMatrix
 from .trees import dominance_matrix, enumerate_binary_trees, parse_tree_file
-from .ultrametric import (
-    ViolationReport,
-    _triangles,
-    check_metric,
-    check_ultrametric,
-    leaf_matrix,
-    xbar_template,
-)
+from .ultrametric import _check_axioms, _triangles, leaf_matrix, xbar_template
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -209,13 +202,11 @@ def _cmd_matrix(args) -> int:
     return EXIT_OK
 
 
-def _collect_checks(matrices) -> list[dict]:
-    rows = []
-    for index, matrix in enumerate(matrices):
-        report = ViolationReport.merge(check_metric(matrix), check_ultrametric(matrix))
-        for item in report.to_json_list():
-            rows.append({"tree": index, **item})
-    return rows
+# One record of the ``check`` JSON list, as json.dumps(records, indent=2)
+# lays it out: tree, axiom and the indices, never an empty list.  A --matrix
+# check writes its records without the tree.
+_CHECK_MATRIX_JSON = '{\n    "axiom": "%s",\n    "indices": [\n      %s\n    ]\n  }'
+_CHECK_JSON = '{\n    "tree": %d,' + _CHECK_MATRIX_JSON[1:]
 
 
 def _cmd_check(args) -> int:
@@ -225,23 +216,22 @@ def _cmd_check(args) -> int:
         matrices = [leaf_matrix(t) for t in parse_tree_file(args.file)]
     else:
         raise UltratreeError("check needs a tree file or --matrix")
-    violations = _collect_checks(matrices)
-    if args.matrix:
-        for item in violations:
-            item.pop("tree")
-    if args.format == "json":
-        _emit_json(violations)
+    faults = [
+        (tree, axiom, indices)
+        for tree, matrix in enumerate(matrices)
+        for part in _check_axioms(matrix)
+        for axiom, indices in part
+    ]
+    if args.format == "csv":  # no field holds a comma, quote or newline
+        rows = ["%d,%s,%s\n" % (tree, axiom, " ".join(map(str, indices))) for tree, axiom, indices in faults]
+        _emit("tree,axiom,indices\n" + "".join(rows))
     else:
-        _emit(
-            _csv_rows(
-                [["tree", "axiom", "indices"]]
-                + [
-                    [v.get("tree", 0), v["axiom"], " ".join(map(str, v["indices"]))]
-                    for v in violations
-                ]
-            )
-        )
-    return EXIT_VIOLATIONS if violations else EXIT_OK
+        if args.matrix:
+            records = [_CHECK_MATRIX_JSON % (axiom, ",\n      ".join(map(str, i))) for _, axiom, i in faults]
+        else:
+            records = [_CHECK_JSON % (tree, axiom, ",\n      ".join(map(str, i))) for tree, axiom, i in faults]
+        _emit("[\n  " + ",\n  ".join(records) + "\n]" if records else "[]")
+    return EXIT_VIOLATIONS if faults else EXIT_OK
 
 
 # One record of the ``triangles`` JSON list, as json.dumps(records, indent=2)

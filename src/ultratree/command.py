@@ -44,7 +44,7 @@ class CuDomain(_Record):
 
     def __init__(self, owner: int, distance_set: Mapping[int, int], members: frozenset[int]):
         _set(self, "owner", owner)
-        _set(self, "distance_set", distance_set)
+        _set(self, "distance_set", dict(distance_set))  # its own copy
         _set(self, "members", members)
 
 

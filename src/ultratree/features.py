@@ -33,7 +33,7 @@ class FeatureTable(_Record):
     __slots__ = _fields = ("rows",)
 
     def __init__(self, rows: Mapping[str, tuple[int, int]] = DEFAULT_FEATURE_ROWS):
-        rows = dict(rows) if rows is DEFAULT_FEATURE_ROWS else rows  # each table its own copy
+        rows = dict(rows)  # its own copy: a caller's later change cannot reach it
         if tuple(rows) != FEATURE_CATEGORIES:
             raise UltratreeError(f"feature table must cover exactly {FEATURE_CATEGORIES}")
         for category, (n_value, v_value) in rows.items():

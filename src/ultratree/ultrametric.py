@@ -55,15 +55,6 @@ class ViolationReport(_Record):
             for v in (*self.metric_violations, *self.ultrametric_violations)
         ]
 
-    @staticmethod
-    def merge(*reports: "ViolationReport") -> "ViolationReport":
-        metric: list[Violation] = []
-        ultra: list[Violation] = []
-        for report in reports:
-            metric.extend(report.metric_violations)
-            ultra.extend(report.ultrametric_violations)
-        return ViolationReport(tuple(metric), tuple(ultra))
-
 
 class TriangleKind(str, Enum):
     EQUILATERAL = "equilateral"
@@ -105,19 +96,15 @@ def leaf_matrix(tree: PhraseTree) -> DistanceMatrix:
 
 def _suspect_pairs(m, n: int) -> list[tuple[int, int]]:
     """Pairs ``(x, y)``, x < y, ascending, that can be the long side of a
-    violating triple; every pair when ``m`` is asymmetric or has a negative
-    entry off the diagonal.
+    violating triple of the symmetric matrix ``m``, whose entries off the
+    diagonal are not negative.
 
-    Otherwise a pair is suspect exactly when its entry exceeds the
-    subdominant ultrametric u, the minimax distance over a minimum spanning
-    tree (single linkage; Gower & Ross 1969).  For any other pair and any z,
+    A pair is suspect exactly when its entry exceeds the subdominant
+    ultrametric u, the minimax distance over a minimum spanning tree (single
+    linkage; Gower & Ross 1969).  For any other pair and any z,
     ``d(x,z) + d(z,y) >= max(d(x,z), d(z,y)) >= u(x,y) = d(x,y)``, so neither
     inequality can fail.  O(n^2); a tree's leaf matrix has no suspect pairs.
     """
-    if any(tuple(row) != column for row, column in zip(m, zip(*m))) or any(
-        min(row[x + 1 :], default=0) < 0 for x, row in enumerate(m)
-    ):
-        return [(x, y) for x in range(n) for y in range(x + 1, n)]
     # Prim's algorithm on the dense matrix: attach the nearest vertex each step.
     best = list(m[0]) if n else []
     near = [0] * n
@@ -150,6 +137,48 @@ def _suspect_pairs(m, n: int) -> list[tuple[int, int]]:
     return suspects
 
 
+def _check_axioms(matrix: DistanceMatrix) -> tuple[list, list]:
+    """Every failed axiom of ``matrix`` as ``(axiom, indices)`` pairs: the
+    metric list (zero diagonal, positivity, symmetry, triangle) and the
+    ultrametric list, each in report order.
+
+    Each row is screened at C speed: its diagonal entry, one ``min`` over
+    its entries off the diagonal, and its upper part against the same part
+    of its column.  Only a row that fails a screen is read entry by entry.
+    An asymmetric matrix, or one with a negative entry, makes every pair
+    suspect; otherwise the suspect pairs come from ``_suspect_pairs``.
+    Each suspect pair (x, y) then costs one scan over z per inequality.
+    """
+    m = matrix.entries
+    n = matrix.size
+    columns = list(zip(*m))
+    diagonal, positivity, symmetry, triangle, ultrametric = [], [], [], [], []
+    least = 1  # the least entry off the diagonal, if below 1
+    for x, row in enumerate(m):
+        if row[x] != 0:
+            diagonal.append((AXIOM_ZERO_DIAGONAL, (x,)))
+        low = min(row[:x] + row[x + 1 :], default=1)
+        if low <= 0:
+            least = min(least, low)
+            positivity += [(AXIOM_POSITIVITY, (x, y)) for y, d in enumerate(row) if d <= 0 and y != x]
+        column = columns[x]
+        if row[x + 1 :] != column[x + 1 :]:
+            symmetry += [(AXIOM_SYMMETRY, (x, y)) for y in range(x + 1, n) if row[y] != column[y]]
+    if symmetry or least < 0:
+        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    else:
+        pairs = _suspect_pairs(m, n)
+    for x, y in pairs:
+        row, column = m[x], columns[y]
+        d = row[y]
+        # z = x or y fails the triangle only through a negative diagonal
+        # entry, and never the ultrametric test: d itself is a side there.
+        sides = [*zip(range(n), row, column)]
+        triangle += [(AXIOM_TRIANGLE, (x, z, y)) for z, a, b in sides if d > a + b and z != x and z != y]
+        ultrametric += [(AXIOM_ULTRAMETRIC, (x, z, y)) for z, a, b in sides if d > a and d > b]
+    return diagonal + positivity + symmetry + triangle, ultrametric
+
+
 def check_metric(matrix: DistanceMatrix) -> ViolationReport:
     """Scan the four measure axioms: zero diagonal, positivity, symmetry, triangle.
 
@@ -157,29 +186,11 @@ def check_metric(matrix: DistanceMatrix) -> ViolationReport:
     ``d(x,y) > d(x,z) + d(z,y)``.  It visits only the suspect pairs (x, y),
     so it costs O(n^2) on an ultrametric matrix and O(n^2 + k*n) with k
     suspect pairs; an asymmetric matrix, or one with a negative entry, gets
-    the full O(n^3) scan.
+    the full O(n^3) scan.  The first three axioms are screened row by row at
+    C speed.
     """
-    m = matrix.entries
-    n = matrix.size
-    violations: list[Violation] = []
-    for i in range(n):
-        if m[i][i] != 0:
-            violations.append(Violation(AXIOM_ZERO_DIAGONAL, (i,)))
-    for i in range(n):
-        for j in range(n):
-            if i != j and m[i][j] <= 0:
-                violations.append(Violation(AXIOM_POSITIVITY, (i, j)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
-                violations.append(Violation(AXIOM_SYMMETRY, (i, j)))
-    for x, y in _suspect_pairs(m, n):
-        for z in range(n):
-            if z == x or z == y:
-                continue
-            if m[x][y] > m[x][z] + m[z][y]:
-                violations.append(Violation(AXIOM_TRIANGLE, (x, z, y)))
-    return ViolationReport(metric_violations=tuple(violations))
+    metric, _ = _check_axioms(matrix)
+    return ViolationReport(metric_violations=tuple([Violation(*v) for v in metric]))
 
 
 def check_ultrametric(matrix: DistanceMatrix) -> ViolationReport:
@@ -190,16 +201,8 @@ def check_ultrametric(matrix: DistanceMatrix) -> ViolationReport:
     (x, y) are scanned: O(n^2) on an ultrametric matrix, O(n^2 + k*n) with k
     suspect pairs, and O(n^3) on an asymmetric or negative matrix.
     """
-    m = matrix.entries
-    n = matrix.size
-    violations: list[Violation] = []
-    for x, y in _suspect_pairs(m, n):
-        for z in range(n):
-            if z == x or z == y:
-                continue
-            if m[x][y] > max(m[x][z], m[z][y]):
-                violations.append(Violation(AXIOM_ULTRAMETRIC, (x, z, y)))
-    return ViolationReport(ultrametric_violations=tuple(violations))
+    _, ultrametric = _check_axioms(matrix)
+    return ViolationReport(ultrametric_violations=tuple([Violation(*v) for v in ultrametric]))
 
 
 def classify_triangle(matrix: DistanceMatrix, x: str, y: str, z: str) -> TriangleClass:

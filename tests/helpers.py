@@ -151,11 +151,16 @@ def brute_leaf_distance(tree: PhraseTree, a: int, b: int) -> int:
     return brute_heights(tree)[brute_lca(tree, a, b)]
 
 
-def brute_axiom_scan(entries) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
-    """Triangle and ultrametric violations ``(x, z, y)``, x < y, by the plain
-    O(n^3) loop over every triple."""
+def brute_axiom_scan(entries) -> tuple[list[tuple[str, tuple[int, ...]]], list[tuple[str, tuple[int, ...]]]]:
+    """Every failed axiom as ``(axiom, indices)``, in report order, by plain
+    loops over every entry, pair and triple: the metric list (zero diagonal,
+    positivity, symmetry, then triangle triples) and the ultrametric list.
+    Triples are ``(x, z, y)`` with x < y."""
     n = len(entries)
-    triangle, ultrametric = [], []
+    metric = [("zero_diagonal", (i,)) for i in range(n) if entries[i][i] != 0]
+    metric += [("positivity", (i, j)) for i in range(n) for j in range(n) if i != j and entries[i][j] <= 0]
+    metric += [("symmetry", (i, j)) for i in range(n) for j in range(i + 1, n) if entries[i][j] != entries[j][i]]
+    ultrametric = []
     for x in range(n):
         for y in range(x + 1, n):
             for z in range(n):
@@ -163,10 +168,10 @@ def brute_axiom_scan(entries) -> tuple[list[tuple[int, int, int]], list[tuple[in
                     continue
                 xy, xz, zy = entries[x][y], entries[x][z], entries[z][y]
                 if xy > xz + zy:
-                    triangle.append((x, z, y))
+                    metric.append(("triangle_inequality", (x, z, y)))
                 if xy > max(xz, zy):
-                    ultrametric.append((x, z, y))
-    return triangle, ultrametric
+                    ultrametric.append(("ultrametric", (x, z, y)))
+    return metric, ultrametric
 
 
 def all_tree_shapes(node_count: int):

@@ -3,6 +3,7 @@
 import pytest
 
 from ultratree import (
+    CuDomain,
     EmptyPolicy,
     GovernorPolicy,
     HeightMismatch,
@@ -114,6 +115,12 @@ class TestCuDomain:
     def test_closest_beats_farther(self, f13):
         ids = leaf_ids(f13)
         assert cu_domain(f13, ids["B"]).members == {ids["B"], ids["C"]}
+
+    def test_keeps_its_own_distance_set(self):
+        distances = {1: 0, 2: 1}
+        domain = CuDomain(1, distances, frozenset({1, 2}))
+        distances[9] = 9
+        assert domain.distance_set == {1: 0, 2: 1}
 
     def test_sole_node_at_height(self, f13):
         root = f13.root.id

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from ultratree import (
+    DEFAULT_FEATURE_ROWS,
     CategoryDistanceMatrix,
     FeatureTable,
     MissingEntry,
@@ -41,6 +42,15 @@ class TestFeatureTable:
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             FeatureTable({"N": (1, 0), "V": (-1, 1), "A": (1, 1), "P": (-1, -1)})
+
+    def test_keeps_its_own_rows(self):
+        # A later change to the caller's dict must not reach the table,
+        # which would then hold a row its constructor rejects.
+        rows = dict(DEFAULT_FEATURE_ROWS)
+        table = FeatureTable(rows)
+        rows["P"] = (0, 0)
+        assert table.vector("P") == (-1, -1)
+        assert build_feature_matrix(table).entries == build_feature_matrix().entries
 
 
 class TestBuildFeatureMatrix:

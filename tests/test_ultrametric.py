@@ -172,14 +172,9 @@ class TestAxiomScanOracle:
     @staticmethod
     def check(rows):
         m = DistanceMatrix([f"l{i}" for i in range(len(rows))], rows)
-        triangle, ultra = fx.brute_axiom_scan(rows)
-        metric = check_metric(m).to_json_list()
-        assert [
-            tuple(v["indices"]) for v in metric if v["axiom"] == "triangle_inequality"
-        ] == triangle
-        assert check_ultrametric(m).to_json_list() == [
-            {"axiom": "ultrametric", "indices": list(t)} for t in ultra
-        ]
+        metric, ultra = fx.brute_axiom_scan(rows)
+        assert check_metric(m).to_json_list() == [{"axiom": a, "indices": list(i)} for a, i in metric]
+        assert check_ultrametric(m).to_json_list() == [{"axiom": a, "indices": list(i)} for a, i in ultra]
 
     @settings(max_examples=300, deadline=None)
     @given(random_matrices())
@@ -187,6 +182,16 @@ class TestAxiomScanOracle:
     @example([[0, 3, -1], [3, 0, 3], [-1, 3, 0]])
     # Asymmetric: the scan reads d(2, 1), below the diagonal.
     @example([[0, 2, 1], [2, 0, 5], [1, 1, 0]])
+    # A non-zero diagonal entry, on an otherwise ultrametric matrix.
+    @example([[0, 2, 2], [2, 1, 1], [2, 1, 0]])
+    # A zero entry off the diagonal, above it only.
+    @example([[0, 0, 2], [1, 0, 2], [2, 2, 0]])
+    # A negative entry below the diagonal only: positivity, symmetry and
+    # the full scan all come from the lower triangle.
+    @example([[0, 2, 2], [2, 0, 2], [-1, 2, 0]])
+    # Rows 0 and 2 fail positivity and nothing else; the matrix is
+    # symmetric and not negative, so only its suspect pair (1, 3) is scanned.
+    @example([[0, 3, 0, 1], [3, 0, 3, 5], [0, 3, 0, 1], [1, 5, 1, 0]])
     def test_random_matrices(self, rows):
         self.check(rows)
 

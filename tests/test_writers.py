@@ -3,7 +3,8 @@
 ``cli._json_text`` must equal ``json.dumps(obj, indent=2)`` byte for byte,
 matrix documents must equal ``json.dumps`` of ``to_json_dict()``, and the
 ``triangles`` output must equal ``json.dumps``/``csv`` of the record dicts
-built from ``classify_triangle``.  No subcommand may leave reference
+built from ``classify_triangle``, and the ``check`` output those of the
+violation dicts from the brute axiom scan.  No subcommand may leave reference
 cycles behind, so memory does not depend on when the collector runs.
 """
 
@@ -12,7 +13,10 @@ import csv
 import gc
 import io
 import json
+import os
+import tempfile
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -238,6 +242,72 @@ class TestAllTriangles:
         assert all_triangles(matrix) == [
             ((x, y, z), classify_triangle(matrix, x, y, z)) for x, y, z in combinations(matrix.labels, 3)
         ]
+
+
+def reference_check(matrices, trees: bool) -> tuple[str, str]:
+    """``check``'s JSON and CSV stdout as the CLI built it from one dict
+    per violation: the tree's index, the axiom and the indices, with the
+    tree left out of the JSON of a --matrix check."""
+    records = [
+        {"tree": tree, "axiom": axiom, "indices": list(indices)}
+        for tree, matrix in enumerate(matrices)
+        for part in fx.brute_axiom_scan(matrix.entries)
+        for axiom, indices in part
+    ]
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(
+        [["tree", "axiom", "indices"]]
+        + [[r["tree"], r["axiom"], " ".join(map(str, r["indices"]))] for r in records]
+    )
+    if not trees:
+        for record in records:
+            del record["tree"]
+    return json.dumps(records, indent=2) + "\n", buffer.getvalue()
+
+
+def check_run(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+class TestCheckText:
+    @settings(max_examples=200, deadline=None)
+    @given(distance_matrices())
+    def test_matrix_document(self, matrix):
+        json_text, csv_text = reference_check([matrix], trees=False)
+        code = 0 if json_text == "[]\n" else 1
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "matrix.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(matrix.to_json_dict(), handle)
+            assert check_run(["check", "--matrix", path]) == (code, json_text)
+            assert check_run(["check", "--matrix", path, "--format", "csv"]) == (code, csv_text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(distance_matrices(), max_size=4))
+    def test_tree_file(self, matrices):
+        # A tree's leaf matrix passes every check, so each tree's matrix is
+        # replaced by an arbitrary one to reach the records that name a tree.
+        json_text, csv_text = reference_check(matrices, trees=True)
+        code = 0 if json_text == "[]\n" else 1
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "trees.txt")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("(X (A a) (B b))\n" * len(matrices))
+            for fmt, text in (("json", json_text), ("csv", csv_text)):
+                with mock.patch("ultratree.cli.leaf_matrix", side_effect=matrices):
+                    assert check_run(["check", path, "--format", fmt]) == (code, text)
+
+    def test_no_violations(self, tmp_path):
+        trees = tmp_path / "trees.txt"
+        trees.write_text(f"{fx.TREE_FIRST}\n{fx.TREE_SEVENTH}\n")
+        ultrametric = tmp_path / "matrix.json"
+        ultrametric.write_text(json.dumps({"labels": list(fx.LABELS_AMJH), "rows": fx.MATRIX_FIRST}))
+        for argv in (["check", str(trees)], ["check", "--matrix", str(ultrametric)]):
+            assert check_run(argv) == (0, "[]\n")
+            assert check_run([*argv, "--format", "csv"]) == (0, "tree,axiom,indices\n")
 
 
 @pytest.fixture()
