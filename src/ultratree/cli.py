@@ -17,11 +17,11 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import functools
 import io
 import json
 import sys
 from collections.abc import Sequence
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii as _quote
 
 from .command import (
@@ -32,7 +32,7 @@ from .command import (
     random_theorem_suite,
     theorem_report,
 )
-from .errors import MissingEntry, TooFewLabels, UltratreeError, _read_utf8
+from .errors import EmptyPolicy, MissingEntry, TooFewLabels, UltratreeError, _read_utf8
 from .lexdist import check_nested_pattern, complexity, min_distance_matrix
 from .matrix import CategoryDistanceMatrix, DistanceMatrix
 from .trees import dominance_matrix, enumerate_binary_trees, parse_tree_file
@@ -136,6 +136,11 @@ def _emit_json(obj) -> None:
     _emit(_json_text(obj))
 
 
+def _json_list(items: list[str]) -> str:
+    """``json.dumps(indent=2)``'s list of items laid out one level deep."""
+    return "[\n  " + ",\n  ".join(items) + "\n]" if items else "[]"
+
+
 def _csv_rows(rows: list[list]) -> str:
     import csv  # only CSV output pays for it
 
@@ -168,8 +173,7 @@ def _emit_matrices(matrices, fmt: str, single: bool = False) -> None:
         if single:
             _emit(_matrix_text(matrices[0]))
         else:
-            texts = [_matrix_text(m, 1) for m in matrices]
-            _emit("[\n  " + ",\n  ".join(texts) + "\n]" if texts else "[]")
+            _emit(_json_list([_matrix_text(m, 1) for m in matrices]))
     else:
         _emit("\n".join(m.to_csv() for m in matrices))
 
@@ -191,14 +195,20 @@ def _split_csv_flag(value: str) -> list[str]:
 
 # -- subcommand handlers -----------------------------------------------------
 
+def _distance_matrices(args, sources: str) -> list[DistanceMatrix]:
+    """The --xbar template, else the --matrix document, else each tree's
+    leaf matrix; ``sources`` names what the subcommand reads, for the error."""
+    if getattr(args, "xbar", False):
+        return [xbar_template(args.i)]
+    if getattr(args, "matrix", None):
+        return [DistanceMatrix.from_json_dict(_read_json(args.matrix), source=args.matrix)]
+    if args.file:
+        return [leaf_matrix(t) for t in parse_tree_file(args.file)]
+    raise UltratreeError(f"{args.command} needs {sources}")
+
+
 def _cmd_matrix(args) -> int:
-    if args.xbar:
-        _emit_matrices([xbar_template(args.i)], args.format, single=True)
-        return EXIT_OK
-    if not args.file:
-        raise UltratreeError("matrix needs a tree file or --xbar")
-    trees = parse_tree_file(args.file)
-    _emit_matrices([leaf_matrix(t) for t in trees], args.format)
+    _emit_matrices(_distance_matrices(args, "a tree file or --xbar"), args.format, single=args.xbar)
     return EXIT_OK
 
 
@@ -210,15 +220,9 @@ _CHECK_JSON = '{\n    "tree": %d,' + _CHECK_MATRIX_JSON[1:]
 
 
 def _cmd_check(args) -> int:
-    if args.matrix:
-        matrices = [DistanceMatrix.from_json_dict(_read_json(args.matrix), source=args.matrix)]
-    elif args.file:
-        matrices = [leaf_matrix(t) for t in parse_tree_file(args.file)]
-    else:
-        raise UltratreeError("check needs a tree file or --matrix")
     faults = [
         (tree, axiom, indices)
-        for tree, matrix in enumerate(matrices)
+        for tree, matrix in enumerate(_distance_matrices(args, "a tree file or --matrix"))
         for part in _check_axioms(matrix)
         for axiom, indices in part
     ]
@@ -230,7 +234,7 @@ def _cmd_check(args) -> int:
             records = [_CHECK_MATRIX_JSON % (axiom, ",\n      ".join(map(str, i))) for _, axiom, i in faults]
         else:
             records = [_CHECK_JSON % (tree, axiom, ",\n      ".join(map(str, i))) for tree, axiom, i in faults]
-        _emit("[\n  " + ",\n  ".join(records) + "\n]" if records else "[]")
+        _emit(_json_list(records))
     return EXIT_VIOLATIONS if faults else EXIT_OK
 
 
@@ -261,47 +265,29 @@ def _triangle_text(matrices, fmt: str) -> str:
         for x, y, z, kind, (a, b, c) in _triangles(matrix.entries):
             base = a if kind == "isosceles" else "null"
             records.append(_TRIANGLE_JSON % (tree, quoted[x], quoted[y], quoted[z], kind, a, b, c, base))
-    return "[\n  " + ",\n  ".join(records) + "\n]" if records else "[]"
+    return _json_list(records)
 
 
 def _cmd_triangles(args) -> int:
-    if args.xbar:
-        matrices = [xbar_template(args.i)]
-    elif args.matrix:
-        matrices = [DistanceMatrix.from_json_dict(_read_json(args.matrix), source=args.matrix)]
-        if matrices[0].size < 3:
-            raise TooFewLabels(f"{args.matrix}: need at least 3 labels, got {matrices[0].size}")
-    elif args.file:
-        matrices = [leaf_matrix(t) for t in parse_tree_file(args.file)]
-    else:
-        raise UltratreeError("triangles needs a tree file, --matrix, or --xbar")
+    matrices = _distance_matrices(args, "a tree file, --matrix, or --xbar")
+    if args.matrix and matrices[0].size < 3:  # the --xbar template has 3 labels
+        raise TooFewLabels(f"{args.matrix}: need at least 3 labels, got {matrices[0].size}")
     _emit(_triangle_text(matrices, args.format))
     return EXIT_OK
 
 
-def _relation_command(args, build) -> int:
-    trees = parse_tree_file(args.file)
-    _emit_matrices([build(t) for t in trees], args.format)
+def _cmd_relation(args) -> int:
+    """One matrix per tree, built by the function ``args.build(args)`` returns."""
+    build = args.build(args)
+    _emit_matrices([build(t) for t in parse_tree_file(args.file)], args.format)
     return EXIT_OK
 
 
-def _cmd_dominance(args) -> int:
-    return _relation_command(args, dominance_matrix)
-
-
-def _cmd_ccommand(args) -> int:
-    return _relation_command(args, lambda t: c_command_matrix(t, nodes=args.nodes))
-
-
-def _cmd_cucommand(args) -> int:
-    return _relation_command(args, lambda t: cu_command_matrix(t, nodes=args.nodes))
-
-
-def _cmd_govern(args) -> int:
-    policy = GovernorPolicy(frozenset(_split_csv_flag(args.governors)))
-    return _relation_command(
-        args, lambda t: government_matrix(t, policy=policy, nodes=args.nodes)
-    )
+def _government_builder(args):
+    policy = GovernorPolicy(_split_csv_flag(args.governors))
+    if not policy.governor_categories:
+        raise EmptyPolicy("--governors: governor policy has no categories")
+    return partial(government_matrix, policy=policy, nodes=args.nodes)
 
 
 def _cmd_theorem(args) -> int:
@@ -342,16 +328,9 @@ def _cmd_complexity(args) -> int:
     report = complexity(corpus, bound=args.bound)
     if args.format == "json":
         _emit_json(report.to_json_dict())
-    else:
-        _emit(
-            _csv_rows(
-                [["tree", "height", "over_bound"]]
-                + [
-                    [i, h, int(i in report.exceeding)]
-                    for i, h in report.per_tree
-                ]
-            )
-        )
+    else:  # no field holds a comma, quote or newline
+        rows = ["%d,%d,%d\n" % (i, h, i in report.exceeding) for i, h in report.per_tree]
+        _emit("tree,height,over_bound\n" + "".join(rows))
     return EXIT_VIOLATIONS if report.exceeding else EXIT_OK
 
 
@@ -420,10 +399,10 @@ def _cmd_randtest(args) -> int:
             arity=args.arity,
             nodes=args.nodes,
         )
-    _emit_json(report)
-    if report["disagreements"] and args.counterexamples:
+    if report["disagreements"] and args.counterexamples:  # first: a fault exits 2 with empty stdout
         with open(args.counterexamples, "w", encoding="utf-8") as handle:
             handle.write(_json_text(report["disagreements"]))
+    _emit_json(report)
     return EXIT_VIOLATIONS if report["disagreements"] else EXIT_OK
 
 
@@ -463,19 +442,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dominance", help="dominance matrix over all nodes")
     p.add_argument("file")
     add_format(p)
-    p.set_defaults(handler=_cmd_dominance)
+    p.set_defaults(handler=_cmd_relation, build=lambda args: dominance_matrix)
 
     p = sub.add_parser("ccommand", help="c-command matrix")
     p.add_argument("file")
     p.add_argument("--nodes", choices=("leaves", "all"), default="leaves")
     add_format(p)
-    p.set_defaults(handler=_cmd_ccommand)
+    p.set_defaults(handler=_cmd_relation, build=lambda args: partial(c_command_matrix, nodes=args.nodes))
 
     p = sub.add_parser("cucommand", help="cu-command matrix")
     p.add_argument("file")
     p.add_argument("--nodes", choices=("leaves", "all"), default="leaves")
     add_format(p)
-    p.set_defaults(handler=_cmd_cucommand)
+    p.set_defaults(handler=_cmd_relation, build=lambda args: partial(cu_command_matrix, nodes=args.nodes))
 
     p = sub.add_parser("theorem", help="compare c-command with cu-command per tree")
     p.add_argument("file")
@@ -487,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--governors", default="V,P", help="comma-separated governor categories")
     p.add_argument("--nodes", choices=("leaves", "all"), default="all")
     add_format(p)
-    p.set_defaults(handler=_cmd_govern)
+    p.set_defaults(handler=_cmd_relation, build=_government_builder)
 
     p = sub.add_parser("mindist", help="minimum category distances over a corpus")
     p.add_argument("file", nargs="?", help="tree file (defaults to the bundled corpus)")
@@ -525,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
+@cache
 def _parser() -> argparse.ArgumentParser:
     # Built on the first run(), not at import.  Sharing it is safe:
     # parse_args leaves the parser as it was and returns a new namespace.

@@ -78,8 +78,9 @@ class LabeledMatrix:
 
     # -- serialization ----------------------------------------------------
 
-    # The JSON text of one entry, for kinds whose every entry has a fixed
-    # one; None sends the matrix through ``to_json_dict``.
+    # The JSON and CSV text of one entry, for kinds whose every entry has a
+    # fixed one; None sends JSON through ``to_json_dict`` and leaves CSV
+    # entries to ``csv``.  A CSV cell of an absent (None) entry is empty.
     _cell_text = None
 
     @staticmethod
@@ -145,16 +146,15 @@ class LabeledMatrix:
     def to_csv(self) -> str:
         import csv  # only CSV output pays for it
 
+        cell = self._cell_text
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["", *self.labels])
         for label, row in zip(self.labels, self.entries):
-            writer.writerow([label, *[self._cell_to_csv(v) for v in row]])
+            if cell is not None:
+                row = ["" if v is None else cell(v) for v in row]
+            writer.writerow([label, *row])
         return buffer.getvalue()
-
-    @staticmethod
-    def _cell_to_csv(value):
-        return value
 
 
 class DistanceMatrix(LabeledMatrix):
@@ -187,10 +187,6 @@ class RelationMatrix(LabeledMatrix):
 
     @staticmethod
     def _cell_to_json(value):
-        return int(value)
-
-    @staticmethod
-    def _cell_to_csv(value):
         return int(value)
 
 
@@ -228,7 +224,3 @@ class CategoryDistanceMatrix(LabeledMatrix):
 
     def get(self, x: str, y: str) -> int | None:
         return self.entry(x, y)
-
-    @staticmethod
-    def _cell_to_csv(value):
-        return "" if value is None else value

@@ -145,10 +145,6 @@ class PhraseTree:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_bracketed(cls, text: str) -> "PhraseTree":
-        return parse_tree(text)
-
-    @classmethod
     def from_nested(cls, nested) -> "PhraseTree":
         """Build a tree from nested pairs.
 
@@ -493,17 +489,19 @@ def enumerate_binary_trees(leaf_count: int) -> Iterator[PhraseTree]:
     """
     if leaf_count < 1:
         raise UltratreeError("leaf_count must be at least 1")
-    for nested in _binary_shapes(0, leaf_count):
-        yield PhraseTree.from_nested(nested)
+    for records in _binary_shapes(0, leaf_count, -1, 0):
+        yield PhraseTree(records)
 
 
-def _binary_shapes(lo: int, hi: int):
+def _binary_shapes(lo: int, hi: int, parent: int, at: int):
+    # The preorder records of each shape over leaves [lo, hi), rooted at
+    # position ``at`` under ``parent``; k leaves make 2k - 1 records.
     # Module level: a nested recursive function would be a reference cycle
     # (function, closure cell, function) left behind by every call.
     if hi - lo == 1:
-        yield ("W", f"w{lo + 1}")
+        yield [("W", f"w{lo + 1}", parent)]
         return
     for split in range(lo + 1, hi):
-        for left in _binary_shapes(lo, split):
-            for right in _binary_shapes(split, hi):
-                yield ("X", [left, right])
+        for left in _binary_shapes(lo, split, at, at + 1):
+            for right in _binary_shapes(split, hi, at, at + 2 * (split - lo)):
+                yield [("X", None, parent), *left, *right]

@@ -246,6 +246,15 @@ class TestComplexityCommand:
         payload = get_json(capsys)
         assert payload["exceeding"] == [0]
 
+    def test_csv(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_text("(X (A a) (B b))\n(X (Y (A a) (B b)) (C c))\n(A a)\n")
+        assert run(["complexity", str(path), "--bound", "1", "--format", "csv"]) == 1
+        assert capsys.readouterr().out == "tree,height,over_bound\n0,1,0\n1,2,1\n2,0,0\n"
+        path.write_text("# no trees\n")
+        assert run(["complexity", str(path), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "tree,height,over_bound\n"
+
 
 class TestFeaturesCommand:
     def test_report(self, capsys):
@@ -519,6 +528,38 @@ class TestErrors:
     def test_repeated_order_names_the_flag(self, capsys):
         assert run(["mindist", "--order", "N,N"]) == 2
         assert self.one_error(capsys) == "error: --order: categories must be distinct, got 'N,N'\n"
+
+    @pytest.mark.parametrize("governors", ["", ",", ",,"], ids=["empty", "comma", "commas"])
+    @pytest.mark.parametrize("trees", ["(VP (V ate) (N dogs))\n", "# no trees\n"], ids=["one-tree", "no-trees"])
+    def test_empty_governors_names_the_flag(self, tmp_path, capsys, governors, trees):
+        # Checked before the file is read, so a file of no trees fails too.
+        path = tmp_path / "t.txt"
+        path.write_text(trees)
+        assert run(["govern", str(path), "--governors", governors]) == 2
+        assert self.one_error(capsys) == "error: --governors: governor policy has no categories\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["matrix"], "matrix needs a tree file or --xbar"),
+            (["matrix", "--format", "csv", "--i", "2"], "matrix needs a tree file or --xbar"),
+            (["check"], "check needs a tree file or --matrix"),
+            (["check", "--format", "csv"], "check needs a tree file or --matrix"),
+            (["triangles"], "triangles needs a tree file, --matrix, or --xbar"),
+            (["triangles", "--i", "3"], "triangles needs a tree file, --matrix, or --xbar"),
+        ],
+    )
+    def test_no_input_names_what_is_needed(self, capsys, argv, message):
+        assert run(argv) == 2
+        assert self.one_error(capsys) == f"error: {message}\n"
+
+    def test_unwritable_counterexamples_print_nothing(self, tmp_path, capsys):
+        # The file is written before the report, so exit 2 leaves stdout empty.
+        out = tmp_path / "missing" / "cx.json"
+        argv = ["randtest", "--seed", "1", "--trees", "50", "--nodes", "all", "--counterexamples", str(out)]
+        assert run(argv) == 2
+        assert self.one_error(capsys).startswith("error: [Errno 2] No such file or directory: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["matrix", "check", "theorem", "mindist"])
     def test_tree_file_not_utf8(self, tmp_path, capsys, command):

@@ -153,6 +153,42 @@ class TestMatrixText:
         assert emitted([matrix, matrix], single=False) == expected
 
 
+def reference_matrix_csv(matrix) -> str:
+    """The CSV document as ``csv`` wrote it from each kind's CSV value: a
+    relation as 0/1, an absent category distance as an empty cell, any other
+    int as its digits; the base class's entries as they are."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["", *matrix.labels])
+    for label, row in zip(matrix.labels, matrix.entries):
+        if type(matrix) is not LabeledMatrix:
+            row = ["" if v is None else int.__repr__(int(v)) for v in row]
+        writer.writerow([label, *row])
+    return buffer.getvalue()
+
+
+class TestMatrixCsv:
+    @settings(max_examples=400, deadline=None)
+    @given(any_matrices())
+    def test_matches_csv_writer(self, matrix):
+        assert matrix.to_csv() == reference_matrix_csv(matrix)
+
+    @given(st.lists(any_matrices(), max_size=3))
+    def test_documents_joined_by_blank_line(self, matrices):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _emit_matrices(matrices, "csv")
+        text = "\n".join(map(reference_matrix_csv, matrices))
+        assert out.getvalue() == text + ("" if text.endswith("\n") else "\n")
+
+    def test_entry_texts(self):
+        assert RelationMatrix(("a", "b"), ((1, 0), (True, None))).to_csv() == ",a,b\na,1,0\nb,1,0\n"
+        categories = CategoryDistanceMatrix(("N", "V"), ((None, fx.Level.ONE), (2, None)))
+        assert categories.to_csv() == ",N,V\nN,,1\nV,2,\n"
+        assert SignMatrix(("a",), ((fx.Level.MINUS,),)).to_csv() == ",a\na,-1\n"
+        assert LabeledMatrix(("a", "b"), ((None, 1.5), ("x,y", True))).to_csv() == ',a,b\na,,1.5\nb,"x,y",True\n'
+
+
 def reference_records(matrices) -> list[dict]:
     """The triangle records as the CLI built them from classify_triangle."""
     return [
