@@ -399,7 +399,7 @@ def _cmd_randtest(args) -> int:
             arity=args.arity,
             nodes=args.nodes,
         )
-    if report["disagreements"] and args.counterexamples:  # first: a fault exits 2 with empty stdout
+    if args.counterexamples:  # every run, a clean one as []; first: a fault exits 2 with empty stdout
         with open(args.counterexamples, "w", encoding="utf-8") as handle:
             handle.write(_json_text(report["disagreements"]))
     _emit_json(report)

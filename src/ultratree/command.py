@@ -6,7 +6,8 @@ of one node dominates the other; cu-command asks whether the other node lies
 at minimum positive ultrametric distance.  On leaves the two always agree;
 ``theorem_check`` verifies that agreement tree by tree, and can extend the
 comparison to internal nodes, where configurations exist that separate the
-two relations (see the ``nodes`` argument).
+two relations (see the ``nodes`` argument).  They separate one way only:
+c-command is contained in cu-command.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from collections.abc import Iterable, Mapping
 
 from .errors import EmptyPolicy, HeightMismatch, NoBranchingAncestor, UltratreeError, _Record, _set
 from .matrix import RelationMatrix
-from .trees import PhraseTree, disambiguate, lca, random_tree, serialize_tree
+from .trees import PhraseTree, _parse_arity, disambiguate, lca, random_tree, serialize_tree
 
 DEFAULT_GOVERNOR_CATEGORIES = frozenset({"V", "P"})
 
@@ -49,11 +50,12 @@ class CuDomain(_Record):
 
 
 class Disagreement(_Record):
-    """A same-height pair on which exactly one of the two relations holds."""
+    """A same-height pair on which only cu-command holds: c-command is contained
+    in it, so ``holds`` is always ``"cu_command"``, kept for the JSON layout."""
 
     __slots__ = _fields = ("a", "b", "holds")
 
-    def __init__(self, a: int, b: int, holds: str):  # holds: "c_command" or "cu_command"
+    def __init__(self, a: int, b: int, holds: str):
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "holds", holds)
@@ -69,47 +71,46 @@ class _Facts:
     """Each node's command facts by preorder position, in one O(N·depth) pass.
 
     Same-height nodes never dominate one another, so a subtree holds a
-    contiguous run of them in preorder, found by bisection.  C-command is
-    the run under the first branching ancestor, cu-command the run under the
-    lowest ancestor holding the node's previous or next peer; a node lacking
-    either is alone at its height, and its runs are just the node.
+    contiguous run of them in preorder, under a root kept per node and
+    relation: the first branching ancestor for c-command, the lowest ancestor
+    holding the previous or next peer for cu-command, the node itself for
+    both when it is alone.  A first branching ancestor holding another peer
+    is the cu-command root too, so c-command is contained in cu-command.
     """
 
     def __init__(self, tree: PhraseTree):
         up, end, height, arity = tree._up, tree._end, tree._height, tree._arity
         n = len(up)
-        above = self.above = [-1] * n  # first branching ancestor, -1 where there is none
-        for p in range(1, n):
-            above[p] = up[p] if arity[up[p]] > 1 else above[up[p]]
+        self.end = end
         levels: list[list[int]] = [[] for _ in range(height[0] + 1)]
         index = self.index = [0] * n  # each node's index among its peers
         for p, h in enumerate(height):
             index[p] = len(levels[h])
             levels[h].append(p)
         self.peers = [levels[h] for h in height]  # positions at each node's height
-        # Indices of the peers each node c-commands, and of those in its
-        # cu-domain; a node alone at its height, as the root is, has itself.
-        c_span = self.c_span = [range(0, 1)] * n
-        cu_span = self.cu_span = [range(0, 1)] * n
-        for p, level in enumerate(self.peers):
+        c_root, cu_root = self.c_root, self.cu_root = list(range(n)), list(range(n))
+        above = [0] * n  # first branching ancestor; a node with peers has one
+        for p in range(1, n):
+            top = above[p] = up[p] if arity[up[p]] > 1 else above[up[p]]
+            level = self.peers[p]
             if len(level) == 1:
                 continue
             i = index[p]
             before = level[i - 1] if i else -1
             after = level[i + 1] if i + 1 < len(level) else n
-            q = up[p]
+            q = top  # the ancestors below it hold no other peer
             while before < q and end[q] <= after:
                 q = up[q]
-            top = max(above[p], 0)
-            c_span[p] = range(bisect_left(level, top, 0, i), bisect_left(level, end[top], i + 1))
-            cu_span[p] = range(bisect_left(level, q, 0, i), bisect_left(level, end[q], i + 1))
+            c_root[p], cu_root[p] = top, q
 
-    def run(self, spans: list[range], p: int) -> list[int]:
-        return self.peers[p][spans[p].start : spans[p].stop]
+    def run(self, roots: list[int], p: int) -> list[int]:
+        level, root, i = self.peers[p], roots[p], self.index[p]
+        return level[bisect_left(level, root, 0, i) : bisect_left(level, self.end[root], i + 1)]
 
-    def holds(self, spans: list[range], p: int, q: int) -> bool:
-        """Whether ``q`` is in ``p``'s run of ``spans``."""
-        return self.peers[p] is self.peers[q] and self.index[q] in spans[p]
+    def holds(self, roots: list[int], p: int, q: int) -> bool:
+        """Whether ``q`` is in ``p``'s run of ``roots``."""
+        root = roots[p]
+        return self.peers[p] is self.peers[q] and root <= q < self.end[root]
 
 
 def _relation(tree: PhraseTree, nodes: str, related) -> RelationMatrix:
@@ -125,7 +126,10 @@ def _relation(tree: PhraseTree, nodes: str, related) -> RelationMatrix:
 
 def first_branching_ancestor(tree: PhraseTree, node_id: int) -> int:
     """Nearest strict ancestor with at least two children; unary nodes are skipped."""
-    q = _Facts(tree).above[tree._position(node_id)]
+    up, arity = tree._up, tree._arity
+    q = up[tree._position(node_id)]
+    while q >= 0 and arity[q] < 2:
+        q = up[q]
     if q < 0:
         raise NoBranchingAncestor(f"no branching ancestor above node {node_id}")
     return q
@@ -146,14 +150,17 @@ def c_command(tree: PhraseTree, a: int, b: int) -> bool:
     """Whether the first branching node strictly above ``a`` dominates ``b``.
 
     The relation includes the self pair and applies only between nodes at
-    the same height.
+    the same height.  One climb from ``a`` answers it: O(depth).
     """
-    facts = _Facts(tree)
-    return facts.holds(facts.c_span, tree._position(a), tree._position(b))
+    p, q = tree._position(a), tree._position(b)
+    if p == q or tree._height[p] != tree._height[q]:
+        return p == q
+    top = first_branching_ancestor(tree, p)
+    return top <= q < tree._end[top]
 
 
 def c_command_matrix(tree: PhraseTree, nodes: str = "leaves") -> RelationMatrix:
-    return _relation(tree, nodes, lambda facts, p: facts.run(facts.c_span, p))
+    return _relation(tree, nodes, lambda facts, p: facts.run(facts.c_root, p))
 
 
 def cu_domain(tree: PhraseTree, a: int) -> CuDomain:
@@ -164,16 +171,16 @@ def cu_domain(tree: PhraseTree, a: int) -> CuDomain:
     """
     facts, p = _Facts(tree), tree._position(a)
     distance_set = {q: same_height_distance(tree, a, q) for q in facts.peers[p]}
-    return CuDomain(a, distance_set, frozenset(facts.run(facts.cu_span, p)))
+    return CuDomain(a, distance_set, frozenset(facts.run(facts.cu_root, p)))
 
 
 def cu_command(tree: PhraseTree, a: int, b: int) -> bool:
     facts = _Facts(tree)
-    return facts.holds(facts.cu_span, tree._position(a), tree._position(b))
+    return facts.holds(facts.cu_root, tree._position(a), tree._position(b))
 
 
 def cu_command_matrix(tree: PhraseTree, nodes: str = "leaves") -> RelationMatrix:
-    return _relation(tree, nodes, lambda facts, p: facts.run(facts.cu_span, p))
+    return _relation(tree, nodes, lambda facts, p: facts.run(facts.cu_root, p))
 
 
 def theorem_check(tree: PhraseTree, nodes: str = "leaves") -> list[Disagreement]:
@@ -184,19 +191,18 @@ def theorem_check(tree: PhraseTree, nodes: str = "leaves") -> list[Disagreement]
     ``nodes='leaves'`` (the default) the two provably coincide;
     ``nodes='all'`` also compares internal nodes, where a node alone at its
     height under its first branching ancestor can cu-command a distant peer
-    it does not c-command.  Both relations of ``a`` are runs of its peers
-    holding it, so only the runs' ends are visited: O(N·depth + output).
+    it does not c-command.  C-command is contained in cu-command, so every
+    disagreement holds ``"cu_command"``: O(N·depth + output).
     """
     positions, facts = _positions(tree, nodes), _Facts(tree)
-    found: list[Disagreement] = []
-    for p in positions:
-        c, cu = facts.c_span[p], facts.cu_span[p]
-        if c == cu:  # the common case: the two relations agree on all of p's peers
-            continue
-        starts, stops = sorted((c.start, cu.start)), sorted((c.stop, cu.stop))
-        for k in (*range(*starts), *range(*stops)):
-            found.append(Disagreement(p, facts.peers[p][k], "c_command" if k in c else "cu_command"))
-    return found
+    c_root, cu_root = facts.c_root, facts.cu_root
+    return [
+        Disagreement(p, q, "cu_command")
+        for p in positions
+        if c_root[p] != cu_root[p]
+        for q in facts.run(cu_root, p)
+        if q != p
+    ]
 
 
 def label_disagreements(tree: PhraseTree, found: list[Disagreement]) -> list[dict]:
@@ -234,6 +240,7 @@ def random_theorem_suite(
         raise UltratreeError(f"max_leaves must be at least 1, got {max_leaves}")
     if trees < 0:
         raise UltratreeError(f"trees must be at least 0, got {trees}")
+    _parse_arity(arity)  # a bad spec fails even when no tree is drawn
     rng = random.Random(seed)
 
     def generate():
@@ -255,8 +262,8 @@ def _governed(tree: PhraseTree, facts: _Facts, policy: GovernorPolicy, p: int) -
     """The positions p governs: mutual cu-domain members, if p's label governs."""
     if tree._label[p] not in policy.governor_categories:
         return []
-    i, cu_span = facts.index[p], facts.cu_span
-    return [q for q in facts.run(cu_span, p) if q != p and i in cu_span[q]]
+    cu_root = facts.cu_root
+    return [q for q in facts.run(cu_root, p) if q != p and facts.holds(cu_root, q, p)]
 
 
 def governs(tree: PhraseTree, a: int, b: int, policy: GovernorPolicy | None = None) -> bool:

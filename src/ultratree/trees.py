@@ -464,8 +464,9 @@ def random_tree(
         raise UltratreeError("leaf_count must be at least 1")
     max_arity = _parse_arity(arity)
     rng = random.Random(seed)
+    choice, randrange, sample = rng.choice, rng.randrange, rng.sample
     categories = list(categories)
-    leaf_categories = [rng.choice(categories) for _ in range(leaf_count)]
+    leaf_categories = [choice(categories) for _ in range(leaf_count)]
     records: list[tuple[str, str | None, int]] = []
     stack = [(0, leaf_count, -1)]  # leaf spans [lo, hi) still to draw, next on top
     while stack:
@@ -473,8 +474,10 @@ def random_tree(
         if hi - lo == 1:
             records.append((leaf_categories[lo], f"w{lo + 1}", parent))
             continue
-        parts = 2 if max_arity is None else rng.randint(2, min(max_arity, hi - lo))
-        bounds = [lo, *sorted(rng.sample(range(lo + 1, hi), parts - 1)), hi]
+        # The stream of randint(2, m) and of sample(range(lo + 1, hi), 1), in fewer calls.
+        parts = 2 if max_arity is None else randrange(2, min(max_arity, hi - lo) + 1)
+        cuts = [randrange(lo + 1, hi)] if parts == 2 else sorted(sample(range(lo + 1, hi), parts - 1))
+        bounds = [lo, *cuts, hi]
         records.append(("X", None, parent))
         here = len(records) - 1
         stack.extend((bounds[i], bounds[i + 1], here) for i in range(parts - 1, -1, -1))

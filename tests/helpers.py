@@ -7,9 +7,11 @@ the node structure so library results can be checked against a second path.
 from __future__ import annotations
 
 import enum
+import random
 from typing import Iterator
 
 from ultratree import Node, PhraseTree
+from ultratree.trees import DEFAULT_RANDOM_CATEGORIES, _parse_arity
 
 # Trees behind the eight 4-leaf branching matrices (words A, M, J, H).
 TREE_FIRST = "(S (X (W A) (W M)) (Y (W J) (W H)))"
@@ -172,6 +174,28 @@ def brute_axiom_scan(entries) -> tuple[list[tuple[str, tuple[int, ...]]], list[t
                 if xy > max(xz, zy):
                     ultrametric.append(("ultrametric", (x, z, y)))
     return metric, ultrametric
+
+
+def reference_random_records(seed: int, leaf_count: int, arity: str = "binary") -> list[tuple]:
+    """The preorder records ``random_tree`` drew with ``randint`` and a
+    ``sample`` for every split, two-way ones included; the generator must
+    keep drawing the same trees from the same stream."""
+    max_arity = _parse_arity(arity)
+    rng, categories = random.Random(seed), list(DEFAULT_RANDOM_CATEGORIES)
+    leaf_categories = [rng.choice(categories) for _ in range(leaf_count)]
+    records: list[tuple] = []
+    stack = [(0, leaf_count, -1)]
+    while stack:
+        lo, hi, parent = stack.pop()
+        if hi - lo == 1:
+            records.append((leaf_categories[lo], f"w{lo + 1}", parent))
+            continue
+        parts = 2 if max_arity is None else rng.randint(2, min(max_arity, hi - lo))
+        bounds = [lo, *sorted(rng.sample(range(lo + 1, hi), parts - 1)), hi]
+        records.append(("X", None, parent))
+        here = len(records) - 1
+        stack.extend((bounds[i], bounds[i + 1], here) for i in range(parts - 1, -1, -1))
+    return records
 
 
 def all_tree_shapes(node_count: int):

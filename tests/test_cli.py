@@ -376,7 +376,14 @@ class TestRandtestCommand:
             assert code == 1
             assert json.loads(out.read_text()) == payload["disagreements"]
         else:
-            assert code == 0 and not out.exists()
+            assert code == 0 and json.loads(out.read_text()) == []
+
+    def test_clean_run_overwrites_a_stale_counterexample_file(self, tmp_path, capsys):
+        out = tmp_path / "cx.json"
+        out.write_text("stale")
+        assert run(["randtest", "--seed", "7", "--trees", "20", "--counterexamples", str(out)]) == 0
+        assert get_json(capsys)["disagreements"] == []
+        assert json.loads(out.read_text()) == []
 
 
 class TestPinnedOutput:
@@ -480,6 +487,19 @@ class TestErrors:
     def test_randtest_negative_trees(self, capsys):
         assert run(["randtest", "--seed", "1", "--trees", "-3"]) == 2
         assert self.one_error(capsys) == "error: trees must be at least 0, got -3\n"
+
+    @pytest.mark.parametrize(
+        "arity, message",
+        [
+            ("bogus", "bad arity spec 'bogus' (use 'binary' or 'mixed:K')"),
+            ("mixed:1", "mixed arity must be at least 2, got 1"),
+        ],
+        ids=["bogus", "mixed-1"],
+    )
+    def test_randtest_bad_arity_without_trees(self, capsys, arity, message):
+        # No tree is drawn, but the spec is still checked.
+        assert run(["randtest", "--seed", "1", "--trees", "0", "--arity", arity]) == 2
+        assert self.one_error(capsys) == f"error: {message}\n"
 
     @staticmethod
     def one_error(capsys) -> str:

@@ -164,8 +164,8 @@ def check_command_relations(tree):
             (b, heights[brute_lca(tree, a, b)] - heights[a]) for b in peers[a]
         ]
 
-    # The single-pair functions each run the whole pass, so only small
-    # trees get every pair.
+    # cu_command and governs each run the whole pass, so only small trees
+    # get every pair.
     if len(ids) <= 16:
         assert [[c_command(tree, a, b) for b in ids] for a in ids] == c_expected
         assert [[cu_command(tree, a, b) for b in ids] for a in ids] == cu_expected
@@ -210,3 +210,25 @@ def test_cu_domain_distances_match_brute_lca(case):
         assert list(cu_domain(tree, a).distance_set.items()) == [
             (b, heights[brute_lca(tree, a, b)] - heights[a]) for b in peers
         ]
+
+
+def check_c_command_within_cu_command(tree):
+    """C-command is contained in cu-command, so a disagreement is always a
+    pair that only cu-command relates; the command pass relies on this."""
+    c_rows = c_command_matrix(tree, nodes="all").entries
+    cu_rows = cu_command_matrix(tree, nodes="all").entries
+    assert all(c <= cu for c_row, cu_row in zip(c_rows, cu_rows) for c, cu in zip(c_row, cu_row))
+    for nodes in ("all", "leaves"):
+        assert all(d.holds == "cu_command" for d in theorem_check(tree, nodes=nodes))
+
+
+def test_c_command_within_cu_command_on_every_small_shape():
+    for count in range(1, 10):
+        for nested in all_tree_shapes(count):
+            check_c_command_within_cu_command(PhraseTree.from_nested(nested))
+
+
+@given(tree=RANDOM_TREES)
+@settings(max_examples=200, deadline=None)
+def test_c_command_within_cu_command_on_random_trees(tree):
+    check_c_command_within_cu_command(tree)

@@ -32,7 +32,7 @@ from ultratree import (
 
 from ultratree.trees import _tokenize
 
-from .helpers import all_tree_shapes, brute_heights, brute_lca, reference_tokenize
+from .helpers import all_tree_shapes, brute_heights, brute_lca, reference_random_records, reference_tokenize
 
 FIGURE4 = "(S (C (A Alf) (M must)) (D (J jump) (H high)))"
 
@@ -386,6 +386,17 @@ class TestGeneration:
     def test_random_binary_is_switched(self):
         for seed in range(100):
             assert is_switched(random_tree(seed, 1 + seed % 10, "binary"))
+
+    @pytest.mark.parametrize("arity", ["binary", "mixed:2", "mixed:3", "mixed:4", "mixed:9"])
+    def test_random_tree_keeps_the_reference_stream(self, arity):
+        # Two-way splits draw one randrange where the reference samples one
+        # cut; at 23 and 60 leaves a split can have over 21 cuts to choose
+        # from, where sample takes its set branch rather than its pool.
+        for leaf_count in (1, 2, 5, 10, 23, 60):
+            for seed in range(500):
+                tree = random_tree(seed, leaf_count, arity)
+                records = list(zip(tree._label, tree._word, tree._up))
+                assert records == reference_random_records(seed, leaf_count, arity), (seed, leaf_count)
 
     def test_random_mixed_respects_max_arity(self):
         for seed in range(100):
