@@ -22,6 +22,7 @@ import json
 import sys
 from collections.abc import Sequence
 from functools import cache, partial
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from .command import (
@@ -36,7 +37,7 @@ from .errors import EmptyPolicy, MissingEntry, TooFewLabels, UltratreeError, _re
 from .lexdist import check_nested_pattern, complexity, min_distance_matrix
 from .matrix import CategoryDistanceMatrix, DistanceMatrix
 from .trees import dominance_matrix, enumerate_binary_trees, parse_tree_file
-from .ultrametric import _check_axioms, _triangles, leaf_matrix, xbar_template
+from .ultrametric import _check_axioms, _TriangleClasses, _triangles, leaf_matrix, xbar_template
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -141,15 +142,6 @@ def _json_list(items: list[str]) -> str:
     return "[\n  " + ",\n  ".join(items) + "\n]" if items else "[]"
 
 
-def _csv_rows(rows: list[list]) -> str:
-    import csv  # only CSV output pays for it
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
 def _matrix_text(m, level: int = 0) -> str:
     """``_json_text(m.to_json_dict(), level)``, written straight from the
     labels and rows when every entry of the kind has a fixed text."""
@@ -196,8 +188,10 @@ def _split_csv_flag(value: str) -> list[str]:
 # -- subcommand handlers -----------------------------------------------------
 
 def _distance_matrices(args, sources: str) -> list[DistanceMatrix]:
-    """The --xbar template, else the --matrix document, else each tree's
-    leaf matrix; ``sources`` names what the subcommand reads, for the error."""
+    """The --xbar template, the --matrix document or each tree's leaf matrix,
+    whichever one is given; ``sources`` names them, for the error otherwise."""
+    if bool(args.file) + bool(getattr(args, "matrix", None)) + getattr(args, "xbar", False) > 1:
+        raise UltratreeError(f"{args.command} takes one of {sources}")
     if getattr(args, "xbar", False):
         return [xbar_template(args.i)]
     if getattr(args, "matrix", None):
@@ -238,34 +232,48 @@ def _cmd_check(args) -> int:
     return EXIT_VIOLATIONS if faults else EXIT_OK
 
 
-# One record of the ``triangles`` JSON list, as json.dumps(records, indent=2)
-# lays it out: tree, three quoted labels, kind, the sides ascending and the
-# base (an int or null).  Matrix entries are plain ints, so %d and %s print
-# them as json does.
-_TRIANGLE_JSON = (
-    '{\n    "tree": %d,\n    "vertices": [\n      %s,\n      %s,\n      %s\n    ],\n'
-    '    "kind": "%s",\n    "sides": [\n      %d,\n      %d,\n      %d\n    ],\n    "base": %s\n  }'
-)
+# A ``triangles`` JSON record and its separator, as json.dumps(records,
+# indent=2) lays them out: head (separator, tree, first two quoted labels) +
+# third quoted label + tail (kind, sides ascending, base); %d writes ints.
+_TRIANGLE_HEAD = ',\n  {\n    "tree": %d,\n    "vertices": [\n      %s,\n      %s,\n      '
+_TRIANGLE_TAIL = '\n    ],\n    "kind": "%s",\n    "sides": [\n      %d,\n      %d,\n      %d\n    ],\n    "base": null\n  }'
+_ISOSCELES_TAIL = _TRIANGLE_TAIL.replace('"%s"', '"isosceles"').replace("null", "%d")
 
 
 def _triangle_text(matrices, fmt: str) -> str:
     """Every triangle of every matrix, the matrix's index as its tree.  A
-    matrix of fewer than 3 labels has no triples and adds no records."""
+    matrix of fewer than 3 labels has no triples and adds no records.  A JSON
+    record is a head per position pair and a tail per distinct side triple,
+    joined once.  CSV rows are classified per triple: beside the csv writer,
+    a memo's misses cost a fifth more where no side triple repeats."""
     if fmt == "csv":
-        rows = [["tree", "vertices", "kind", "sides", "base"]]
+        import csv  # only CSV output pays for it
+
+        def row(tree, vertices, key):
+            a, b, c = sorted(key)
+            kind = "equilateral" if a == c else "isosceles" if b == c else "violating"
+            return tree, vertices, kind, "%d %d %d" % (a, b, c), "%d" % a if kind == "isosceles" else ""
+
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(("tree", "vertices", "kind", "sides", "base"))
         for tree, matrix in enumerate(matrices):
             labels = matrix.labels
-            for x, y, z, kind, (a, b, c) in _triangles(matrix.entries):
-                base = a if kind == "isosceles" else ""
-                rows.append([tree, f"{labels[x]} {labels[y]} {labels[z]}", kind, f"{a} {b} {c}", base])
-        return _csv_rows(rows)
-    records = []
+            for x, y, keys in _triangles(matrix.entries):
+                writer.writerows(map(row, repeat(tree), map(f"{labels[x]} {labels[y]} ".__add__, labels[y + 1 :]), keys))
+        return buffer.getvalue()
+    classes = _TriangleClasses(
+        lambda kind, a, b, c: _ISOSCELES_TAIL % (a, b, c, a) if kind == "isosceles" else _TRIANGLE_TAIL % (kind, a, b, c)
+    )
+    parts = []
     for tree, matrix in enumerate(matrices):
         quoted = [_quote(label) for label in matrix.labels]
-        for x, y, z, kind, (a, b, c) in _triangles(matrix.entries):
-            base = a if kind == "isosceles" else "null"
-            records.append(_TRIANGLE_JSON % (tree, quoted[x], quoted[y], quoted[z], kind, a, b, c, base))
-    return _json_list(records)
+        for x, y, keys in _triangles(matrix.entries):
+            head = _TRIANGLE_HEAD % (tree, quoted[x], quoted[y])
+            parts += chain.from_iterable(zip(repeat(head), quoted[y + 1 :], map(classes.__getitem__, keys)))
+    if parts:  # the first record has no separator
+        parts[0], parts[-1] = "[" + parts[0][1:], parts[-1] + "\n]"
+    return "".join(parts) or "[]"
 
 
 def _cmd_triangles(args) -> int:
@@ -297,15 +305,17 @@ def _cmd_theorem(args) -> int:
 
 
 def _cmd_mindist(args) -> int:
+    order = None if args.order is None else _split_csv_flag(args.order)
+    if order == []:
+        raise UltratreeError("--order: names no category")
+    if order and len(set(order)) < len(order):
+        raise UltratreeError(f"--order: categories must be distinct, got {args.order!r}")
     if args.file:
         corpus = parse_tree_file(args.file)
     else:
         from .data import load_category_corpus
 
         corpus = load_category_corpus()
-    order = _split_csv_flag(args.order) if args.order else None
-    if order and len(set(order)) < len(order):
-        raise UltratreeError(f"--order: categories must be distinct, got {args.order!r}")
     matrix = min_distance_matrix(corpus, categories=order)
     if args.i is None:
         _emit_matrices([matrix], args.format, single=True)

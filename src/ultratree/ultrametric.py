@@ -9,6 +9,7 @@ equilateral, and strictly binary branching rules the equilateral case out.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import repeat
 
 from .errors import DuplicateVertex, TooFewLabels, UltratreeError, _Record, _set
 from .matrix import DistanceMatrix
@@ -210,47 +211,54 @@ def classify_triangle(matrix: DistanceMatrix, x: str, y: str, z: str) -> Triangl
 
     Equilateral: all sides equal.  Isosceles: the two largest sides equal and
     a strictly smaller base.  Violating: the two largest sides differ, which
-    cannot happen in a true ultrametric.
+    cannot happen in a true ultrametric.  Sides and base are plain ints.
     """
     if len({x, y, z}) != 3:
         raise DuplicateVertex(f"triangle vertices must be distinct, got {(x, y, z)}")
-    sides = tuple(sorted((matrix.entry(x, y), matrix.entry(x, z), matrix.entry(y, z))))
-    if sides[0] == sides[2]:
-        return TriangleClass(TriangleKind.EQUILATERAL, sides)
-    if sides[1] == sides[2]:
-        return TriangleClass(TriangleKind.ISOSCELES, sides, base=sides[0])
-    return TriangleClass(TriangleKind.VIOLATING, sides)
+    return _TriangleClasses(_triangle_class)[matrix.entry(x, y), matrix.entry(x, z), matrix.entry(y, z)]
+
+
+def _triangle_class(kind: str, *sides) -> TriangleClass:
+    sides = (*map(int, sides),)  # an IntEnum entry reads as the int it equals
+    return TriangleClass(TriangleKind(kind), sides, sides[0] if kind == "isosceles" else None)
+
+
+class _TriangleClasses(dict):
+    """Side triple, in matrix order -> ``make(kind, a, b, c)`` from its sorted
+    sides and ``TriangleKind`` value, made on the key's first lookup.  Equal
+    keys (1 and an ``IntEnum`` member) share an entry: ``make`` must not keep
+    the entries' types."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        a, b, c = sorted(key)
+        self[key] = value = self.make("equilateral" if a == c else "isosceles" if b == c else "violating", a, b, c)
+        return value
 
 
 def _triangles(m):
-    """Yield ``(x, y, z, kind, sides)`` for every position triple x < y < z.
-
-    ``sides`` sorts ``m[x][y]``, ``m[x][z]``, ``m[y][z]`` ascending and
-    ``kind`` is the plain ``TriangleKind`` value, as ``classify_triangle``
-    decides it; triples come in ``itertools.combinations`` order.
-    """
+    """Yield ``(x, y, keys)`` for each position pair x < y < n - 1 in
+    ``itertools.combinations`` order; ``keys`` yields the side triple
+    ``(m[x][y], m[x][z], m[y][z])`` for z = y + 1 ... n - 1."""
     n = len(m)
-    for x in range(n):
-        row_x = m[x]
-        for y in range(x + 1, n):
-            row_y, d_xy = m[y], row_x[y]
-            for z in range(y + 1, n):
-                a, b, c = sides = tuple(sorted((d_xy, row_x[z], row_y[z])))
-                kind = "equilateral" if a == c else "isosceles" if b == c else "violating"
-                yield x, y, z, kind, sides
+    for x, row_x in enumerate(m):
+        for y in range(x + 1, n - 1):
+            yield x, y, zip(repeat(row_x[y]), row_x[y + 1 :], m[y][y + 1 :])
 
 
 def all_triangles(matrix: DistanceMatrix) -> list[tuple[tuple[str, str, str], TriangleClass]]:
-    """Classify every unordered label triple."""
+    """Classify every unordered label triple, as ``classify_triangle`` does;
+    triples with the same sides share one class."""
     if matrix.size < 3:
         raise TooFewLabels(f"need at least 3 labels, got {matrix.size}")
     labels = matrix.labels
+    classes = _TriangleClasses(_triangle_class)
     return [
-        (
-            (labels[x], labels[y], labels[z]),
-            TriangleClass(TriangleKind(kind), sides, sides[0] if kind == "isosceles" else None),
-        )
-        for x, y, z, kind, sides in _triangles(matrix.entries)
+        ((labels[x], labels[y], z), triangle)
+        for x, y, keys in _triangles(matrix.entries)
+        for z, triangle in zip(labels[y + 1 :], map(classes.__getitem__, keys))
     ]
 
 

@@ -549,6 +549,14 @@ class TestErrors:
         assert run(["mindist", "--order", "N,N"]) == 2
         assert self.one_error(capsys) == "error: --order: categories must be distinct, got 'N,N'\n"
 
+    @pytest.mark.parametrize("order", ["", ",", ",,"], ids=["empty", "comma", "commas"])
+    def test_empty_order_names_the_flag(self, tmp_path, capsys, order):
+        # Checked before the file is read, and never read as the default order.
+        assert run(["mindist", "--order", order]) == 2
+        assert self.one_error(capsys) == "error: --order: names no category\n"
+        assert run(["mindist", str(tmp_path / "missing.txt"), "--order", order]) == 2
+        assert self.one_error(capsys) == "error: --order: names no category\n"
+
     @pytest.mark.parametrize("governors", ["", ",", ",,"], ids=["empty", "comma", "commas"])
     @pytest.mark.parametrize("trees", ["(VP (V ate) (N dogs))\n", "# no trees\n"], ids=["one-tree", "no-trees"])
     def test_empty_governors_names_the_flag(self, tmp_path, capsys, governors, trees):
@@ -570,6 +578,25 @@ class TestErrors:
         ],
     )
     def test_no_input_names_what_is_needed(self, capsys, argv, message):
+        assert run(argv) == 2
+        assert self.one_error(capsys) == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, sources, message",
+        [
+            ("triangles", ["--matrix", "--xbar"], "triangles takes one of a tree file, --matrix, or --xbar"),
+            ("triangles", ["file", "--matrix"], "triangles takes one of a tree file, --matrix, or --xbar"),
+            ("triangles", ["file", "--xbar"], "triangles takes one of a tree file, --matrix, or --xbar"),
+            ("triangles", ["file", "--matrix", "--xbar"], "triangles takes one of a tree file, --matrix, or --xbar"),
+            ("check", ["file", "--matrix"], "check takes one of a tree file or --matrix"),
+            ("matrix", ["file", "--xbar"], "matrix takes one of a tree file or --xbar"),
+        ],
+        ids=["triangles-matrix-xbar", "triangles-file-matrix", "triangles-file-xbar", "triangles-all",
+             "check-file-matrix", "matrix-file-xbar"],
+    )
+    def test_several_sources_are_refused(self, tree_file, printed_third, capsys, command, sources, message):
+        given = {"file": [tree_file], "--matrix": ["--matrix", printed_third], "--xbar": ["--xbar"]}
+        argv = [command] + [part for source in sources for part in given[source]]
         assert run(argv) == 2
         assert self.one_error(capsys) == f"error: {message}\n"
 
@@ -737,6 +764,18 @@ class TestParserReuse:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
         assert (run(second), capsys.readouterr().out) == alone[1]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_triangles_share_no_state(self, tmp_path, printed_third, capsys, fmt):
+        # Both matrices have the side triples (1, 3, 3) and (2, 3, 3).
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"labels": ["p", "q", "r", "s"], "rows": [list(r) for r in fx.MATRIX_SECOND]}))
+        argvs = [["triangles", "--matrix", path, "--format", fmt] for path in (printed_third, str(other))]
+        alone = []
+        for argv in argvs:
+            cli._parser.cache_clear()
+            alone.append((run(argv), capsys.readouterr().out))
+        assert [(run(argv), capsys.readouterr().out) for argv in argvs] == alone
 
     def test_parser_built_once(self, tree_file, monkeypatch, capsys):
         built = []

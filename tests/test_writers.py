@@ -207,8 +207,8 @@ def reference_csv(records: list[dict]) -> str:
                 r["tree"],
                 " ".join(r["vertices"]),
                 r["kind"],
-                " ".join(map(str, r["sides"])),
-                "" if r["base"] is None else r["base"],
+                "%d %d %d" % tuple(r["sides"]),
+                "" if r["base"] is None else "%d" % r["base"],
             ]
             for r in records
         ]
@@ -228,10 +228,12 @@ LABELS = st.text(
 @st.composite
 def distance_matrices(draw):
     """Small matrices whose entries repeat often, so every kind appears;
-    some are negative, asymmetric or have a nonzero diagonal."""
+    some are negative, asymmetric or have a nonzero diagonal, and some
+    entries are ``Level`` members, which must be written as the ints they
+    equal."""
     n = draw(st.integers(0, 6))
     labels = draw(st.lists(LABELS, min_size=n, max_size=n, unique=True))
-    values = st.integers(-2, 3) | st.integers(-(10**20), 10**20)
+    values = st.integers(-2, 3) | st.integers(-(10**20), 10**20) | st.sampled_from(fx.Level)
     rows = [draw(st.lists(values, min_size=n, max_size=n)) for _ in range(n)]
     return DistanceMatrix(labels, rows)
 
@@ -268,6 +270,23 @@ class TestTriangleText:
         assert _triangle_text(matrices, "json") == json.dumps(records, indent=2)
         assert _triangle_text(matrices, "csv") == reference_csv(records)
 
+    @settings(max_examples=100, deadline=None)
+    @given(distance_matrices(), st.lists(st.permutations(range(6)), min_size=1, max_size=3), st.data())
+    def test_matrices_sharing_side_triples(self, matrix, orders, data):
+        # Each copy reorders the first matrix and swaps some entries for the
+        # Level members they equal, so its triples repeat earlier side
+        # triples under another tree index, in other types and orders.
+        as_level = {int(level): level for level in fx.Level}
+        matrices = [matrix]
+        for order in orders:
+            order = [i for i in order if i < matrix.size]
+            entry = (lambda d: as_level.get(d, d)) if data.draw(st.booleans()) else (lambda d: d)
+            rows = [[entry(matrix.entries[x][y]) for y in order] for x in order]
+            matrices.append(DistanceMatrix([matrix.labels[i] for i in order], rows))
+        records = reference_records(matrices)
+        assert _triangle_text(matrices, "json") == json.dumps(records, indent=2)
+        assert _triangle_text(matrices, "csv") == reference_csv(records)
+
 
 class TestAllTriangles:
     @settings(max_examples=200, deadline=None)
@@ -278,6 +297,29 @@ class TestAllTriangles:
         assert all_triangles(matrix) == [
             ((x, y, z), classify_triangle(matrix, x, y, z)) for x, y, z in combinations(matrix.labels, 3)
         ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(distance_matrices())
+    def test_sides_are_plain_ints(self, matrix):
+        # Equal entries share a class whatever their type (1 and Level.ONE),
+        # so both functions write sides and base as plain ints.
+        if matrix.size < 3:
+            return
+        for (x, y, z), cls in all_triangles(matrix):
+            assert {type(side) for side in cls.sides} | {type(cls.base)} <= {int, type(None)}
+            assert repr(cls) == repr(classify_triangle(matrix, x, y, z))
+
+    def test_one_record_per_side_triple(self):
+        # Triples with the same sides in matrix order share one immutable
+        # TriangleClass; Level.ONE and 1 are the same side.
+        one = fx.Level.ONE
+        rows = [[0, one, 2, 2, 5], [1, 0, 2, 2, 3], [2, 2, 0, 1, 3], [2, 2, one, 0, 2], [5, 3, 3, 2, 0]]
+        matrix = DistanceMatrix(tuple("abcde"), rows)
+        triangles = all_triangles(matrix)
+        keys = {(rows[x][y], rows[x][z], rows[y][z]) for x, y, z in combinations(range(5), 3)}
+        assert {cls.kind.value for _, cls in triangles} == {"isosceles", "violating"}
+        assert len({id(cls) for _, cls in triangles}) == len(keys) < len(triangles)
+        assert [repr(cls) for _, cls in triangles] == [repr(classify_triangle(matrix, *t)) for t, _ in triangles]
 
 
 def reference_check(matrices, trees: bool) -> tuple[str, str]:
