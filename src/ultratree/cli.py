@@ -193,12 +193,14 @@ def _distance_matrices(args, sources: str) -> list[DistanceMatrix]:
     if bool(args.file) + bool(getattr(args, "matrix", None)) + getattr(args, "xbar", False) > 1:
         raise UltratreeError(f"{args.command} takes one of {sources}")
     if getattr(args, "xbar", False):
-        return [xbar_template(args.i)]
-    if getattr(args, "matrix", None):
-        return [DistanceMatrix.from_json_dict(_read_json(args.matrix), source=args.matrix)]
+        return [xbar_template(args.i or 0)]
+    if not (args.file or getattr(args, "matrix", None)):
+        raise UltratreeError(f"{args.command} needs {sources}")
+    if getattr(args, "i", None) is not None:
+        raise UltratreeError("--i: needs --xbar")
     if args.file:
         return [leaf_matrix(t) for t in parse_tree_file(args.file)]
-    raise UltratreeError(f"{args.command} needs {sources}")
+    return [DistanceMatrix.from_json_dict(_read_json(args.matrix), source=args.matrix)]
 
 
 def _cmd_matrix(args) -> int:
@@ -431,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix", help="leaf distance matrices from trees, or the Spec/X/YP template")
     p.add_argument("file", nargs="?", help="tree file (one bracketed tree per line)")
     p.add_argument("--xbar", action="store_true", help="emit the Spec/X/YP template instead")
-    p.add_argument("--i", type=int, default=0, help="head height for --xbar")
+    p.add_argument("--i", type=int, help="head height for --xbar")
     add_format(p)
     p.set_defaults(handler=_cmd_matrix)
 
@@ -445,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", help="tree file")
     p.add_argument("--matrix", help="JSON distance matrix")
     p.add_argument("--xbar", action="store_true")
-    p.add_argument("--i", type=int, default=0)
+    p.add_argument("--i", type=int)
     add_format(p)
     p.set_defaults(handler=_cmd_triangles)
 

@@ -5,7 +5,7 @@ Trees are written in single-line labeled bracketing, with leaves of the form
 
     (S (NP (D the) (N man)) (VP (V ate) (NP (D a) (N dog))))
 
-Every tree is built from its preorder ``(label, word, parent)`` records and
+Every tree is stored as its preorder labels, words and parent positions and
 is immutable once built.  Node ids are preorder positions, so the root is
 node 0 and leaves appear in left-to-right order.
 """
@@ -95,8 +95,12 @@ class PhraseTree:
     preorder, or when a label or word is not one token (a non-empty string
     free of whitespace and parentheses) and so could not print back; and
     MixedNode or EmptyNode when a node has both or neither of a word and
-    children.  ``Node`` views are built on first use.
-    All queries are pure; instances may be shared freely across threads.
+    children.  ``from_nested`` builds through it.  ``parse_tree``,
+    ``random_tree`` and ``enumerate_binary_trees`` make only valid
+    preorders (the parser checks its groups as it reads them), so they fill
+    the same lists in one unchecked pass instead.  ``Node`` views are built
+    on first use.  All queries are pure; instances may be shared freely
+    across threads.
     """
 
     __slots__ = ("_label", "_word", "_up", "_end", "_height", "_arity", "_views")
@@ -273,6 +277,26 @@ class PhraseTree:
         return f"PhraseTree({self.to_bracketed()!r})"
 
 
+def _filled(labels: list[str], words: list[str | None], up: list[int]) -> PhraseTree:
+    """The tree over the labels, words and parent positions of a valid
+    preorder, as this module's builders make them.  One backward pass, with
+    no checks, adds each node's subtree end, minimum height and child count."""
+    n = len(up)
+    end, height, arity = list(range(1, n + 1)), [0] * n, [0] * n
+    for p in range(n - 1, 0, -1):
+        parent, h = up[p], height[p] + 1
+        if arity[parent]:
+            arity[parent] += 1
+            if h > height[parent]:
+                height[parent] = h
+        else:  # the last child, read first, ends its parent's subtree
+            arity[parent], end[parent], height[parent] = 1, end[p], h
+    tree = object.__new__(PhraseTree)
+    tree._label, tree._word, tree._up, tree._end = labels, words, up, end
+    tree._height, tree._arity, tree._views = height, arity, None
+    return tree
+
+
 def _bad_token(p: int, label, word) -> ParseError:
     """The error for record ``p``, whose label or word is not one token."""
     kind, token = ("word", word) if isinstance(label, str) and _token(label) else ("label", label)
@@ -326,41 +350,55 @@ def parse_tree(text: str) -> PhraseTree:
             content after the tree.
         EmptyNode: a ``()`` group, or a labeled group with no content.
         MixedNode: a group mixing a word with child groups, or several words.
+
+    One pass reads the tokens, raising a bracket, label or repeated-word
+    fault at once.  A group with both or neither of a word and children is
+    noted as it closes; if the text reads cleanly, the last such group in
+    preorder is raised, as ``PhraseTree(records)`` would report it.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input")
     if tokens[0] != "(":
         raise UnbalancedBrackets(f"expected '(' but found {tokens[0]!r}")
-    records: list[list] = []  # [label, word, parent position] in preorder
+    labels, words, up = [], [], []  # up: parent positions, -1 at the root
     open_groups: list[int] = []
-    pos = 0
+    bad = -1  # the last position whose group has both or neither of a word and children
+    pos, count = 0, len(tokens)
     while True:
         token = tokens[pos]
         if token == "(":
             pos += 1
-            if pos >= len(tokens):
+            if pos >= count:
                 raise UnbalancedBrackets("unexpected end of input")
             if tokens[pos] in "()":
                 raise EmptyNode("node with no label")
-            records.append([tokens[pos], None, open_groups[-1] if open_groups else -1])
-            open_groups.append(len(records) - 1)
+            up.append(open_groups[-1] if open_groups else -1)
+            open_groups.append(len(labels))
+            labels.append(tokens[pos])
+            words.append(None)
         elif token == ")":
-            open_groups.pop()
+            p = open_groups.pop()
+            # The group has children iff a group opened after it.
+            if (len(labels) - 1 > p) == (words[p] is not None) and p > bad:
+                bad = p
             if not open_groups:
                 break
         else:
-            record = records[open_groups[-1]]
-            if record[1] is not None:
-                raise MixedNode(f"node {record[0]!r} has more than one word")
-            record[1] = token
+            p = open_groups[-1]
+            if words[p] is not None:
+                raise MixedNode(f"node {labels[p]!r} has more than one word")
+            words[p] = token
         pos += 1
-        if pos >= len(tokens):
+        if pos >= count:
             raise UnbalancedBrackets("missing closing parenthesis")
-    if pos + 1 != len(tokens):
+    if pos + 1 != count:
         raise UnbalancedBrackets("trailing content after the tree")
-    return PhraseTree(records)
-
+    if bad >= 0:
+        if words[bad] is None:
+            raise EmptyNode(f"node {labels[bad]!r} has neither a word nor children")
+        raise MixedNode(f"node {labels[bad]!r} has both a word and children")
+    return _filled(labels, words, up)
 
 
 def serialize_tree(tree: PhraseTree) -> str:
@@ -467,21 +505,24 @@ def random_tree(
     choice, randrange, sample = rng.choice, rng.randrange, rng.sample
     categories = list(categories)
     leaf_categories = [choice(categories) for _ in range(leaf_count)]
-    records: list[tuple[str, str | None, int]] = []
+    labels, words, up = [], [], []
     stack = [(0, leaf_count, -1)]  # leaf spans [lo, hi) still to draw, next on top
     while stack:
         lo, hi, parent = stack.pop()
+        up.append(parent)
         if hi - lo == 1:
-            records.append((leaf_categories[lo], f"w{lo + 1}", parent))
+            labels.append(leaf_categories[lo])
+            words.append(f"w{lo + 1}")
             continue
         # The stream of randint(2, m) and of sample(range(lo + 1, hi), 1), in fewer calls.
         parts = 2 if max_arity is None else randrange(2, min(max_arity, hi - lo) + 1)
         cuts = [randrange(lo + 1, hi)] if parts == 2 else sorted(sample(range(lo + 1, hi), parts - 1))
         bounds = [lo, *cuts, hi]
-        records.append(("X", None, parent))
-        here = len(records) - 1
+        labels.append("X")
+        words.append(None)
+        here = len(up) - 1
         stack.extend((bounds[i], bounds[i + 1], here) for i in range(parts - 1, -1, -1))
-    return PhraseTree(records)
+    return _filled(labels, words, up)
 
 
 def enumerate_binary_trees(leaf_count: int) -> Iterator[PhraseTree]:
@@ -493,7 +534,8 @@ def enumerate_binary_trees(leaf_count: int) -> Iterator[PhraseTree]:
     if leaf_count < 1:
         raise UltratreeError("leaf_count must be at least 1")
     for records in _binary_shapes(0, leaf_count, -1, 0):
-        yield PhraseTree(records)
+        labels, words, up = map(list, zip(*records))
+        yield _filled(labels, words, up)
 
 
 def _binary_shapes(lo: int, hi: int, parent: int, at: int):

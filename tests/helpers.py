@@ -10,8 +10,8 @@ import enum
 import random
 from typing import Iterator
 
-from ultratree import Node, PhraseTree
-from ultratree.trees import DEFAULT_RANDOM_CATEGORIES, _parse_arity
+from ultratree import EmptyNode, MixedNode, Node, ParseError, PhraseTree, UnbalancedBrackets
+from ultratree.trees import DEFAULT_RANDOM_CATEGORIES, _parse_arity, _tokenize
 
 # Trees behind the eight 4-leaf branching matrices (words A, M, J, H).
 TREE_FIRST = "(S (X (W A) (W M)) (Y (W J) (W H)))"
@@ -95,6 +95,45 @@ def reference_tokenize(text: str) -> Iterator[str]:
                 j += 1
             yield text[i:j]
             i = j
+
+
+def reference_parse_tree(text: str) -> PhraseTree:
+    """``parse_tree`` as two passes: the token loop collects preorder
+    records, then the validating constructor builds the tree and reports a
+    word and children on one node, or neither, at the last such position."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty input")
+    if tokens[0] != "(":
+        raise UnbalancedBrackets(f"expected '(' but found {tokens[0]!r}")
+    records: list[list] = []  # [label, word, parent position] in preorder
+    open_groups: list[int] = []
+    pos = 0
+    while True:
+        token = tokens[pos]
+        if token == "(":
+            pos += 1
+            if pos >= len(tokens):
+                raise UnbalancedBrackets("unexpected end of input")
+            if tokens[pos] in "()":
+                raise EmptyNode("node with no label")
+            records.append([tokens[pos], None, open_groups[-1] if open_groups else -1])
+            open_groups.append(len(records) - 1)
+        elif token == ")":
+            open_groups.pop()
+            if not open_groups:
+                break
+        else:
+            record = records[open_groups[-1]]
+            if record[1] is not None:
+                raise MixedNode(f"node {record[0]!r} has more than one word")
+            record[1] = token
+        pos += 1
+        if pos >= len(tokens):
+            raise UnbalancedBrackets("missing closing parenthesis")
+    if pos + 1 != len(tokens):
+        raise UnbalancedBrackets("trailing content after the tree")
+    return PhraseTree(records)
 
 
 def brute_parent_map(tree: PhraseTree) -> dict[int, int | None]:

@@ -91,6 +91,13 @@ class TestMatrixCommand:
         payload = get_json(capsys)
         assert payload["rows"] == [[0, 3, 3], [3, 0, 2], [3, 2, 0]]
 
+    @pytest.mark.parametrize("command", ["matrix", "triangles"])
+    def test_xbar_head_height_defaults_to_zero(self, capsys, command):
+        assert run([command, "--xbar"]) == 0
+        alone = capsys.readouterr().out
+        assert run([command, "--xbar", "--i", "0"]) == 0
+        assert capsys.readouterr().out == alone
+
     def test_byte_identical_output(self, tree_file, capsys):
         run(["matrix", tree_file])
         first = capsys.readouterr().out
@@ -599,6 +606,22 @@ class TestErrors:
         argv = [command] + [part for source in sources for part in given[source]]
         assert run(argv) == 2
         assert self.one_error(capsys) == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, source, i",
+        [
+            ("matrix", "file", "5"),
+            ("matrix", "file", "0"),
+            ("triangles", "file", "7"),
+            ("triangles", "--matrix", "2"),
+        ],
+        ids=["matrix-file", "matrix-file-zero", "triangles-file", "triangles-matrix"],
+    )
+    def test_i_without_xbar_is_refused(self, tree_file, printed_third, capsys, command, source, i):
+        # --i sets the head height of the --xbar template and nothing else.
+        given = {"file": [tree_file], "--matrix": ["--matrix", printed_third]}
+        assert run([command, *given[source], "--i", i]) == 2
+        assert self.one_error(capsys) == "error: --i: needs --xbar\n"
 
     def test_unwritable_counterexamples_print_nothing(self, tmp_path, capsys):
         # The file is written before the report, so exit 2 leaves stdout empty.

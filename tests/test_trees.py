@@ -32,7 +32,14 @@ from ultratree import (
 
 from ultratree.trees import _tokenize
 
-from .helpers import all_tree_shapes, brute_heights, brute_lca, reference_random_records, reference_tokenize
+from .helpers import (
+    all_tree_shapes,
+    brute_heights,
+    brute_lca,
+    reference_parse_tree,
+    reference_random_records,
+    reference_tokenize,
+)
 
 FIGURE4 = "(S (C (A Alf) (M must)) (D (J jump) (H high)))"
 
@@ -549,3 +556,91 @@ class TestArrays:
         other = PhraseTree(changed)
         assert other != tree and tree != other
         assert other == PhraseTree(changed) and hash(other) == hash(PhraseTree(changed))
+
+
+def arrays(tree):
+    return tree._label, tree._word, tree._up, tree._end, tree._height, tree._arity
+
+
+class TestBuilders:
+    """parse_tree, random_tree and enumerate_binary_trees fill the arrays
+    themselves; each must match the validating constructor's arrays."""
+
+    @staticmethod
+    def assert_as_constructed(tree):
+        assert arrays(tree) == arrays(PhraseTree(list(zip(tree._label, tree._word, tree._up))))
+
+    @given(records=preorder_records(max_nodes=40))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_tree(self, records):
+        # Any ordered shape: unary spines, deep chains, wide nodes.
+        tree = PhraseTree(records)
+        assert arrays(parse_tree(tree.to_bracketed())) == arrays(tree)
+
+    @pytest.mark.parametrize("arity", ["binary", "mixed:2", "mixed:4", "mixed:9"])
+    def test_random_tree(self, arity):
+        for leaf_count in (1, 2, 5, 10, 23, 60):
+            for seed in range(100):
+                self.assert_as_constructed(random_tree(seed, leaf_count, arity))
+
+    def test_enumerate_binary_trees(self):
+        for leaf_count in range(1, 9):
+            for tree in enumerate_binary_trees(leaf_count):
+                self.assert_as_constructed(tree)
+
+
+def parse_outcome(parse, text):
+    """The six arrays of ``parse(text)``, or its exception's type and message."""
+    try:
+        return arrays(parse(text))
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+def _groups(inner):
+    return st.builds("({} {})".format, st.sampled_from(["S", "NP"]), st.lists(inner, max_size=3).map(" ".join))
+
+
+# Groups of bare tokens, leaf groups (drawn most often) and groups, nested,
+# with stray brackets or tokens before or after: strings that parse, and
+# strings with one or several faults of every kind.
+PARSE_GROUPS = _groups(
+    st.recursive(st.sampled_from(["(N a)", "(D the)", "(N a)", "a", "the", "(A)"]), _groups, max_leaves=10)
+)
+PARSE_JUNK = st.sampled_from(["(", ")", " ( ", "a", "()", "(T b)"])
+PARSE_TEXTS = st.one_of(
+    PARSE_GROUPS,
+    PARSE_GROUPS,
+    st.builds("{}\t{}".format, PARSE_GROUPS, PARSE_JUNK),
+    st.builds("{}{}".format, PARSE_JUNK, PARSE_GROUPS),
+)
+
+
+class TestParseMatchesReference:
+    """parse_tree raises what the token loop and the validating constructor
+    raised together, and otherwise builds the same tree."""
+
+    @given(text=PARSE_TEXTS)
+    @settings(max_examples=1000, deadline=None)
+    def test_drawn_text(self, text):
+        assert parse_outcome(parse_tree, text) == parse_outcome(reference_parse_tree, text)
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            # Word against children: the last faulty node in preorder.
+            ("(S (A) (B (C d) e))", MixedNode, "node 'B' has both a word and children"),
+            ("(S (B (C) d))", EmptyNode, "node 'C' has neither a word nor children"),
+            ("(S (A b (C d)))", MixedNode, "node 'A' has both a word and children"),
+            ("(S (A) (B))", EmptyNode, "node 'B' has neither a word nor children"),
+            # Faults of the token loop come first, wherever they stand.
+            ("(S (NP the man))", MixedNode, "node 'NP' has more than one word"),
+            ("(S (A) (B c d))", MixedNode, "node 'B' has more than one word"),
+            ("(S (A) (B (C d) e)", UnbalancedBrackets, "missing closing parenthesis"),
+            ("(S (A)) (T b)", UnbalancedBrackets, "trailing content after the tree"),
+            ("(S (A) ( (N a)))", EmptyNode, "node with no label"),
+        ],
+    )
+    def test_several_faults(self, text, error, message):
+        assert parse_outcome(parse_tree, text) == (error, message)
+        assert parse_outcome(reference_parse_tree, text) == (error, message)
