@@ -43,8 +43,11 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_INPUT_ERROR = 2
 
-# Which public operations each subcommand exercises (directly or through its
-# pipeline).  tests/test_cli.py checks this table covers the whole API.
+# The public operations whose results each subcommand reports.  A subcommand
+# may compute them on a private path rather than call them: check runs
+# _check_axioms, not check_metric; triangles _triangles, not all_triangles;
+# cucommand and govern one pass per tree, not cu_domain or governs per pair.
+# tests/test_cli.py checks this table covers the whole API.
 COMMAND_OPERATIONS = {
     "matrix": (
         "parse_tree",
@@ -395,6 +398,9 @@ def _cmd_hierarchy(args) -> int:
 
 def _cmd_randtest(args) -> int:
     if args.exhaustive_leaves is not None:
+        for flag in ("trees", "max_leaves", "arity"):  # they shape random trees only
+            if getattr(args, flag) is not None:
+                raise UltratreeError(f"--{flag.replace('_', '-')}: not used with --exhaustive-leaves")
         if args.exhaustive_leaves < 1:
             raise UltratreeError(f"exhaustive_leaves must be at least 1, got {args.exhaustive_leaves}")
         shapes = (
@@ -406,9 +412,9 @@ def _cmd_randtest(args) -> int:
     else:
         report = random_theorem_suite(
             seed=args.seed,
-            trees=args.trees,
-            max_leaves=args.max_leaves,
-            arity=args.arity,
+            trees=1000 if args.trees is None else args.trees,
+            max_leaves=10 if args.max_leaves is None else args.max_leaves,
+            arity="mixed:4" if args.arity is None else args.arity,
             nodes=args.nodes,
         )
     if args.counterexamples:  # every run, a clean one as []; first: a fault exits 2 with empty stdout
@@ -503,13 +509,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_hierarchy)
 
     p = sub.add_parser("randtest", help="seeded random (or exhaustive) theorem sweeps")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trees", type=int, default=1000)
-    p.add_argument("--max-leaves", type=int, default=10)
-    p.add_argument("--arity", default="mixed:4")
+    p.add_argument("--seed", type=int, required=True,
+                   help="seed of the random trees; required also with --exhaustive-leaves, which draws none")
+    p.add_argument("--trees", type=int, help="random trees to draw (default 1000)")
+    p.add_argument("--max-leaves", type=int, help="leaves per random tree, at most (default 10)")
+    p.add_argument("--arity", help="random splits: 'binary' or 'mixed:K' (default mixed:4)")
     p.add_argument("--nodes", choices=("leaves", "all"), default="leaves")
     p.add_argument("--exhaustive-leaves", type=int, default=None,
-                   help="sweep all binary shapes up to this many leaves instead of sampling")
+                   help="sweep all binary shapes up to this many leaves instead of sampling;"
+                   " --trees, --max-leaves and --arity are then refused")
     p.add_argument("--counterexamples", help="write disagreements to this JSON file")
     p.set_defaults(handler=_cmd_randtest)
 

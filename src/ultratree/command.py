@@ -16,7 +16,7 @@ import random
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 
-from .errors import EmptyPolicy, HeightMismatch, NoBranchingAncestor, UltratreeError, _Record, _set
+from .errors import EmptyPolicy, HeightMismatch, NoBranchingAncestor, UltratreeError, _ReadOnlyDict, _Record, _set
 from .matrix import RelationMatrix
 from .trees import PhraseTree, _parse_arity, disambiguate, lca, random_tree, serialize_tree
 
@@ -45,7 +45,7 @@ class CuDomain(_Record):
 
     def __init__(self, owner: int, distance_set: Mapping[int, int], members: frozenset[int]):
         _set(self, "owner", owner)
-        _set(self, "distance_set", dict(distance_set))  # its own copy
+        _set(self, "distance_set", _ReadOnlyDict(distance_set))  # its own copy, which refuses change
         _set(self, "members", members)
 
 

@@ -44,6 +44,21 @@ class _Record:
         return type(self), self._values()
 
 
+class _ReadOnlyDict(dict):
+    """A dict field of a record: it reads, compares and prints as a dict, and
+    refuses every change, so a caller cannot alter the record through it."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a record's dict field is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):  # copy and pickle rebuild it as a plain dict
+        return dict, (dict(self),)
+
+
 class UltratreeError(ValueError):
     """Base class for every error raised by this package (a ValueError)."""
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from itertools import combinations
 
-from .errors import MissingEntry, NonSquare, UltratreeError, UnknownCategory, _Record, _set
+from .errors import MissingEntry, NonSquare, UltratreeError, UnknownCategory, _ReadOnlyDict, _Record, _set
 from .matrix import CategoryDistanceMatrix, SignMatrix
 
 FEATURE_CATEGORIES = ("N", "V", "A", "P")
@@ -33,7 +33,7 @@ class FeatureTable(_Record):
     __slots__ = _fields = ("rows",)
 
     def __init__(self, rows: Mapping[str, tuple[int, int]] = DEFAULT_FEATURE_ROWS):
-        rows = dict(rows)  # its own copy: a caller's later change cannot reach it
+        rows = _ReadOnlyDict(rows)  # its own copy, which refuses change
         if tuple(rows) != FEATURE_CATEGORIES:
             raise UltratreeError(f"feature table must cover exactly {FEATURE_CATEGORIES}")
         for category, (n_value, v_value) in rows.items():
@@ -57,80 +57,62 @@ def build_feature_matrix(
 ) -> SignMatrix:
     """Symmetric 4x4 sign matrix over (N, V, A, P) from the feature table.
 
-    The N and V columns hold each category's feature values and are mirrored
-    by symmetry; the diagonal is +1; the single remaining unknown, the (A, P)
-    cell, is ``ap_value`` (-1 by default, which balances the matrix at eight
-    positive and eight negative entries).
+    Row and column N hold each category's N value, row and column V its V
+    value, so the N and V diagonal cells are those categories' own values
+    and N's V value must equal V's N value.  The A and P diagonal cells are
+    +1 and the one free cell, (A, P), is ``ap_value`` (-1 by default, which
+    balances the matrix at eight positive and eight negative entries).
     """
     table = FeatureTable() if table is None else table
     if ap_value not in (1, -1):
         raise UltratreeError("ap_value must be +1 or -1")
-    order = table.categories
-    n = len(order)
-    cells: list[list[int | None]] = [[None] * n for _ in range(n)]
-    for i, category in enumerate(order):
-        n_value, v_value = table.vector(category)
-        cells[i][0] = n_value
-        cells[i][1] = v_value
-    for i in range(n):
-        for j in (0, 1):
-            if cells[j][i] is None:
-                cells[j][i] = cells[i][j]
-            elif cells[j][i] != cells[i][j]:
-                raise UltratreeError("feature table does not symmetrize")
-    cells[2][2] = cells[3][3] = 1
-    cells[2][3] = cells[3][2] = ap_value
-    return SignMatrix(order, cells)
+    (nn, nv), (vn, vv), (an, av), (pn, pv) = table.rows.values()
+    if nv != vn:
+        raise UltratreeError("feature table does not symmetrize")
+    cells = [[nn, nv, an, pn], [vn, vv, av, pv], [an, av, 1, ap_value], [pn, pv, ap_value, 1]]
+    return SignMatrix(table.categories, cells)
+
+
+def _echelon(matrix, square: bool) -> tuple[int, int]:
+    """The rank and the signed last pivot of one fraction-free (Bareiss)
+    row-echelon pass over a labeled matrix or a sequence of integer rows.
+
+    Each pivot is a minor of the input (Sylvester's identity), so every
+    division is exact.  At full rank the signed last pivot of a square matrix
+    is its determinant; a column without a pivot makes it 0.
+    """
+    m = [list(row) for row in (matrix.entries if hasattr(matrix, "entries") else matrix)]
+    width = len(m) if square else len(m[0]) if m else 0
+    if any(len(row) != width for row in m):
+        raise NonSquare("determinant needs a square matrix" if square
+                        else "matrix_rank needs rows of equal length")
+    rank, sign, previous = 0, 1, 1
+    for col in range(width):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            sign = 0  # short of full rank, so the determinant is 0
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        top = m[rank]
+        for row in m[rank + 1 :]:
+            factor = row[col]
+            for j in range(col + 1, width):
+                row[j] = (row[j] * top[col] - factor * top[j]) // previous
+        previous = top[col]
+        rank += 1
+    return rank, sign * previous
 
 
 def determinant(matrix) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination).
-
-    Accepts a labeled matrix or a plain sequence of integer rows.
-    """
-    rows = matrix.entries if hasattr(matrix, "entries") else matrix
-    m = [list(row) for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise NonSquare("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    previous = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
-            m[i][k] = 0
-        previous = m[k][k]
-    return sign * m[n - 1][n - 1]
+    """Exact integer determinant; accepts a labeled matrix or integer rows."""
+    return _echelon(matrix, square=True)[1]
 
 
 def matrix_rank(matrix) -> int:
-    """Rank by integer row reduction (cross-multiplication, no division)."""
-    rows = matrix.entries if hasattr(matrix, "entries") else matrix
-    m = [list(row) for row in rows]
-    if not m:
-        return 0
-    width = len(m[0])
-    rank = 0
-    for col in range(width):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                factor_i, factor_r = m[rank][col], m[i][col]
-                m[i] = [factor_i * a - factor_r * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+    """Exact rank, the pivot count; accepts a labeled matrix or integer rows."""
+    return _echelon(matrix, square=False)[0]
 
 
 # 2x2 complex matrices as (real, imag) integer pairs, so the block assembly

@@ -11,7 +11,6 @@ any order can be supplied).
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Sequence
 
 from .errors import CyclicOrder, UltratreeError, UnknownLabel, _Record, _set
@@ -72,7 +71,8 @@ def check_strategy(chain: Chain, strategy: Strategy) -> list[ConstraintViolation
     of the chain starting at the most accessible position violates the
     primary-reach constraint.
     """
-    positions = sorted(chain.position(label) for label in strategy.covered)
+    # Labels in sorted order, so the unknown one named is the same under every hash seed.
+    positions = sorted(chain.position(label) for label in sorted(strategy.covered))
     violations: list[ConstraintViolation] = []
     if not positions:
         violations.append(
@@ -150,25 +150,12 @@ class PartialOrder(_Record):
         }
 
     def validate(self) -> None:
-        for a, b in self.edges:
-            for endpoint in (a, b):
-                if endpoint not in self.nodes:
-                    raise UnknownLabel(f"edge endpoint {endpoint!r} not a node")
-        # Kahn's algorithm; leftover nodes mean a cycle.
-        indegree = {node: 0 for node in self.nodes}
-        for _, b in self.edges:
-            indegree[b] += 1
-        queue = deque(node for node, d in indegree.items() if d == 0)
-        seen = 0
-        while queue:
-            node = queue.popleft()
-            seen += 1
-            for a, b in self.edges:
-                if a == node:
-                    indegree[b] -= 1
-                    if indegree[b] == 0:
-                        queue.append(b)
-        if seen != len(self.nodes):
+        """Raise UnknownLabel for the least edge endpoint that is not a node,
+        then CyclicOrder if some node lies below itself."""
+        unknown = {endpoint for edge in self.edges for endpoint in edge} - self.nodes
+        if unknown:
+            raise UnknownLabel(f"edge endpoint {min(unknown)!r} not a node")
+        if any(node in self.predecessors(node) for node in self.nodes):
             raise CyclicOrder("the edge set contains a cycle")
 
     def predecessors(self, label: str) -> frozenset[str]:
@@ -179,27 +166,30 @@ class PartialOrder(_Record):
         for a, b in self.edges:
             incoming[b].add(a)
         out: set[str] = set()
-        queue = deque(incoming[label])
-        while queue:
-            node = queue.popleft()
+        stack = list(incoming[label])
+        while stack:
+            node = stack.pop()
             if node not in out:
                 out.add(node)
-                queue.extend(incoming[node])
+                stack.extend(incoming[node])
         return frozenset(out)
 
 
 def check_downset(order: PartialOrder, inventory: Iterable[str]) -> bool:
     """Whether an inventory is downward closed under the partial order.
 
-    Every predecessor of a member must itself be a member; the empty
-    inventory and the full node set are trivially closed.
+    Every edge into a member must start at a member; by induction every
+    predecessor of a member is then a member.  The empty inventory and the
+    full node set are trivially closed.  The first inventory label that is
+    not a node raises UnknownLabel.
     """
     order.validate()
-    members = set(inventory)
-    for label in members:
+    members: set[str] = set()
+    for label in inventory:
         if label not in order.nodes:
             raise UnknownLabel(f"inventory label {label!r} not a node")
-    return all(order.predecessors(label) <= members for label in members)
+        members.add(label)
+    return all(a in members for a, b in order.edges if b in members)
 
 
 def _strings(value) -> bool:

@@ -10,7 +10,17 @@ import enum
 import random
 from typing import Iterator
 
-from ultratree import EmptyNode, MixedNode, Node, ParseError, PhraseTree, UnbalancedBrackets
+from ultratree import (
+    EmptyNode,
+    FeatureTable,
+    MixedNode,
+    Node,
+    ParseError,
+    PhraseTree,
+    SignMatrix,
+    UltratreeError,
+    UnbalancedBrackets,
+)
 from ultratree.trees import DEFAULT_RANDOM_CATEGORIES, _parse_arity, _tokenize
 
 # Trees behind the eight 4-leaf branching matrices (words A, M, J, H).
@@ -134,6 +144,29 @@ def reference_parse_tree(text: str) -> PhraseTree:
     if pos + 1 != len(tokens):
         raise UnbalancedBrackets("trailing content after the tree")
     return PhraseTree(records)
+
+
+def reference_build_feature_matrix(table: FeatureTable | None = None, ap_value: int = -1) -> SignMatrix:
+    """``build_feature_matrix`` as a mirror loop: the N and V columns are
+    filled from the table, then each empty cell of the N and V rows copies
+    its mirror image and each filled one must equal it."""
+    table = FeatureTable() if table is None else table
+    if ap_value not in (1, -1):
+        raise UltratreeError("ap_value must be +1 or -1")
+    order = table.categories
+    n = len(order)
+    cells: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for i, category in enumerate(order):
+        cells[i][0], cells[i][1] = table.vector(category)
+    for i in range(n):
+        for j in (0, 1):
+            if cells[j][i] is None:
+                cells[j][i] = cells[i][j]
+            elif cells[j][i] != cells[i][j]:
+                raise UltratreeError("feature table does not symmetrize")
+    cells[2][2] = cells[3][3] = 1
+    cells[2][3] = cells[3][2] = ap_value
+    return SignMatrix(order, cells)
 
 
 def brute_parent_map(tree: PhraseTree) -> dict[int, int | None]:

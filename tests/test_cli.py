@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ultratree import cli, parse_tree
+from ultratree import cli, parse_tree, random_theorem_suite
 from ultratree.cli import COMMAND_OPERATIONS, run
 
 from . import helpers as fx
@@ -352,6 +352,13 @@ class TestRandtestCommand:
         payload = json.loads(first)
         assert payload == {"trees_tested": 60, "disagreements": []}
 
+    def test_random_mode_defaults(self, capsys):
+        # Without --trees, --max-leaves or --arity: 1000 trees of up to 10
+        # leaves with splits of up to 4 children.
+        assert run(["randtest", "--seed", "3", "--nodes", "all"]) == 1
+        expected = random_theorem_suite(seed=3, trees=1000, max_leaves=10, arity="mixed:4", nodes="all")
+        assert get_json(capsys) == json.loads(json.dumps(expected))
+
     def test_exhaustive_sweep(self, capsys):
         assert run(["randtest", "--seed", "1", "--exhaustive-leaves", "5"]) == 0
         payload = get_json(capsys)
@@ -622,6 +629,25 @@ class TestErrors:
         given = {"file": [tree_file], "--matrix": ["--matrix", printed_third]}
         assert run([command, *given[source], "--i", i]) == 2
         assert self.one_error(capsys) == "error: --i: needs --xbar\n"
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--trees", "5"], "--trees"),
+            (["--trees", "-1"], "--trees"),
+            (["--max-leaves", "0"], "--max-leaves"),
+            (["--arity", "bogus"], "--arity"),
+            (["--arity", "binary", "--max-leaves", "10", "--trees", "1000"], "--trees"),
+        ],
+        ids=["trees", "trees-negative", "max-leaves-zero", "arity-bogus", "all-three-at-defaults"],
+    )
+    def test_random_flags_refused_when_exhaustive(self, tmp_path, capsys, extra, flag):
+        # They shape random trees only; the exhaustive sweep would drop them.
+        out = tmp_path / "cx.json"
+        argv = ["randtest", "--seed", "0", "--exhaustive-leaves", "3", *extra, "--counterexamples", str(out)]
+        assert run(argv) == 2
+        assert self.one_error(capsys) == f"error: {flag}: not used with --exhaustive-leaves\n"
+        assert not out.exists()
 
     def test_unwritable_counterexamples_print_nothing(self, tmp_path, capsys):
         # The file is written before the report, so exit 2 leaves stdout empty.

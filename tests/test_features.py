@@ -1,14 +1,18 @@
 """The sign matrix, exact determinants, Pauli blocks, and the comparison."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultratree import (
     DEFAULT_FEATURE_ROWS,
     CategoryDistanceMatrix,
     FeatureTable,
     MissingEntry,
+    NonSquare,
+    UltratreeError,
     UnknownCategory,
     build_feature_matrix,
     compare_feature_vs_ultrametric,
@@ -19,6 +23,8 @@ from ultratree import (
     min_distance_matrix,
     pauli_assembly,
 )
+
+from .helpers import reference_build_feature_matrix
 
 F_ROWS = ((1, -1, 1, -1), (-1, 1, 1, -1), (1, 1, 1, -1), (-1, -1, -1, 1))
 
@@ -82,6 +88,114 @@ class TestBuildFeatureMatrix:
     def test_bad_ap_value(self):
         with pytest.raises(ValueError):
             build_feature_matrix(ap_value=0)
+
+    @pytest.mark.parametrize("ap_value", [-1, 1, 0])
+    def test_every_table_matches_the_mirror_loop(self, ap_value):
+        # All 256 tables of +/-1 values: the same cells, or the same error.
+        for values in itertools.product((1, -1), repeat=8):
+            table = FeatureTable(dict(zip("NVAP", zip(values[::2], values[1::2]))))
+            try:
+                expected = reference_build_feature_matrix(table, ap_value)
+            except UltratreeError as exc:
+                with pytest.raises(type(exc)) as raised:
+                    build_feature_matrix(table, ap_value)
+                assert str(raised.value) == str(exc)
+            else:
+                built = build_feature_matrix(table, ap_value)
+                assert (built.labels, built.entries) == (expected.labels, expected.entries)
+
+
+def permutation_determinant(rows) -> int:
+    """The Leibniz sum over every permutation, signed by its inversions."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def fraction_rank(rows) -> int:
+    """Gauss-Jordan elimination over the rationals; the rank is the pivot count."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(len(m)):
+            if i != rank:
+                factor = m[i][col] / m[rank][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def matrices(min_rows=0, max_rows=5, min_cols=0, max_cols=5, square=False):
+    """Integer matrices, full or of low rank (a product through k columns)."""
+
+    @st.composite
+    def build(draw):
+        rows = draw(st.integers(min_rows, max_rows))
+        cols = rows if square else draw(st.integers(min_cols, max_cols))
+        entry = st.integers(-3, 3) | st.integers(-(10**12), 10**12)
+        if draw(st.booleans()):
+            return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+        k = draw(st.integers(0, 3))
+        left = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=rows, max_size=rows))
+        right = draw(st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), min_size=k, max_size=k))
+        return [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(cols)] for i in range(rows)]
+
+    return build()
+
+
+class TestAgainstReferences:
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(max_rows=5, square=True))
+    def test_determinant_is_the_permutation_sum(self, rows):
+        assert determinant(rows) == permutation_determinant(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(max_rows=6, max_cols=6))
+    def test_rank_is_the_fraction_rank(self, rows):
+        assert matrix_rank(rows) == fraction_rank(rows)
+        assert matrix_rank([list(col) for col in zip(*rows)]) == fraction_rank(rows)  # rank of the transpose
+
+    @pytest.mark.parametrize(
+        "rows, det, rank",
+        [
+            ([], 1, 0),
+            ([[0]], 0, 0),
+            ([[0, 0], [0, 0]], 0, 0),
+            ([[0, 0, 0], [0, 0, 1], [0, 1, 0]], 0, 2),
+            ([[0, 1], [1, 0]], -1, 2),
+            ([[2, 4], [1, 2]], 0, 1),
+        ],
+        ids=["empty", "zero-1", "zero-2", "zero-column", "swap", "rank-one"],
+    )
+    def test_square_edge_cases(self, rows, det, rank):
+        assert (determinant(rows), matrix_rank(rows)) == (det, rank)
+
+    @pytest.mark.parametrize(
+        "rows, rank",
+        [([[], [], []], 0), ([[0, 0, 0]], 0), ([[0, 0, 5]], 1), ([[1, 2, 3], [2, 4, 6]], 1), ([[0], [3], [1]], 1)],
+        ids=["no-columns", "zero-row", "late-pivot", "dependent-rows", "one-column"],
+    )
+    def test_rectangular(self, rows, rank):
+        assert matrix_rank(rows) == rank
+        with pytest.raises(NonSquare, match="^determinant needs a square matrix$"):
+            determinant(rows)
+
+    @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[], [1]], [[1, 2, 3], [4, 5]]])
+    def test_ragged_rows_rejected(self, rows):
+        with pytest.raises(NonSquare, match="^determinant needs a square matrix$"):
+            determinant(rows)
+        with pytest.raises(NonSquare, match="^matrix_rank needs rows of equal length$"):
+            matrix_rank(rows)
 
 
 class TestDeterminant:

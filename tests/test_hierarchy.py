@@ -1,9 +1,15 @@
 """Accessibility-hierarchy constraints and down-set validation."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultratree import (
     ACCESSIBILITY_HIERARCHY,
@@ -18,6 +24,7 @@ from ultratree import (
     check_strategy,
     load_berlin_kay_order,
 )
+from ultratree import hierarchy
 from ultratree.hierarchy import check_document
 
 
@@ -186,6 +193,104 @@ class TestDownset:
                 y = rng.choice(downsets)
                 assert check_downset(order, x & y)
                 assert check_downset(order, x | y)
+
+
+def closure_verdict(nodes, edges, inventory):
+    """What check_downset should return or raise, from a boolean transitive
+    closure (Warshall): the least unknown edge endpoint, then a cycle, then
+    the first unknown inventory label, then whether every label below a
+    member is a member."""
+    unknown = sorted({endpoint for edge in edges for endpoint in edge} - set(nodes))
+    if unknown:
+        return UnknownLabel, f"edge endpoint {unknown[0]!r} not a node"
+    index = {node: i for i, node in enumerate(nodes)}
+    below = [[False] * len(nodes) for _ in nodes]  # below[i][j]: i precedes j
+    for a, b in edges:
+        below[index[a]][index[b]] = True
+    for k, i, j in itertools.product(range(len(nodes)), repeat=3):
+        below[i][j] = below[i][j] or (below[i][k] and below[k][j])
+    if any(below[i][i] for i in range(len(nodes))):
+        return CyclicOrder, "the edge set contains a cycle"
+    for label in inventory:
+        if label not in index:
+            return UnknownLabel, f"inventory label {label!r} not a node"
+    return all(nodes[i] in inventory for i, j in itertools.product(range(len(nodes)), repeat=2)
+               if below[i][j] and nodes[j] in inventory)
+
+
+@st.composite
+def orders(draw):
+    """A few nodes, random edges (self-loops and cycles included), now and
+    then an edge endpoint or inventory label that is not a node."""
+    nodes = [f"n{i}" for i in range(draw(st.integers(1, 7)))]
+    known = st.sampled_from(nodes)
+    labels = [known | st.sampled_from(["u0", "u1", "u2"]) if draw(st.integers(0, 3)) == 0 else known for _ in "abc"]
+    edges = draw(st.lists(st.tuples(labels[0], labels[1]), max_size=10))
+    inventory = draw(st.lists(labels[2], max_size=len(nodes) + 1))
+    return nodes, edges, inventory
+
+
+class TestAgainstClosure:
+    @settings(max_examples=400, deadline=None)
+    @given(orders())
+    def test_validate_and_check_downset(self, case):
+        nodes, edges, inventory = case
+        order = PartialOrder(nodes, edges)
+        expected = closure_verdict(nodes, edges, inventory)
+        if isinstance(expected, bool):
+            assert check_downset(order, inventory) is expected
+            return
+        kind, message = expected
+        with pytest.raises(kind) as raised:
+            check_downset(order, inventory)
+        assert type(raised.value) is kind and str(raised.value) == message
+        if message.startswith("inventory"):
+            order.validate()  # the order itself is sound
+        else:
+            with pytest.raises(kind) as raised:
+                order.validate()
+            assert str(raised.value) == message
+
+    def test_acyclic_orders_from_random_dags(self):
+        # Edges only from lower to higher index: never a cycle, often a chain.
+        rng = random.Random(5)
+        for _ in range(200):
+            nodes = [f"n{i}" for i in range(rng.randint(1, 8))]
+            edges = [(a, b) for a, b in itertools.combinations(nodes, 2) if rng.random() < 0.4]
+            inventory = [node for node in nodes if rng.random() < 0.5]
+            assert check_downset(PartialOrder(nodes, edges), inventory) is closure_verdict(nodes, edges, inventory)
+
+
+class TestFaultChoiceIsDeterministic:
+    """With several faults of one kind, the message names the same one under
+    every hash seed: the least edge endpoint, the first inventory label in
+    document order, the least covered label."""
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"kind": "downset", "order": {"nodes": ["a"], "edges": [["a", "q"], ["x", "a"], ["m", "n"], ["b", "c"]]},
+              "inventory": []}, "edge endpoint 'b' not a node"),
+            ({"kind": "downset", "inventory": ["black", "mauve", "teal", "white", "zinc", "azure"]},
+             "inventory label 'mauve' not a node"),
+            ({"kind": "language", "strategies": [{"covered": ["SU", "XX", "YY", "ZZ", "DO", "AA"], "primary": True}]},
+             "label 'AA' not on the chain"),
+        ],
+        ids=["edge-endpoints", "inventory", "covered"],
+    )
+    def test_same_message_under_two_hash_seeds(self, tmp_path, document, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document))
+        src = str(Path(hierarchy.__file__).resolve().parents[1])
+        errors = set()
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                   "PYTHONHASHSEED": seed}
+            child = subprocess.run([sys.executable, "-m", "ultratree", "hierarchy", str(path)],
+                                   capture_output=True, text=True, env=env, timeout=60)
+            assert (child.returncode, child.stdout) == (2, "")
+            errors.add(child.stderr)
+        assert errors == {f"error: {path}: {message}\n"}
 
 
 class TestBerlinKayData:

@@ -259,3 +259,33 @@ class TestCoercions:
     def test_feature_table_rows_checked(self, rows, message):
         with pytest.raises(UltratreeError, match=message):
             FeatureTable(rows)
+
+
+class TestDictFields:
+    """A record's dict field reads as a dict but refuses change, so nothing
+    done through the attribute reaches the record."""
+
+    CHANGES = {
+        "setitem": lambda d, key: d.__setitem__(key, None),
+        "delitem": lambda d, key: d.__delitem__(key),
+        "clear": lambda d, key: d.clear(),
+        "pop": lambda d, key: d.pop(key),
+        "popitem": lambda d, key: d.popitem(),
+        "setdefault": lambda d, key: d.setdefault("new", 0),
+        "update": lambda d, key: d.update({key: None}),
+        "ior": lambda d, key: d.__ior__({key: None}),
+    }
+
+    @pytest.mark.parametrize("cls, field", [(FeatureTable, "rows"), (CuDomain, "distance_set")],
+                             ids=["FeatureTable", "CuDomain"])
+    @pytest.mark.parametrize("round_trip", [lambda r: r, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+                             ids=["built", "deepcopy", "pickle"])
+    def test_change_through_the_attribute_is_refused(self, cls, field, round_trip):
+        record = round_trip(build(cls))
+        value = getattr(record, field)
+        key = next(iter(value))
+        for change in self.CHANGES.values():
+            with pytest.raises(TypeError, match="read-only"):
+                change(value, key)
+        assert record == build(cls) and repr(record) == RECORDS[cls][2]
+        assert value == RECORDS[cls][1][RECORDS[cls][0].index(field)]
