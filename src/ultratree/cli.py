@@ -148,8 +148,7 @@ def _json_list(items: list[str]) -> str:
 def _matrix_text(m, level: int = 0) -> str:
     """``_json_text(m.to_json_dict(), level)``, written straight from the
     labels and rows when every entry of the kind has a fixed text."""
-    cell = m._cell_text
-    if cell is None:
+    if m._cell_text is None:
         return _json_text(m.to_json_dict(), level)
     pad = "\n" + "  " * level
     if not m.labels:
@@ -157,7 +156,8 @@ def _matrix_text(m, level: int = 0) -> str:
     item, entry = pad + "    ", pad + "      "  # a label or row; an entry
     items, entries = "," + item, "," + entry
     labels = items.join(map(_quote, m.labels))
-    rows = items.join(["[" + entry + entries.join(map(cell, row)) + item + "]" for row in m.entries])
+    row_text = m._row_text
+    rows = items.join(["[" + entry + row_text(entries, row) + item + "]" for row in m.entries])
     return '{%s  "labels": [%s%s%s  ],%s  "rows": [%s%s%s  ]%s}' % (
         pad, item, labels, pad, pad, item, rows, pad, pad
     )

@@ -117,11 +117,14 @@ def _relation(tree: PhraseTree, nodes: str, related) -> RelationMatrix:
     """The matrix over the chosen nodes; row p marks the positions ``related(facts, p)``."""
     positions, facts = _positions(tree, nodes), _Facts(tree)
     column = {p: k for k, p in enumerate(positions)}
-    entries = [[False] * len(positions) for _ in positions]
-    for row, p in zip(entries, positions):
+    blank, rows = [False] * len(positions), []
+    for p in positions:
+        row = blank.copy()
         for q in related(facts, p):
             row[column[q]] = True
-    return RelationMatrix(tree.leaf_labels() if nodes == "leaves" else tree.node_labels(), entries)
+        rows.append(tuple(row))
+    labels = tree.leaf_labels() if nodes == "leaves" else tree.node_labels()
+    return RelationMatrix._made(labels, tuple(rows))
 
 
 def first_branching_ancestor(tree: PhraseTree, node_id: int) -> int:

@@ -151,20 +151,46 @@ class PartialOrder(_Record):
 
     def validate(self) -> None:
         """Raise UnknownLabel for the least edge endpoint that is not a node,
-        then CyclicOrder if some node lies below itself."""
+        then CyclicOrder if some node lies below itself.
+
+        One depth-first walk down the incoming edges, O(nodes + edges): a
+        node reached again while still on the walk's path closes a cycle.
+        """
         unknown = {endpoint for edge in self.edges for endpoint in edge} - self.nodes
         if unknown:
             raise UnknownLabel(f"edge endpoint {min(unknown)!r} not a node")
-        if any(node in self.predecessors(node) for node in self.nodes):
-            raise CyclicOrder("the edge set contains a cycle")
+        incoming = self._incoming()
+        state = dict.fromkeys(self.nodes, 0)  # 0 unseen, 1 on the path, 2 done
+        for start in self.nodes:
+            if state[start]:
+                continue
+            state[start] = 1
+            path = [(start, iter(incoming[start]))]
+            while path:
+                node, below = path[-1]
+                for earlier in below:
+                    if state[earlier] == 1:
+                        raise CyclicOrder("the edge set contains a cycle")
+                    if not state[earlier]:
+                        state[earlier] = 1
+                        path.append((earlier, iter(incoming[earlier])))
+                        break
+                else:
+                    state[node] = 2
+                    path.pop()
+
+    def _incoming(self) -> dict[str, list[str]]:
+        """Each node's direct predecessors."""
+        incoming: dict[str, list[str]] = {node: [] for node in self.nodes}
+        for a, b in self.edges:
+            incoming[b].append(a)
+        return incoming
 
     def predecessors(self, label: str) -> frozenset[str]:
         """All nodes strictly below ``label`` in the transitive closure."""
         if label not in self.nodes:
             raise UnknownLabel(f"label {label!r} not a node")
-        incoming: dict[str, set[str]] = {node: set() for node in self.nodes}
-        for a, b in self.edges:
-            incoming[b].add(a)
+        incoming = self._incoming()
         out: set[str] = set()
         stack = list(incoming[label])
         while stack:

@@ -54,10 +54,10 @@ def min_distance_matrix(
     else:
         ordered = list(categories)
     rows = [
-        [combined.get(tuple(sorted((x, y)))) for y in ordered]
+        tuple([combined.get(tuple(sorted((x, y)))) for y in ordered])
         for x in ordered
     ]
-    return CategoryDistanceMatrix(ordered, rows)
+    return CategoryDistanceMatrix._made(tuple(ordered), tuple(rows))
 
 
 def check_nested_pattern(

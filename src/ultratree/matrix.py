@@ -16,6 +16,7 @@ from itertools import chain
 from .errors import BadMatrixDocument, NonSquare, UltratreeError, UnknownLabel
 
 _surrogate = re.compile("[\ud800-\udfff]").search
+_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 class LabeledMatrix:
@@ -34,11 +35,24 @@ class LabeledMatrix:
                 f"matrix with {len(labels)} labels must be {len(labels)}x{len(labels)}"
             )
         self._check_entries(rows)
+        self._fill(labels, rows)
+
+    @classmethod
+    def _made(cls, labels: tuple[str, ...], rows: tuple[tuple, ...]):
+        """The matrix over rows that a builder in this package made square,
+        as tuples of entries of this kind: nothing is copied or checked
+        but that the labels are distinct."""
+        matrix = object.__new__(cls)
+        matrix._fill(labels, rows)
+        return matrix
+
+    def _fill(self, labels: tuple[str, ...], rows: tuple[tuple, ...]) -> None:
+        # Disambiguated labels can still collide: N#1 N#1 N#2 from N#1 N N.
+        if len(set(labels)) != len(labels):
+            raise UltratreeError("matrix labels must be unique")
         self.labels = labels
         self.entries = rows
-        self._index = {label: i for i, label in enumerate(labels)}
-        if len(self._index) != len(labels):
-            raise UltratreeError("matrix labels must be unique")
+        self._index = None  # label -> position, built on the first lookup
 
     def _check_entries(self, rows) -> None:
         check = self._check_entry  # one attribute lookup, not one per entry
@@ -55,6 +69,8 @@ class LabeledMatrix:
         return len(self.labels)
 
     def index(self, label: str) -> int:
+        if self._index is None:
+            self._index = {x: i for i, x in enumerate(self.labels)}
         try:
             return self._index[label]
         except KeyError:
@@ -82,6 +98,11 @@ class LabeledMatrix:
     # fixed one; None sends JSON through ``to_json_dict`` and leaves CSV
     # entries to ``csv``.  A CSV cell of an absent (None) entry is empty.
     _cell_text = None
+
+    @classmethod
+    def _row_text(cls, sep: str, row) -> str:
+        """The cell texts of ``row`` joined by ``sep``; needs ``_cell_text``."""
+        return sep.join(map(cls._cell_text, row))
 
     @staticmethod
     def _cell_to_json(value):
@@ -178,6 +199,11 @@ class RelationMatrix(LabeledMatrix):
     """Boolean relation over labeled nodes; serialized as 0/1."""
 
     _cell_text = ("0", "1").__getitem__
+
+    @staticmethod
+    def _row_text(sep: str, row) -> str:
+        # Every entry is a bool, so the row's bytes are 0s and 1s.
+        return sep.join(bytes(row).translate(_BITS).decode())
 
     def __init__(self, labels: Sequence[str], entries: Sequence[Sequence]):
         super().__init__(labels, [[*map(bool, row)] for row in entries])

@@ -460,7 +460,7 @@ def dominance_matrix(tree: PhraseTree) -> RelationMatrix:
     """Boolean dominance matrix over all nodes in preorder: row p is true on p's subtree."""
     n, end = len(tree), tree._end
     rows = [(False,) * p + (True,) * (end[p] - p) + (False,) * (n - end[p]) for p in range(n)]
-    return RelationMatrix(tree.node_labels(), rows)
+    return RelationMatrix._made(tree.node_labels(), tuple(rows))
 
 
 def is_switched(tree: PhraseTree) -> bool:

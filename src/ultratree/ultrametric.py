@@ -9,7 +9,7 @@ equilateral, and strictly binary branching rules the equilateral case out.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from .errors import DuplicateVertex, TooFewLabels, UltratreeError, _Record, _set
 from .matrix import DistanceMatrix
@@ -82,17 +82,32 @@ def leaf_matrix(tree: PhraseTree) -> DistanceMatrix:
 
     Labels are the leaf words in left-to-right order; duplicated words get a
     positional ``#k`` suffix so the matrix stays well defined for sentences
-    with repeated words.  Each internal node fills the blocks of leaf pairs
-    it joins, so the cost is O(n^2) in the number of leaves.
+    with repeated words.  One preorder pass gives each node the row of
+    distances from its leaves: its parent's row with the spans of the
+    parent's other children set to the parent's height, and zeros on its own
+    span.  A unary node shares its parent's row, and a leaf's row is final.
+    Each row is three tuple slices joined, so the pass takes O(N) Python
+    steps over N nodes and O(N·n) copying at C speed.  The matrix is made
+    from those rows as they are; only its labels are checked, for clashes.
     """
-    labels = tree.leaf_labels()
-    rows = [[0] * len(labels) for _ in labels]
-    for height, lo, mid, hi in tree.leaf_blocks():
-        for x in range(lo, mid):
-            rows[x][mid:hi] = [height] * (hi - mid)
-        for y in range(mid, hi):
-            rows[y][lo:mid] = [height] * (mid - lo)
-    return DistanceMatrix(labels, rows)
+    end, height, words = tree._end, tree._height, tree._word
+    rank = [*accumulate([word is not None for word in words], initial=0)]  # leaves before each position
+    zeros = (0,) * rank[-1]
+    rows = [zeros] * len(words)  # the root's row; the others are written before they are read
+    for q, arity in enumerate(tree._arity):
+        if arity == 1:
+            rows[q + 1] = rows[q]
+        elif arity:
+            lo, hi, row = rank[q], rank[end[q]], rows[q]
+            joined = (height[q],) * (hi - lo)
+            left, right = row[:lo] + joined, joined + row[hi:]
+            child = q + 1
+            while child < end[q]:
+                a, b = rank[child], rank[end[child]]
+                rows[child] = left[:a] + zeros[: b - a] + right[b - lo :]
+                child = end[child]
+    leaf_rows = [row for row, word in zip(rows, words) if word is not None]
+    return DistanceMatrix._made(tree.leaf_labels(), tuple(leaf_rows))
 
 
 def _suspect_pairs(m, n: int) -> list[tuple[int, int]]:

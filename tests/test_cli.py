@@ -6,11 +6,23 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from ultratree import cli, parse_tree, random_theorem_suite
+from ultratree import (
+    UltratreeError,
+    c_command_matrix,
+    cli,
+    cu_command_matrix,
+    dominance_matrix,
+    government_matrix,
+    leaf_matrix,
+    min_distance_matrix,
+    parse_tree,
+    random_theorem_suite,
+)
 from ultratree.cli import COMMAND_OPERATIONS, run
 
 from . import helpers as fx
@@ -479,6 +491,49 @@ class TestDeepInput:
         assert again.root == tree.root and hash(again.root) == hash(tree.root)
         assert again.root != parse_tree("(X " * self.DEPTH + "(W v)" + ")" * self.DEPTH).root
         assert repr(tree.root).count("Node(") == self.DEPTH + 1
+
+
+# Disambiguation can collide: N#1 N N becomes N#1 N#1 N#2, and the words
+# a#1 a a become a#1 a#1 a#2.  The builders' matrices check only that.
+COLLIDING_NODES = "(S (N#1 a) (N b) (N c))"
+COLLIDING_WORDS = "(S (N a#1) (N a) (N a))"
+
+
+class TestLabelCollisions:
+    @pytest.mark.parametrize(
+        "argv, tree",
+        [
+            (["dominance"], COLLIDING_NODES),
+            (["ccommand", "--nodes", "all"], COLLIDING_NODES),
+            (["cucommand", "--nodes", "all"], COLLIDING_NODES),
+            (["govern"], COLLIDING_NODES),
+            (["matrix"], COLLIDING_WORDS),
+        ],
+        ids=["dominance", "ccommand", "cucommand", "govern", "matrix"],
+    )
+    def test_exit_2_with_empty_stdout(self, tmp_path, capsys, argv, tree):
+        path = tmp_path / "trees.txt"
+        path.write_text(f"{fx.TREE_FIRST}\n{tree}\n")
+        assert run([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix labels must be unique\n"
+
+    @pytest.mark.parametrize(
+        "build, tree",
+        [
+            (dominance_matrix, COLLIDING_NODES),
+            (partial(c_command_matrix, nodes="all"), COLLIDING_NODES),
+            (partial(cu_command_matrix, nodes="all"), COLLIDING_NODES),
+            (government_matrix, COLLIDING_NODES),
+            (leaf_matrix, COLLIDING_WORDS),
+            (lambda tree: min_distance_matrix([tree], categories=("N", "N")), COLLIDING_WORDS),
+        ],
+        ids=["dominance", "ccommand", "cucommand", "govern", "matrix", "mindist"],
+    )
+    def test_library_raises(self, build, tree):
+        with pytest.raises(UltratreeError, match="^matrix labels must be unique$"):
+            build(parse_tree(tree))
 
 
 class TestErrors:

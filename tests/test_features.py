@@ -1,6 +1,7 @@
 """The sign matrix, exact determinants, Pauli blocks, and the comparison."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from ultratree import (
     pauli_assembly,
 )
 
-from .helpers import reference_build_feature_matrix
+from .helpers import Level, reference_build_feature_matrix
 
 F_ROWS = ((1, -1, 1, -1), (-1, 1, 1, -1), (1, 1, 1, -1), (-1, -1, -1, 1))
 
@@ -222,6 +223,27 @@ class TestDeterminant:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             determinant([[1, 2, 3], [4, 5, 6]])
+
+    @pytest.mark.parametrize(
+        "rows, fault",
+        [
+            ([[1, 2], [3, 4.5]], "rows[1][1]: expected an integer, got 4.5"),
+            ([[Fraction(1, 2), 1], [1, 3]], "rows[0][0]: expected an integer, got Fraction(1, 2)"),
+            ([[1, 0], [True, 1]], "rows[1][0]: expected an integer, got True"),
+            (CategoryDistanceMatrix(("D", "N"), ((None, 1), (1, None))), "rows[0][0]: expected an integer, got None"),
+        ],
+        ids=["float", "fraction", "bool", "absent-category-distance"],
+    )
+    def test_non_integer_entries_rejected(self, rows, fault):
+        # A float or Fraction would make the result inexact: 4.5 gave -2.0,
+        # and Fraction(1, 2) a wrong 0.
+        for function in (determinant, matrix_rank):
+            with pytest.raises(UltratreeError, match=f"^{re.escape(fault)}$"):
+                function(rows)
+
+    def test_int_subclass_entries_accepted(self):
+        assert determinant([[Level.ONE, 0], [0, Level.MINUS]]) == -1
+        assert matrix_rank([[Level.ONE, Level.ONE], [1, 1]]) == 1
 
 
 class TestRank:

@@ -10,9 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ultratree import (
+    CategoryDistanceMatrix,
     Disagreement,
+    DistanceMatrix,
     GovernorPolicy,
     PhraseTree,
+    RelationMatrix,
+    UnknownLabel,
     c_command,
     c_command_matrix,
     cu_command,
@@ -23,6 +27,7 @@ from ultratree import (
     governs,
     government_matrix,
     leaf_matrix,
+    min_distance_matrix,
     random_tree,
     theorem_check,
     tree_category_minima,
@@ -172,7 +177,31 @@ def check_command_relations(tree):
         assert [[governs(tree, a, b, POLICY) for b in ids] for a in ids] == governs_expected
 
 
-CHECKS = [check_dominance, check_leaf_matrix, check_category_minima, check_command_relations]
+def check_built_matrices(tree):
+    """The builders make their matrices without the public constructors'
+    copies and checks: each must equal the matrix those would make, with
+    exact entries of its kind, and look its labels up."""
+    built = [leaf_matrix(tree), dominance_matrix(tree), min_distance_matrix([tree])]
+    for nodes in ("leaves", "all"):
+        built += [
+            c_command_matrix(tree, nodes),
+            cu_command_matrix(tree, nodes),
+            government_matrix(tree, POLICY, nodes),
+        ]
+    for matrix in built:
+        kind = type(matrix)
+        assert kind(matrix.labels, matrix.entries) == matrix
+        assert type(matrix.labels) is tuple and all(type(row) is tuple for row in matrix.entries)
+        exact = {DistanceMatrix: {int}, RelationMatrix: {bool}, CategoryDistanceMatrix: {int, type(None)}}[kind]
+        assert {type(value) for row in matrix.entries for value in row} <= exact
+        assert [matrix.index(label) for label in matrix.labels] == list(range(matrix.size))
+        entries = [[matrix.entry(x, y) for y in matrix.labels] for x in matrix.labels]
+        assert entries == [list(row) for row in matrix.entries]
+        with pytest.raises(UnknownLabel):
+            matrix.index("not a label")
+
+
+CHECKS = [check_dominance, check_leaf_matrix, check_category_minima, check_command_relations, check_built_matrices]
 
 
 @pytest.mark.parametrize("check", CHECKS)
@@ -210,6 +239,14 @@ def test_cu_domain_distances_match_brute_lca(case):
         assert list(cu_domain(tree, a).distance_set.items()) == [
             (b, heights[brute_lca(tree, a, b)] - heights[a]) for b in peers
         ]
+
+
+@given(deep_trees_and_owners())
+@settings(max_examples=60, deadline=None)
+def test_leaf_matrix_on_deep_trees(case):
+    """Up to 40 leaves, with unary chains: the top-down rows against brute_lca."""
+    tree, _ = case
+    check_leaf_matrix(tree)
 
 
 def check_c_command_within_cu_command(tree):

@@ -123,6 +123,14 @@ class TestMatrixText:
         expected = json.dumps(matrix.to_json_dict(), indent=2).replace("\n", "\n" + "  " * level)
         assert _matrix_text(matrix, level) == expected
 
+    @settings(max_examples=400, deadline=None)
+    @given(any_matrices(), st.sampled_from([",", ",\n      ", ""]))
+    def test_row_text_is_the_joined_cells(self, matrix, sep):
+        if matrix._cell_text is None:  # the base kind writes through to_json_dict
+            return
+        for row in matrix.entries:
+            assert matrix._row_text(sep, row) == sep.join(map(matrix._cell_text, row))
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(any_matrices(), max_size=3))
     def test_single_and_list_forms(self, matrices):
