@@ -310,6 +310,8 @@ def _cmd_theorem(args) -> int:
 
 
 def _cmd_mindist(args) -> int:
+    if args.i is not None and args.format == "csv":  # the pattern report is JSON only
+        raise UltratreeError("--format: csv not used with --i")
     order = None if args.order is None else _split_csv_flag(args.order)
     if order == []:
         raise UltratreeError("--order: names no category")

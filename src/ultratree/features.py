@@ -28,7 +28,8 @@ DEFAULT_FEATURE_ROWS: Mapping[str, tuple[int, int]] = {
 
 
 class FeatureTable(_Record):
-    """(+/-N, +/-V) feature values for the four major categories."""
+    """(+/-N, +/-V) feature values for the four major categories, each a
+    tuple of two ints that are +1 or -1 (a bool or a float is refused)."""
 
     __slots__ = _fields = ("rows",)
 
@@ -36,9 +37,12 @@ class FeatureTable(_Record):
         rows = _ReadOnlyDict(rows)  # its own copy, which refuses change
         if tuple(rows) != FEATURE_CATEGORIES:
             raise UltratreeError(f"feature table must cover exactly {FEATURE_CATEGORIES}")
-        for category, (n_value, v_value) in rows.items():
-            if n_value not in (1, -1) or v_value not in (1, -1):
-                raise UltratreeError(f"feature values for {category!r} must be +1 or -1")
+        for category, pair in rows.items():
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise UltratreeError(f"feature values for {category!r} must be an (N, V) tuple, got {pair!r}")
+            for value in pair:
+                if not isinstance(value, int) or isinstance(value, bool) or value not in (1, -1):
+                    raise UltratreeError(f"feature values for {category!r} must be +1 or -1")
         _set(self, "rows", rows)
 
     @property

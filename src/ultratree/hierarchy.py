@@ -151,33 +151,16 @@ class PartialOrder(_Record):
 
     def validate(self) -> None:
         """Raise UnknownLabel for the least edge endpoint that is not a node,
-        then CyclicOrder if some node lies below itself.
+        then CyclicOrder if some node lies below itself."""
+        from graphlib import CycleError, TopologicalSorter
 
-        One depth-first walk down the incoming edges, O(nodes + edges): a
-        node reached again while still on the walk's path closes a cycle.
-        """
         unknown = {endpoint for edge in self.edges for endpoint in edge} - self.nodes
         if unknown:
             raise UnknownLabel(f"edge endpoint {min(unknown)!r} not a node")
-        incoming = self._incoming()
-        state = dict.fromkeys(self.nodes, 0)  # 0 unseen, 1 on the path, 2 done
-        for start in self.nodes:
-            if state[start]:
-                continue
-            state[start] = 1
-            path = [(start, iter(incoming[start]))]
-            while path:
-                node, below = path[-1]
-                for earlier in below:
-                    if state[earlier] == 1:
-                        raise CyclicOrder("the edge set contains a cycle")
-                    if not state[earlier]:
-                        state[earlier] = 1
-                        path.append((earlier, iter(incoming[earlier])))
-                        break
-                else:
-                    state[node] = 2
-                    path.pop()
+        try:
+            TopologicalSorter(self._incoming()).prepare()
+        except CycleError:
+            raise CyclicOrder("the edge set contains a cycle") from None
 
     def _incoming(self) -> dict[str, list[str]]:
         """Each node's direct predecessors."""

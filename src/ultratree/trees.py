@@ -88,36 +88,31 @@ class PhraseTree:
 
     ``PhraseTree(records)`` takes the preorder records ``(label, word,
     parent position)``: the root first with parent -1, a word on each leaf
-    and None on each internal node.  Node ids are the positions.  One
-    backward pass validates the records and stores each node's label, word,
-    parent, subtree end, minimum height and child count in lists by
-    position.  It raises ParseError when the records are empty or not a
-    preorder, or when a label or word is not one token (a non-empty string
-    free of whitespace and parentheses) and so could not print back; and
-    MixedNode or EmptyNode when a node has both or neither of a word and
-    children.  ``from_nested`` builds through it.  ``parse_tree``,
-    ``random_tree`` and ``enumerate_binary_trees`` make only valid
-    preorders (the parser checks its groups as it reads them), so they fill
-    the same lists in one unchecked pass instead.  ``Node`` views are built
-    on first use.  All queries are pure; instances may be shared freely
-    across threads.
+    and None on each internal node.  Node ids are the positions.  Each
+    node's label, word, parent, subtree end, minimum height and child count
+    are stored in lists by position, filled by one backward pass that every
+    builder shares.  Before it, one forward pass raises ParseError for the
+    first record, front to back, whose label or word is not one token (a
+    non-empty string free of whitespace and parentheses, so that it prints
+    back), whose parent is not an earlier record (-1 for the root), or
+    whose parent's subtree has already closed, so the records are not a
+    preorder; empty records raise it too.  After the fill, MixedNode or
+    EmptyNode names the last node in preorder with both or neither of a
+    word and children.  ``from_nested`` builds through this constructor.
+    ``parse_tree`` makes only valid preorders, so it fills the lists
+    directly and runs the same word check; ``random_tree`` and
+    ``enumerate_binary_trees`` make only valid trees and skip it.  ``Node``
+    views are built on first use.  All queries are pure; instances may be
+    shared freely across threads.
     """
 
     __slots__ = ("_label", "_word", "_up", "_end", "_height", "_arity", "_views")
 
     def __init__(self, records: Sequence[tuple[str, str | None, int]]):
-        n = len(records)
-        if not n:
+        if not records:
             raise ParseError("a tree needs at least one record")
-        labels, words = [None] * n, [None] * n  # words stay None on internal nodes
-        up = [parent for _, _, parent in records]  # -1 at the root
-        end = list(range(1, n + 1))  # one past the subtree's last position
-        size, height, arity = [1] * n, [0] * n, [0] * n  # arity: the child count
-        # Children follow their parent in preorder, so a backward pass
-        # finishes every subtree before its root is read.  In a preorder the
-        # subtree of p is exactly the records [p, end), so it holds end - p.
-        for p in range(n - 1, -1, -1):
-            label, word, parent = records[p]
+        path: list[int] = []  # the open nodes, from the root to the last record read
+        for p, (label, word, parent) in enumerate(records):
             try:  # most tokens are alphanumeric and skip the regex
                 printable = (str.isalnum(label) or _token(label)) and (
                     word is None or str.isalnum(word) or _token(word)
@@ -126,25 +121,18 @@ class PhraseTree:
                 printable = False
             if not printable:
                 raise _bad_token(p, label, word)
-            if arity[p] and word is not None:
-                raise MixedNode(f"node {label!r} has both a word and children")
-            if not arity[p] and word is None:
-                raise EmptyNode(f"node {label!r} has neither a word nor children")
-            if size[p] != end[p] - p:
-                raise ParseError(f"not a preorder: record {p}'s descendants do not directly follow it")
-            labels[p], words[p] = label, word
             if not isinstance(parent, int) or not (0 if p else -1) <= parent < p:
                 wanted = "an earlier record" if p else "-1: the first record is the root"
                 raise ParseError(f"record {p}: parent {parent} is not {wanted}")
-            if not p:
-                break
-            arity[parent] += 1
-            end[parent] = max(end[parent], end[p])
-            size[parent] += size[p]
-            height[parent] = max(height[parent], height[p] + 1)
-        self._label, self._word, self._up, self._end = labels, words, up, end
-        self._height, self._arity = height, arity
-        self._views = None  # the Node views, built on first use
+            # In a preorder each record's parent is still open: the nodes
+            # closed since then are popped, and a closed parent is not found.
+            while path and path[-1] != parent:
+                path.pop()
+            if p and not path:
+                raise ParseError(f"not a preorder: record {parent}'s descendants do not directly follow it")
+            path.append(p)
+        labels, words, up = map(list, zip(*records))
+        _check_words(_filled(labels, words, up, self))
 
     # -- construction ------------------------------------------------------
 
@@ -277,10 +265,13 @@ class PhraseTree:
         return f"PhraseTree({self.to_bracketed()!r})"
 
 
-def _filled(labels: list[str], words: list[str | None], up: list[int]) -> PhraseTree:
-    """The tree over the labels, words and parent positions of a valid
-    preorder, as this module's builders make them.  One backward pass, with
-    no checks, adds each node's subtree end, minimum height and child count."""
+def _filled(
+    labels: list[str], words: list[str | None], up: list[int], tree: PhraseTree | None = None
+) -> PhraseTree:
+    """``tree``, or a new tree, over the labels, words and parent positions
+    of a valid preorder.  One backward pass, with no checks, adds each
+    node's subtree end, minimum height and child count: children follow
+    their parent, so every subtree is finished before its root is read."""
     n = len(up)
     end, height, arity = list(range(1, n + 1)), [0] * n, [0] * n
     for p in range(n - 1, 0, -1):
@@ -291,10 +282,21 @@ def _filled(labels: list[str], words: list[str | None], up: list[int]) -> Phrase
                 height[parent] = h
         else:  # the last child, read first, ends its parent's subtree
             arity[parent], end[parent], height[parent] = 1, end[p], h
-    tree = object.__new__(PhraseTree)
+    tree = object.__new__(PhraseTree) if tree is None else tree
     tree._label, tree._word, tree._up, tree._end = labels, words, up, end
-    tree._height, tree._arity, tree._views = height, arity, None
+    tree._height, tree._arity, tree._views = height, arity, None  # views: built on first use
     return tree
+
+
+def _check_words(tree: PhraseTree) -> None:
+    """Raise MixedNode or EmptyNode for the last node in preorder that has
+    both or neither of a word and children."""
+    words, arity = tree._word, tree._arity
+    for p in range(len(words) - 1, -1, -1):
+        if (words[p] is None) == (not arity[p]):
+            if words[p] is None:
+                raise EmptyNode(f"node {tree._label[p]!r} has neither a word nor children")
+            raise MixedNode(f"node {tree._label[p]!r} has both a word and children")
 
 
 def _bad_token(p: int, label, word) -> ParseError:
@@ -351,10 +353,11 @@ def parse_tree(text: str) -> PhraseTree:
         EmptyNode: a ``()`` group, or a labeled group with no content.
         MixedNode: a group mixing a word with child groups, or several words.
 
-    One pass reads the tokens, raising a bracket, label or repeated-word
-    fault at once.  A group with both or neither of a word and children is
-    noted as it closes; if the text reads cleanly, the last such group in
-    preorder is raised, as ``PhraseTree(records)`` would report it.
+    One pass reads the tokens into preorder columns, raising a bracket,
+    label or repeated-word fault at once.  If the text reads cleanly, the
+    columns fill the tree's arrays in the pass every builder uses, and the
+    last group in preorder with both or neither of a word and children is
+    raised by the check the constructor runs.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -363,7 +366,6 @@ def parse_tree(text: str) -> PhraseTree:
         raise UnbalancedBrackets(f"expected '(' but found {tokens[0]!r}")
     labels, words, up = [], [], []  # up: parent positions, -1 at the root
     open_groups: list[int] = []
-    bad = -1  # the last position whose group has both or neither of a word and children
     pos, count = 0, len(tokens)
     while True:
         token = tokens[pos]
@@ -378,10 +380,7 @@ def parse_tree(text: str) -> PhraseTree:
             labels.append(tokens[pos])
             words.append(None)
         elif token == ")":
-            p = open_groups.pop()
-            # The group has children iff a group opened after it.
-            if (len(labels) - 1 > p) == (words[p] is not None) and p > bad:
-                bad = p
+            open_groups.pop()
             if not open_groups:
                 break
         else:
@@ -394,11 +393,9 @@ def parse_tree(text: str) -> PhraseTree:
             raise UnbalancedBrackets("missing closing parenthesis")
     if pos + 1 != count:
         raise UnbalancedBrackets("trailing content after the tree")
-    if bad >= 0:
-        if words[bad] is None:
-            raise EmptyNode(f"node {labels[bad]!r} has neither a word nor children")
-        raise MixedNode(f"node {labels[bad]!r} has both a word and children")
-    return _filled(labels, words, up)
+    tree = _filled(labels, words, up)
+    _check_words(tree)
+    return tree
 
 
 def serialize_tree(tree: PhraseTree) -> str:

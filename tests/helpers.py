@@ -111,6 +111,13 @@ def reference_parse_tree(text: str) -> PhraseTree:
     """``parse_tree`` as two passes: the token loop collects preorder
     records, then the validating constructor builds the tree and reports a
     word and children on one node, or neither, at the last such position."""
+    return PhraseTree(reference_parse_records(text))
+
+
+def reference_parse_records(text: str) -> list[list]:
+    """The token loop of ``parse_tree``: the preorder records ``[label,
+    word, parent position]`` of the groups, raising bracket, label and
+    repeated-word faults as they are read."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input")
@@ -143,7 +150,21 @@ def reference_parse_tree(text: str) -> PhraseTree:
             raise UnbalancedBrackets("missing closing parenthesis")
     if pos + 1 != len(tokens):
         raise UnbalancedBrackets("trailing content after the tree")
-    return PhraseTree(records)
+    return records
+
+
+def reference_word_fault(records) -> tuple[type, str] | None:
+    """The error type and message for the last record in preorder whose
+    node has both a word and children, or neither, with children read off
+    the parent column alone; None when every node has exactly one."""
+    parents = {parent for _, _, parent in records}
+    for p in range(len(records) - 1, -1, -1):
+        label, word, _ = records[p]
+        if word is not None and p in parents:
+            return MixedNode, f"node {label!r} has both a word and children"
+        if word is None and p not in parents:
+            return EmptyNode, f"node {label!r} has neither a word nor children"
+    return None
 
 
 def reference_build_feature_matrix(table: FeatureTable | None = None, ap_value: int = -1) -> SignMatrix:

@@ -618,6 +618,14 @@ class TestErrors:
         assert run(["mindist", "--order", "N,N"]) == 2
         assert self.one_error(capsys) == "error: --order: categories must be distinct, got 'N,N'\n"
 
+    @pytest.mark.parametrize("i", ["0", "2"])
+    def test_csv_refused_with_pattern_start(self, tmp_path, capsys, i):
+        # The pattern report is JSON only; checked before the file is read.
+        assert run(["mindist", "--order", "N,P,V,A", "--i", i, "--format", "csv"]) == 2
+        assert self.one_error(capsys) == "error: --format: csv not used with --i\n"
+        assert run(["mindist", str(tmp_path / "missing.txt"), "--i", i, "--format", "csv"]) == 2
+        assert self.one_error(capsys) == "error: --format: csv not used with --i\n"
+
     @pytest.mark.parametrize("order", ["", ",", ",,"], ids=["empty", "comma", "commas"])
     def test_empty_order_names_the_flag(self, tmp_path, capsys, order):
         # Checked before the file is read, and never read as the default order.

@@ -50,6 +50,22 @@ class TestFeatureTable:
         with pytest.raises(ValueError):
             FeatureTable({"N": (1, 0), "V": (-1, 1), "A": (1, 1), "P": (-1, -1)})
 
+    @pytest.mark.parametrize(
+        "n_row, message",
+        [
+            ((True, -1), "feature values for 'N' must be +1 or -1"),
+            ((1.0, -1), "feature values for 'N' must be +1 or -1"),
+            ((1, -1.0), "feature values for 'N' must be +1 or -1"),
+            (1, "feature values for 'N' must be an (N, V) tuple, got 1"),
+            ((1, -1, 1), "feature values for 'N' must be an (N, V) tuple, got (1, -1, 1)"),
+        ],
+        ids=["bool", "float", "second-float", "not-a-pair", "triple"],
+    )
+    def test_non_integer_values_rejected(self, n_row, message):
+        rows = {**DEFAULT_FEATURE_ROWS, "N": n_row}
+        with pytest.raises(UltratreeError, match=re.escape(message)):
+            FeatureTable(rows)
+
     def test_keeps_its_own_rows(self):
         # A later change to the caller's dict must not reach the table,
         # which would then hold a row its constructor rejects.

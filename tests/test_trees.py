@@ -30,15 +30,17 @@ from ultratree import (
     serialize_tree,
 )
 
-from ultratree.trees import _tokenize
+from ultratree.trees import _filled, _tokenize
 
 from .helpers import (
     all_tree_shapes,
     brute_heights,
     brute_lca,
+    reference_parse_records,
     reference_parse_tree,
     reference_random_records,
     reference_tokenize,
+    reference_word_fault,
 )
 
 FIGURE4 = "(S (C (A Alf) (M must)) (D (J jump) (H high)))"
@@ -465,6 +467,39 @@ class TestPhraseTreeValidation:
         with pytest.raises(ParseError, match=message):
             PhraseTree(records)
 
+    @pytest.mark.parametrize(
+        "records, error, message",
+        [
+            # Token, parent and preorder faults are read front to back ...
+            ([("X", None, -2)], ParseError, "record 0: parent -2 is not -1: the first record is the root"),
+            ([("X", None, -1), ("A B", "a", 0), ("C", None, 0)], ParseError, "record 1: label 'A B' is not"),
+            ([("X", None, -1), ("A", "a", 5), ("B", None, 0)], ParseError, "record 1: parent 5 is not an earlier"),
+            (
+                [("X", None, -1), ("Y", None, 0), ("Z", None, 0), ("A", "a", 1)],
+                ParseError,
+                "not a preorder: record 1's descendants do not directly follow it",
+            ),
+            (
+                [("X", None, -1), ("Y", None, 0), ("Z", "z", 0), ("A", "a", 1), ("B", "", 0)],
+                ParseError,
+                "not a preorder: record 1's descendants",
+            ),
+            ([("X", "w", -1), ("A", "a b", 0)], ParseError, "record 1: word 'a b' is not"),
+            # ... and only then the last node with both or neither of a word and children.
+            ([("X", "x", -1), ("A", None, 0)], EmptyNode, "node 'A' has neither a word nor children"),
+            ([("X", None, -1), ("A", None, 0), ("B", "b", 0), ("C", "c", 2)], MixedNode, "node 'B' has both"),
+        ],
+        ids=[
+            "parent-before-empty", "token-before-empty", "parent-before-later-empty",
+            "preorder-before-empty", "preorder-before-later-token", "token-before-mixed",
+            "last-word-fault-empty", "last-word-fault-mixed",
+        ],
+    )
+    def test_several_faults_in_order(self, records, error, message):
+        with pytest.raises(error, match=message) as caught:
+            PhraseTree(records)
+        assert type(caught.value) is error
+
     @given(records=RECORD_SEQUENCES)
     @settings(max_examples=300, deadline=None)
     def test_records_build_or_raise(self, records):
@@ -557,6 +592,27 @@ class TestArrays:
         assert other != tree and tree != other
         assert other == PhraseTree(changed) and hash(other) == hash(PhraseTree(changed))
 
+    @given(records=preorder_records())
+    @settings(max_examples=300, deadline=None)
+    def test_constructor_fills_as_the_builders(self, records):
+        tree = PhraseTree(records)
+        filled = _filled(*map(list, zip(*records)))
+        assert (tree._end, tree._height, tree._arity) == (filled._end, filled._height, filled._arity)
+        assert dict(enumerate(tree._height)) == brute_heights(tree)
+
+    @given(records=preorder_records(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_constructor_word_fault_matches_the_oracle(self, records, data):
+        # A valid preorder with words redrawn: the constructor raises the
+        # oracle's word/children fault, or builds when there is none.
+        records = [(label, data.draw(st.none() | st.just("w")), parent) for label, _, parent in records]
+        try:
+            PhraseTree(records)
+            outcome = None
+        except ParseError as exc:
+            outcome = type(exc), str(exc)
+        assert outcome == reference_word_fault(records)
+
 
 def arrays(tree):
     return tree._label, tree._word, tree._up, tree._end, tree._height, tree._arity
@@ -644,3 +700,17 @@ class TestParseMatchesReference:
     def test_several_faults(self, text, error, message):
         assert parse_outcome(parse_tree, text) == (error, message)
         assert parse_outcome(reference_parse_tree, text) == (error, message)
+
+    @given(text=PARSE_TEXTS)
+    @settings(max_examples=1000, deadline=None)
+    def test_word_fault_matches_the_oracle(self, text):
+        # reference_parse_tree shares the word check with parse_tree; this
+        # oracle reads the faulty node off the records' parent column.
+        try:
+            expected = reference_word_fault(reference_parse_records(text))
+        except ParseError as exc:
+            expected = type(exc), str(exc)
+        if expected:
+            assert parse_outcome(parse_tree, text) == expected
+        else:
+            parse_tree(text)
