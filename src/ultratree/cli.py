@@ -6,7 +6,9 @@ documents.  Exit codes separate outcomes so pipelines can branch on them:
 * 0: the analysis ran and found nothing wrong,
 * 1: the analysis ran and found violations (failed axioms, theorem
   disagreements, a failed pattern check, trees over the complexity bound),
-* 2: the input could not be read or parsed (an UltratreeError or OSError).
+* 2: the input could not be read or parsed (an UltratreeError or OSError),
+* 141: stdout was closed before the output was written (128 + SIGPIPE, as a
+  shell reports a writer that a closed pipe killed); stderr stays empty.
 
 Tree files hold one bracketed tree per line; ``#`` starts a comment line and
 blank lines are ignored.  Matrix documents are JSON objects with ``labels``
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from collections.abc import Sequence
 from functools import cache, partial
@@ -42,6 +45,7 @@ from .ultrametric import _check_axioms, _TriangleClasses, _triangles, leaf_matri
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_INPUT_ERROR = 2
+EXIT_CLOSED_STDOUT = 141
 
 # The public operations whose results each subcommand reports.  A subcommand
 # may compute them on a private path rather than call them: check runs
@@ -537,10 +541,20 @@ def run(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
+    except BrokenPipeError:  # a closed stdout, not bad input; main() ends the run
+        raise
     except (UltratreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 
 def main() -> None:
-    sys.exit(run())
+    # The Python docs' "Note on SIGPIPE": flush inside the try, then point
+    # stdout at devnull so the flush at exit cannot fail a second time.
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_CLOSED_STDOUT)
+    sys.exit(code)

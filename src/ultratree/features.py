@@ -68,7 +68,7 @@ def build_feature_matrix(
     balances the matrix at eight positive and eight negative entries).
     """
     table = FeatureTable() if table is None else table
-    if ap_value not in (1, -1):
+    if not isinstance(ap_value, int) or isinstance(ap_value, bool) or ap_value not in (1, -1):
         raise UltratreeError("ap_value must be +1 or -1")
     (nn, nv), (vn, vv), (an, av), (pn, pv) = table.rows.values()
     if nv != vn:

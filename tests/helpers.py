@@ -7,9 +7,14 @@ the node structure so library results can be checked against a second path.
 from __future__ import annotations
 
 import enum
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from typing import Iterator
 
+import ultratree
 from ultratree import (
     EmptyNode,
     FeatureTable,
@@ -331,3 +336,25 @@ def all_tree_shapes(node_count: int):
 
     for shape in shapes(node_count):
         yield to_nested(shape, [0])
+
+
+def python_command(*args: str) -> list[str]:
+    """argv for a fresh interpreter with this one's ``-X dev`` and ``-W``
+    options, so a child runs under the same warning rules as the tests."""
+    dev = ["-X", "dev"] if sys.flags.dev_mode else []
+    return [sys.executable, *dev, *(f"-W{option}" for option in sys.warnoptions), *args]
+
+
+def python_env(**extra: str) -> dict[str, str]:
+    """This environment with the imported ``ultratree`` first on PYTHONPATH."""
+    src = str(Path(ultratree.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def run_python(*args: str, text: bool = True, timeout: float = 60, **env: str) -> subprocess.CompletedProcess:
+    """Run ``args`` in a fresh interpreter (python_command, python_env with
+    ``env`` added) and capture its output."""
+    return subprocess.run(
+        python_command(*args), capture_output=True, text=text, env=python_env(**env), timeout=timeout
+    )

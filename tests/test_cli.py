@@ -1,9 +1,7 @@
 """The command-line surface: outputs, exit codes, determinism, coverage."""
 
-import hashlib
 import importlib
 import json
-import os
 import subprocess
 import sys
 from functools import partial
@@ -26,6 +24,7 @@ from ultratree import (
 from ultratree.cli import COMMAND_OPERATIONS, run
 
 from . import helpers as fx
+from .pins import INPUTS
 
 # Every public operation must be reachable from at least one subcommand.
 SPEC_OPERATIONS = {
@@ -410,31 +409,6 @@ class TestRandtestCommand:
         assert run(["randtest", "--seed", "7", "--trees", "20", "--counterexamples", str(out)]) == 0
         assert get_json(capsys)["disagreements"] == []
         assert json.loads(out.read_text()) == []
-
-
-class TestPinnedOutput:
-    """Stdout sha256 of two theorem sweeps over internal nodes, which have
-    disagreements: any change to a relation, or to the order of the
-    disagreements, changes the digest."""
-
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (
-                ["--seed", "0", "--exhaustive-leaves", "8"],
-                "6c58fa103403a7e2293fbe55eb53c19364d65ac35ef4d08fc908a563c65ae43f",
-            ),
-            (
-                ["--seed", "5", "--trees", "300", "--max-leaves", "10"],
-                "6afedbe2510e94753c0352affa1c0b131cee2301a7278287ca24200fe735b4fe",
-            ),
-        ],
-        ids=["exhaustive-8", "random-300"],
-    )
-    def test_randtest_all_nodes(self, capsys, argv, digest):
-        assert run(["randtest", *argv, "--nodes", "all"]) == 1
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDeepInput:
@@ -910,30 +884,31 @@ class TestParserReuse:
 class TestEntryPoint:
     """``python -m ultratree`` runs main() in a process of its own."""
 
-    @staticmethod
-    def python(*args: str) -> subprocess.CompletedProcess:
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, *args],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=60,
-        )
-
     @pytest.mark.parametrize("use_matrix", [False, True], ids=["tree", "matrix"])
     def test_module_matches_run(self, tree_file, printed_third, capsys, use_matrix):
         argv = ["check", "--matrix", printed_third] if use_matrix else ["check", tree_file]
         code = run(argv)
         out = capsys.readouterr().out
-        child = self.python("-m", "ultratree", *argv)
+        child = fx.run_python("-m", "ultratree", *argv)
         assert (child.returncode, child.stdout) == (code, out)
         assert code == (1 if use_matrix else 0)
 
     def test_import_builds_no_parser(self):
-        child = self.python("-c", "import ultratree.cli as c; print(c._parser.cache_info().currsize)")
+        child = fx.run_python("-c", "import ultratree.cli as c; print(c._parser.cache_info().currsize)")
         assert (child.returncode, child.stdout) == (0, "0\n")
+
+    def test_closed_stdout_exits_141_with_empty_stderr(self, tmp_path):
+        tree = tmp_path / "t300"
+        tree.write_text(INPUTS["t300"])
+        command = fx.python_command("-m", "ultratree", "dominance", str(tree))
+        env = fx.python_env(PYTHONUNBUFFERED="")  # empty is unset: stdout is block-buffered
+        with open(tmp_path / "err", "wb") as err, subprocess.Popen(
+            command, stdout=subprocess.PIPE, stderr=err, env=env
+        ) as child:
+            assert child.stdout.read(10)
+            child.stdout.close()
+            assert child.wait(timeout=60) == 141
+        assert (tmp_path / "err").read_bytes() == b""
 
 
 class TestStartup:

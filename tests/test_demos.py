@@ -1,11 +1,10 @@
 """Each demo script runs to completion against the library in this checkout."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from . import helpers as fx
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -13,12 +12,5 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(demo)],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    result = fx.run_python(str(demo))
     assert result.returncode == 0, result.stderr

@@ -103,8 +103,9 @@ class TestBuildFeatureMatrix:
                 assert sign.entry(x, y) == sign.entry(y, x)
 
     def test_bad_ap_value(self):
-        with pytest.raises(ValueError):
-            build_feature_matrix(ap_value=0)
+        for ap_value in (0, True, 1.0, -1.0):
+            with pytest.raises(ValueError, match="ap_value must be"):
+                build_feature_matrix(ap_value=ap_value)
 
     @pytest.mark.parametrize("ap_value", [-1, 1, 0])
     def test_every_table_matches_the_mirror_loop(self, ap_value):

@@ -2,12 +2,8 @@
 
 import itertools
 import json
-import os
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,8 +21,9 @@ from ultratree import (
     check_strategy,
     load_berlin_kay_order,
 )
-from ultratree import hierarchy
 from ultratree.hierarchy import check_document
+
+from . import helpers as fx
 
 
 def strategy(covered, primary=False, name="s"):
@@ -310,13 +307,9 @@ class TestFaultChoiceIsDeterministic:
     def test_same_message_under_two_hash_seeds(self, tmp_path, document, message):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(document))
-        src = str(Path(hierarchy.__file__).resolve().parents[1])
         errors = set()
         for seed in ("0", "1"):
-            env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-                   "PYTHONHASHSEED": seed}
-            child = subprocess.run([sys.executable, "-m", "ultratree", "hierarchy", str(path)],
-                                   capture_output=True, text=True, env=env, timeout=60)
+            child = fx.run_python("-m", "ultratree", "hierarchy", str(path), PYTHONHASHSEED=seed)
             assert (child.returncode, child.stdout) == (2, "")
             errors.add(child.stderr)
         assert errors == {f"error: {path}: {message}\n"}
