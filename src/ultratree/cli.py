@@ -7,6 +7,8 @@ documents.  Exit codes separate outcomes so pipelines can branch on them:
 * 1: the analysis ran and found violations (failed axioms, theorem
   disagreements, a failed pattern check, trees over the complexity bound),
 * 2: the input could not be read or parsed (an UltratreeError or OSError),
+  the run ran out of memory, or stdout's encoding cannot write the output;
+  one ``error:`` line goes to stderr and nothing to stdout,
 * 141: stdout was closed before the output was written (128 + SIGPIPE, as a
   shell reports a writer that a closed pipe killed); stderr stays empty.
 
@@ -99,12 +101,6 @@ COMMAND_OPERATIONS = {
 }
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
 def _json_text(obj, level: int = 0) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, for ``obj`` nested
     ``level`` containers deep.
@@ -140,10 +136,6 @@ def _json_text(obj, level: int = 0) -> str:
     return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * level)
 
 
-def _emit_json(obj) -> None:
-    _emit(_json_text(obj))
-
-
 def _json_list(items: list[str]) -> str:
     """``json.dumps(indent=2)``'s list of items laid out one level deep."""
     return "[\n  " + ",\n  ".join(items) + "\n]" if items else "[]"
@@ -167,14 +159,12 @@ def _matrix_text(m, level: int = 0) -> str:
     )
 
 
-def _emit_matrices(matrices, fmt: str, single: bool = False) -> None:
+def _matrices_text(matrices, fmt: str, single: bool = False) -> str:
     if fmt == "json":
         if single:
-            _emit(_matrix_text(matrices[0]))
-        else:
-            _emit(_json_list([_matrix_text(m, 1) for m in matrices]))
-    else:
-        _emit("\n".join(m.to_csv() for m in matrices))
+            return _matrix_text(matrices[0])
+        return _json_list([_matrix_text(m, 1) for m in matrices])
+    return "\n".join(m.to_csv() for m in matrices)
 
 
 def _read_json(path: str):
@@ -210,9 +200,9 @@ def _distance_matrices(args, sources: str) -> list[DistanceMatrix]:
     return [DistanceMatrix.from_json_dict(_read_json(args.matrix), source=args.matrix)]
 
 
-def _cmd_matrix(args) -> int:
-    _emit_matrices(_distance_matrices(args, "a tree file or --xbar"), args.format, single=args.xbar)
-    return EXIT_OK
+def _cmd_matrix(args) -> tuple[int, str]:
+    matrices = _distance_matrices(args, "a tree file or --xbar")
+    return EXIT_OK, _matrices_text(matrices, args.format, single=args.xbar)
 
 
 # One record of the ``check`` JSON list, as json.dumps(records, indent=2)
@@ -222,7 +212,7 @@ _CHECK_MATRIX_JSON = '{\n    "axiom": "%s",\n    "indices": [\n      %s\n    ]\n
 _CHECK_JSON = '{\n    "tree": %d,' + _CHECK_MATRIX_JSON[1:]
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[int, str]:
     faults = [
         (tree, axiom, indices)
         for tree, matrix in enumerate(_distance_matrices(args, "a tree file or --matrix"))
@@ -231,14 +221,14 @@ def _cmd_check(args) -> int:
     ]
     if args.format == "csv":  # no field holds a comma, quote or newline
         rows = ["%d,%s,%s\n" % (tree, axiom, " ".join(map(str, indices))) for tree, axiom, indices in faults]
-        _emit("tree,axiom,indices\n" + "".join(rows))
+        text = "tree,axiom,indices\n" + "".join(rows)
     else:
         if args.matrix:
             records = [_CHECK_MATRIX_JSON % (axiom, ",\n      ".join(map(str, i))) for _, axiom, i in faults]
         else:
             records = [_CHECK_JSON % (tree, axiom, ",\n      ".join(map(str, i))) for tree, axiom, i in faults]
-        _emit(_json_list(records))
-    return EXIT_VIOLATIONS if faults else EXIT_OK
+        text = _json_list(records)
+    return (EXIT_VIOLATIONS if faults else EXIT_OK), text
 
 
 # A ``triangles`` JSON record and its separator, as json.dumps(records,
@@ -285,19 +275,17 @@ def _triangle_text(matrices, fmt: str) -> str:
     return "".join(parts) or "[]"
 
 
-def _cmd_triangles(args) -> int:
+def _cmd_triangles(args) -> tuple[int, str]:
     matrices = _distance_matrices(args, "a tree file, --matrix, or --xbar")
     if args.matrix and matrices[0].size < 3:  # the --xbar template has 3 labels
         raise TooFewLabels(f"{args.matrix}: need at least 3 labels, got {matrices[0].size}")
-    _emit(_triangle_text(matrices, args.format))
-    return EXIT_OK
+    return EXIT_OK, _triangle_text(matrices, args.format)
 
 
-def _cmd_relation(args) -> int:
+def _cmd_relation(args) -> tuple[int, str]:
     """One matrix per tree, built by the function ``args.build(args)`` returns."""
     build = args.build(args)
-    _emit_matrices([build(t) for t in parse_tree_file(args.file)], args.format)
-    return EXIT_OK
+    return EXIT_OK, _matrices_text([build(t) for t in parse_tree_file(args.file)], args.format)
 
 
 def _government_builder(args):
@@ -307,13 +295,12 @@ def _government_builder(args):
     return partial(government_matrix, policy=policy, nodes=args.nodes)
 
 
-def _cmd_theorem(args) -> int:
+def _cmd_theorem(args) -> tuple[int, str]:
     report = theorem_report(parse_tree_file(args.file), nodes=args.nodes)
-    _emit_json(report)
-    return EXIT_VIOLATIONS if report["disagreements"] else EXIT_OK
+    return (EXIT_VIOLATIONS if report["disagreements"] else EXIT_OK), _json_text(report)
 
 
-def _cmd_mindist(args) -> int:
+def _cmd_mindist(args) -> tuple[int, str]:
     if args.i is not None and args.format == "csv":  # the pattern report is JSON only
         raise UltratreeError("--format: csv not used with --i")
     order = None if args.order is None else _split_csv_flag(args.order)
@@ -329,33 +316,30 @@ def _cmd_mindist(args) -> int:
         corpus = load_category_corpus()
     matrix = min_distance_matrix(corpus, categories=order)
     if args.i is None:
-        _emit_matrices([matrix], args.format, single=True)
-        return EXIT_OK
+        return EXIT_OK, _matrices_text([matrix], args.format, single=True)
     pattern_order = order if order else list(matrix.labels)
     matches = check_nested_pattern(matrix, pattern_order, args.i)
-    _emit_json(
-        {
-            "matrix": matrix.to_json_dict(),
-            "pattern_order": pattern_order,
-            "pattern_start": args.i,
-            "pattern_matches": matches,
-        }
-    )
-    return EXIT_OK if matches else EXIT_VIOLATIONS
+    report = {
+        "matrix": matrix.to_json_dict(),
+        "pattern_order": pattern_order,
+        "pattern_start": args.i,
+        "pattern_matches": matches,
+    }
+    return (EXIT_OK if matches else EXIT_VIOLATIONS), _json_text(report)
 
 
-def _cmd_complexity(args) -> int:
+def _cmd_complexity(args) -> tuple[int, str]:
     corpus = parse_tree_file(args.file)
     report = complexity(corpus, bound=args.bound)
     if args.format == "json":
-        _emit_json(report.to_json_dict())
+        text = _json_text(report.to_json_dict())
     else:  # no field holds a comma, quote or newline
         rows = ["%d,%d,%d\n" % (i, h, i in report.exceeding) for i, h in report.per_tree]
-        _emit("tree,height,over_bound\n" + "".join(rows))
-    return EXIT_VIOLATIONS if report.exceeding else EXIT_OK
+        text = "tree,height,over_bound\n" + "".join(rows)
+    return (EXIT_VIOLATIONS if report.exceeding else EXIT_OK), text
 
 
-def _cmd_features(args) -> int:
+def _cmd_features(args) -> tuple[int, str]:
     from .data import load_category_corpus
     from .features import FeatureTable, build_feature_matrix, compare_feature_vs_ultrametric
     from .features import determinant, matrix_rank, pauli_assembly
@@ -390,19 +374,17 @@ def _cmd_features(args) -> int:
         ],
         "comparison": comparison,
     }
-    _emit_json(report)
-    return EXIT_OK
+    return EXIT_OK, _json_text(report)
 
 
-def _cmd_hierarchy(args) -> int:
+def _cmd_hierarchy(args) -> tuple[int, str]:
     from .hierarchy import check_document
 
     report, passed = check_document(_read_json(args.file), source=args.file)
-    _emit_json(report)
-    return EXIT_OK if passed else EXIT_VIOLATIONS
+    return (EXIT_OK if passed else EXIT_VIOLATIONS), _json_text(report)
 
 
-def _cmd_randtest(args) -> int:
+def _cmd_randtest(args) -> tuple[int, str]:
     if args.exhaustive_leaves is not None:
         for flag in ("trees", "max_leaves", "arity"):  # they shape random trees only
             if getattr(args, flag) is not None:
@@ -423,11 +405,10 @@ def _cmd_randtest(args) -> int:
             arity="mixed:4" if args.arity is None else args.arity,
             nodes=args.nodes,
         )
-    if args.counterexamples:  # every run, a clean one as []; first: a fault exits 2 with empty stdout
+    if args.counterexamples:  # every run, a clean one as []
         with open(args.counterexamples, "w", encoding="utf-8") as handle:
             handle.write(_json_text(report["disagreements"]))
-    _emit_json(report)
-    return EXIT_VIOLATIONS if report["disagreements"] else EXIT_OK
+    return (EXIT_VIOLATIONS if report["disagreements"] else EXIT_OK), _json_text(report)
 
 
 # -- parser ------------------------------------------------------------------
@@ -540,9 +521,21 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code, text = args.handler(args)
+        # The one write to stdout, after the analysis: a failed run writes
+        # nothing.  A text stream encodes all of the text before it writes a byte.
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError as exc:
+            raise UltratreeError(f"stdout: {exc}") from None
+        if text and not text.endswith("\n"):
+            sys.stdout.write("\n")  # text + "\n" would copy the whole output
+        return code
     except BrokenPipeError:  # a closed stdout, not bad input; main() ends the run
         raise
+    except MemoryError:
+        print(f"error: {args.command}: out of memory", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     except (UltratreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -352,9 +352,17 @@ def python_env(**extra: str) -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": path, **extra}
 
 
-def run_python(*args: str, text: bool = True, timeout: float = 60, **env: str) -> subprocess.CompletedProcess:
+def run_python(
+    *args: str, text: bool = True, timeout: float = 60, preexec_fn=None, **env: str
+) -> subprocess.CompletedProcess:
     """Run ``args`` in a fresh interpreter (python_command, python_env with
-    ``env`` added) and capture its output."""
+    ``env`` added) and capture its output; ``preexec_fn`` runs in the child
+    before the interpreter starts."""
     return subprocess.run(
-        python_command(*args), capture_output=True, text=text, env=python_env(**env), timeout=timeout
+        python_command(*args),
+        capture_output=True,
+        text=text,
+        env=python_env(**env),
+        timeout=timeout,
+        preexec_fn=preexec_fn,
     )

@@ -1,6 +1,8 @@
 """The command-line surface: outputs, exit codes, determinism, coverage."""
 
+import contextlib
 import importlib
+import io
 import json
 import subprocess
 import sys
@@ -92,10 +94,16 @@ class TestMatrixCommand:
             }
         ]
 
-    def test_csv(self, tree_file, capsys):
+    def test_csv(self, tree_file, tmp_path, capsys):
         assert run(["matrix", tree_file, "--format", "csv"]) == 0
         out = capsys.readouterr().out
         assert out.startswith(",A,M,J,H\nA,0,1,2,2\n")
+        # A file of comments holds no trees: no CSV document, not a blank line.
+        comments = tmp_path / "comments.txt"
+        comments.write_text("# no trees\n")
+        for command in ("matrix", "dominance", "ccommand", "cucommand", "govern"):
+            assert run([command, str(comments), "--format", "csv"]) == 0
+            assert capsys.readouterr().out == ""
 
     def test_xbar(self, capsys):
         assert run(["matrix", "--xbar", "--i", "1"]) == 0
@@ -730,6 +738,19 @@ class TestErrors:
         assert run(["triangles", "--format", fmt, "--matrix", str(path)]) == 2
         assert self.one_error(capsys) == f"error: {path}: labels[2]: expected a string of Unicode text\n"
 
+    @pytest.mark.parametrize(
+        "command", ["matrix", "triangles", "dominance", "ccommand", "cucommand", "govern", "mindist"]
+    )
+    def test_stdout_that_cannot_encode_the_output(self, tmp_path, capsys, command):
+        path = tmp_path / "t.txt"
+        path.write_text("(VP (V café) (É b) (N c))\n", encoding="utf-8")
+        out = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        with contextlib.redirect_stdout(out):
+            assert run([command, str(path), "--format", "csv"]) == 2
+        out.flush()
+        assert out.buffer.getvalue() == b""
+        assert self.one_error(capsys).startswith("error: stdout: 'ascii' codec can't encode character ")
+
     def test_randtest_max_leaves_below_one(self, capsys):
         assert run(["randtest", "--seed", "1", "--trees", "3", "--max-leaves", "0"]) == 2
         captured = capsys.readouterr()
@@ -896,6 +917,23 @@ class TestEntryPoint:
     def test_import_builds_no_parser(self):
         child = fx.run_python("-c", "import ultratree.cli as c; print(c._parser.cache_info().currsize)")
         assert (child.returncode, child.stdout) == (0, "0\n")
+
+    def test_out_of_memory_exits_2(self, tmp_path):
+        resource = pytest.importorskip("resource")
+
+        def limit_memory():  # in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+
+        # A 20,000-leaf right-branching chain: every matrix over it needs gigabytes.
+        leaves = 20_000
+        tree = tmp_path / "chain.txt"
+        tree.write_text("(X (W w) " * (leaves - 1) + "(W w)" + ")" * (leaves - 1) + "\n")
+        for argv in (
+            ["matrix"], ["check"], ["triangles"], ["dominance"],
+            ["ccommand", "--nodes", "all"], ["cucommand", "--nodes", "all"], ["govern"],
+        ):
+            child = fx.run_python("-m", "ultratree", argv[0], str(tree), *argv[1:], preexec_fn=limit_memory)
+            assert (child.returncode, child.stdout, child.stderr) == (2, "", f"error: {argv[0]}: out of memory\n")
 
     def test_closed_stdout_exits_141_with_empty_stderr(self, tmp_path):
         tree = tmp_path / "t300"

@@ -3,10 +3,11 @@
 Every subcommand that reads a file is fed arbitrary bytes, JSON documents
 (matrix- and hierarchy-shaped, ill-typed ones included) and bracketed text
 through ``run()``.  Whatever the input, no exception escapes, the exit code
-is 0, 1 or 2, and exit 2 prints exactly one ``error:`` line.  When the input
-is a read fault by construction (bytes that are not UTF-8, text that is not
-JSON, a non-integer or ``true`` matrix entry, repeated matrix labels, a tree
-line with unbalanced brackets), that line names the file.
+is 0, 1 or 2, and exit 2 prints exactly one ``error:`` line and nothing to
+stdout.  When the input is a read fault by construction (bytes that are not
+UTF-8, text that is not JSON, a non-integer or ``true`` matrix entry,
+repeated matrix labels, a tree line with unbalanced brackets), that line
+names the file.
 """
 
 import contextlib
@@ -159,13 +160,14 @@ def _read_fault(command: str, raw: bytes) -> bool:
 
 
 def _run(argv):
-    """``run(argv)`` with stdout and stderr as strict UTF-8 text streams."""
+    """``run(argv)`` with stdout and stderr as strict UTF-8 text streams: the
+    exit code, the bytes written to stdout and the stderr text."""
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
     err = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     out.flush()
-    return code, err.getvalue()
+    return code, out.buffer.getvalue(), err.getvalue()
 
 
 @given(data=st.data())
@@ -179,12 +181,13 @@ def test_exit_contract(tmp_path, data):
     raw = data.draw(_inputs(command), label="raw")
     path = tmp_path / "input"
     path.write_bytes(raw)
-    code, err = _run([*COMMANDS[command], str(path)])
+    code, out, err = _run([*COMMANDS[command], str(path)])
     assert code in (0, 1, 2)
     if code != 2:
         assert err == ""
         assert not _read_fault(command, raw), "a read fault was not reported"
         return
+    assert out == b""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     if command in ALWAYS_NAMED or _read_fault(command, raw):
         assert str(path) in err

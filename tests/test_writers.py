@@ -32,7 +32,7 @@ from ultratree import (
     leaf_matrix,
     random_tree,
 )
-from ultratree.cli import _emit_matrices, _json_text, _matrix_text, _triangle_text, run
+from ultratree.cli import _json_text, _matrices_text, _matrix_text, _triangle_text, run
 
 from . import helpers as fx
 
@@ -110,10 +110,8 @@ def any_matrices(draw):
 
 
 def emitted(matrices, single: bool) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        _emit_matrices(matrices, "json", single=single)
-    return out.getvalue()
+    """The JSON text as run() writes it: a JSON text never ends in a newline."""
+    return _matrices_text(matrices, "json", single=single) + "\n"
 
 
 class TestMatrixText:
@@ -183,11 +181,8 @@ class TestMatrixCsv:
 
     @given(st.lists(any_matrices(), max_size=3))
     def test_documents_joined_by_blank_line(self, matrices):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            _emit_matrices(matrices, "csv")
-        text = "\n".join(map(reference_matrix_csv, matrices))
-        assert out.getvalue() == text + ("" if text.endswith("\n") else "\n")
+        # Every document ends in a newline, so run() adds none.
+        assert _matrices_text(matrices, "csv") == "\n".join(map(reference_matrix_csv, matrices))
 
     def test_entry_texts(self):
         assert RelationMatrix(("a", "b"), ((1, 0), (True, None))).to_csv() == ",a,b\na,1,0\nb,1,0\n"
