@@ -23,7 +23,6 @@ _MODULE_EXPORTS = {
         " government_matrix governs random_theorem_suite same_height_distance theorem_check"
         " theorem_report"
     ),
-    "data": "load_berlin_kay_order load_category_corpus",
     "errors": (
         "BadAritySpec BadMatrixDocument CyclicOrder DuplicateVertex EmptyCorpus EmptyNode"
         " EmptyPolicy HeightMismatch MissingEntry MixedNode NoBranchingAncestor NonSquare"
@@ -36,11 +35,11 @@ _MODULE_EXPORTS = {
     ),
     "hierarchy": (
         "ACCESSIBILITY_HIERARCHY Chain ConstraintViolation PartialOrder Strategy check_document"
-        " check_downset check_language check_strategy"
+        " check_downset check_language check_strategy load_berlin_kay_order"
     ),
     "lexdist": (
         "DEFAULT_CATEGORY_ORDER ComplexityReport check_nested_pattern complexity"
-        " min_distance_matrix tree_category_minima"
+        " load_category_corpus min_distance_matrix tree_category_minima"
     ),
     "matrix": "CategoryDistanceMatrix DistanceMatrix LabeledMatrix RelationMatrix SignMatrix",
     "trees": (

@@ -21,7 +21,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -38,9 +37,9 @@ from .command import (
     random_theorem_suite,
     theorem_report,
 )
-from .errors import EmptyPolicy, MissingEntry, TooFewLabels, UltratreeError, _read_utf8
-from .lexdist import check_nested_pattern, complexity, min_distance_matrix
-from .matrix import CategoryDistanceMatrix, DistanceMatrix
+from .errors import EmptyCorpus, EmptyPolicy, MissingEntry, TooFewLabels, UltratreeError, _read_json
+from .lexdist import check_nested_pattern, complexity, load_category_corpus, min_distance_matrix
+from .matrix import CategoryDistanceMatrix, DistanceMatrix, _csv
 from .trees import dominance_matrix, enumerate_binary_trees, parse_tree_file
 from .ultrametric import _check_axioms, _TriangleClasses, _triangles, leaf_matrix, xbar_template
 
@@ -127,8 +126,6 @@ def _json_text(obj, level: int = 0) -> str:
         pad = "\n" + "  " * (level + 1)
         if kind is dict:
             items = [f"{_quote(key)}: {_json_text(value, level + 1)}" for key, value in obj.items()]
-        elif all(type(value) is int for value in obj):
-            items = map(int.__repr__, obj)
         else:
             items = [_json_text(value, level + 1) for value in obj]
         start, end = "[]" if kind is list else "{}"
@@ -165,17 +162,6 @@ def _matrices_text(matrices, fmt: str, single: bool = False) -> str:
             return _matrix_text(matrices[0])
         return _json_list([_matrix_text(m, 1) for m in matrices])
     return "\n".join(m.to_csv() for m in matrices)
-
-
-def _read_json(path: str):
-    """The JSON document in a UTF-8 file; every fault names the file."""
-    text = _read_utf8(path)  # outside the try: its UltratreeError is a ValueError
-    # A JSONDecodeError gives the line and column.  Other ValueErrors report
-    # an integer too long to convert, and RecursionError nesting too deep.
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise UltratreeError(f"{path}: {exc}") from None
 
 
 def _split_csv_flag(value: str) -> list[str]:
@@ -219,16 +205,15 @@ def _cmd_check(args) -> tuple[int, str]:
         for part in _check_axioms(matrix)
         for axiom, indices in part
     ]
-    if args.format == "csv":  # no field holds a comma, quote or newline
-        rows = ["%d,%s,%s\n" % (tree, axiom, " ".join(map(str, indices))) for tree, axiom, indices in faults]
-        text = "tree,axiom,indices\n" + "".join(rows)
+    code = EXIT_VIOLATIONS if faults else EXIT_OK
+    if args.format == "csv":
+        rows = [(tree, axiom, " ".join(map(str, indices))) for tree, axiom, indices in faults]
+        return code, _csv(("tree", "axiom", "indices"), rows)
+    if args.matrix:
+        records = [_CHECK_MATRIX_JSON % (axiom, ",\n      ".join(map(str, i))) for _, axiom, i in faults]
     else:
-        if args.matrix:
-            records = [_CHECK_MATRIX_JSON % (axiom, ",\n      ".join(map(str, i))) for _, axiom, i in faults]
-        else:
-            records = [_CHECK_JSON % (tree, axiom, ",\n      ".join(map(str, i))) for tree, axiom, i in faults]
-        text = _json_list(records)
-    return (EXIT_VIOLATIONS if faults else EXIT_OK), text
+        records = [_CHECK_JSON % (tree, axiom, ",\n      ".join(map(str, i))) for tree, axiom, i in faults]
+    return code, _json_list(records)
 
 
 # A ``triangles`` JSON record and its separator, as json.dumps(records,
@@ -241,26 +226,23 @@ _ISOSCELES_TAIL = _TRIANGLE_TAIL.replace('"%s"', '"isosceles"').replace("null", 
 
 def _triangle_text(matrices, fmt: str) -> str:
     """Every triangle of every matrix, the matrix's index as its tree.  A
-    matrix of fewer than 3 labels has no triples and adds no records.  A JSON
-    record is a head per position pair and a tail per distinct side triple,
-    joined once.  CSV rows are classified per triple: beside the csv writer,
-    a memo's misses cost a fifth more where no side triple repeats."""
+    matrix of fewer than 3 labels has no triples and adds no records.  Each
+    distinct side triple is classified once, by ``_TriangleClasses``.  A JSON
+    record is a head per position pair and a tail per side triple, joined
+    once; a CSV row is the tree, the vertices and the triple's cells."""
     if fmt == "csv":
-        import csv  # only CSV output pays for it
-
-        def row(tree, vertices, key):
-            a, b, c = sorted(key)
-            kind = "equilateral" if a == c else "isosceles" if b == c else "violating"
-            return tree, vertices, kind, "%d %d %d" % (a, b, c), "%d" % a if kind == "isosceles" else ""
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(("tree", "vertices", "kind", "sides", "base"))
-        for tree, matrix in enumerate(matrices):
-            labels = matrix.labels
-            for x, y, keys in _triangles(matrix.entries):
-                writer.writerows(map(row, repeat(tree), map(f"{labels[x]} {labels[y]} ".__add__, labels[y + 1 :]), keys))
-        return buffer.getvalue()
+        cells = _TriangleClasses(
+            lambda kind, a, b, c: (kind, "%d %d %d" % (a, b, c), "%d" % a if kind == "isosceles" else "")
+        )
+        return _csv(
+            ("tree", "vertices", "kind", "sides", "base"),
+            (
+                (tree, f"{m.labels[x]} {m.labels[y]} {z}", *cells[key])
+                for tree, m in enumerate(matrices)
+                for x, y, keys in _triangles(m.entries)
+                for z, key in zip(m.labels[y + 1 :], keys)
+            ),
+        )
     classes = _TriangleClasses(
         lambda kind, a, b, c: _ISOSCELES_TAIL % (a, b, c, a) if kind == "isosceles" else _TRIANGLE_TAIL % (kind, a, b, c)
     )
@@ -308,12 +290,9 @@ def _cmd_mindist(args) -> tuple[int, str]:
         raise UltratreeError("--order: names no category")
     if order and len(set(order)) < len(order):
         raise UltratreeError(f"--order: categories must be distinct, got {args.order!r}")
-    if args.file:
-        corpus = parse_tree_file(args.file)
-    else:
-        from .data import load_category_corpus
-
-        corpus = load_category_corpus()
+    corpus = parse_tree_file(args.file) if args.file else load_category_corpus()
+    if not corpus:  # the bundled corpus has trees, so the file named holds none
+        raise EmptyCorpus(f"{args.file}: corpus has no trees")
     matrix = min_distance_matrix(corpus, categories=order)
     if args.i is None:
         return EXIT_OK, _matrices_text([matrix], args.format, single=True)
@@ -331,16 +310,14 @@ def _cmd_mindist(args) -> tuple[int, str]:
 def _cmd_complexity(args) -> tuple[int, str]:
     corpus = parse_tree_file(args.file)
     report = complexity(corpus, bound=args.bound)
+    code = EXIT_VIOLATIONS if report.exceeding else EXIT_OK
     if args.format == "json":
-        text = _json_text(report.to_json_dict())
-    else:  # no field holds a comma, quote or newline
-        rows = ["%d,%d,%d\n" % (i, h, i in report.exceeding) for i, h in report.per_tree]
-        text = "tree,height,over_bound\n" + "".join(rows)
-    return (EXIT_VIOLATIONS if report.exceeding else EXIT_OK), text
+        return code, _json_text(report.to_json_dict())
+    rows = [(i, h, int(i in report.exceeding)) for i, h in report.per_tree]
+    return code, _csv(("tree", "height", "over_bound"), rows)
 
 
 def _cmd_features(args) -> tuple[int, str]:
-    from .data import load_category_corpus
     from .features import FeatureTable, build_feature_matrix, compare_feature_vs_ultrametric
     from .features import determinant, matrix_rank, pauli_assembly
 

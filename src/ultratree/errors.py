@@ -1,4 +1,6 @@
-"""Exception types and the record base shared across the package, and a UTF-8 file reader."""
+"""Exception types and the record base shared across the package, and the UTF-8 and JSON file readers."""
+
+import json
 
 _set = object.__setattr__  # how a record's ``__init__`` fills its slots
 
@@ -156,3 +158,14 @@ def _read_utf8(path) -> str:
         # bytes.splitlines breaks lines where a text-mode file does: \n, \r, \r\n.
         line = len((raw[: exc.start] + b".").splitlines())
         raise UltratreeError(f"{path}:{line}: not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
+def _read_json(path):
+    """The JSON document in a UTF-8 file; every fault names the file."""
+    text = _read_utf8(path)  # outside the try: its UltratreeError is a ValueError
+    # A JSONDecodeError gives the line and column.  Other ValueErrors report
+    # an integer too long to convert, and RecursionError nesting too deep.
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise UltratreeError(f"{path}: {exc}") from None

@@ -11,9 +11,10 @@ any order can be supplied).
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable, Sequence
 
-from .errors import CyclicOrder, UltratreeError, UnknownLabel, _Record, _set
+from .errors import CyclicOrder, UltratreeError, UnknownLabel, _read_json, _Record, _set
 
 ACCESSIBILITY_HIERARCHY = ("SU", "DO", "IO", "OBL", "GEN", "OCOMP")
 
@@ -184,6 +185,16 @@ class PartialOrder(_Record):
         return frozenset(out)
 
 
+def load_berlin_kay_order() -> PartialOrder:
+    """The bundled color-term partial order, read as any JSON file is from the
+    plain, editable ``data/berlin_kay.json``.  It follows the standard published
+    staging: black/white before red, red before green and yellow, both before
+    blue, then brown, then the late terms.  Any other order can be checked
+    instead, as a JSON document of ``nodes`` and ``(earlier, later)`` edges."""
+    path = os.path.join(os.path.dirname(__file__), "data", "berlin_kay.json")
+    return PartialOrder.from_json_dict(_read_json(path))
+
+
 def check_downset(order: PartialOrder, inventory: Iterable[str]) -> bool:
     """Whether an inventory is downward closed under the partial order.
 
@@ -261,8 +272,7 @@ def check_document(data, source: str = "<json>") -> tuple[object, bool]:
         if kind == "downset":
             if "order" in data:
                 order = PartialOrder.from_json_dict(data["order"], "order")
-            else:
-                from .data import load_berlin_kay_order  # read only when no order is given
+            else:  # read only when no order is given
                 order = load_berlin_kay_order()
             inventory = _field(data, "", "inventory", "strings")
             closed = check_downset(order, inventory)

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import os
 from collections.abc import Sequence
 
 from .errors import EmptyCorpus, MissingEntry, UnknownLabel, _Record, _set
 from .matrix import CategoryDistanceMatrix
-from .trees import PhraseTree
+from .trees import PhraseTree, parse_tree_file
 
 DEFAULT_CATEGORY_ORDER = ("D", "N", "V", "A", "P")
+
+
+def load_category_corpus() -> list[PhraseTree]:
+    """The five-tree sample corpus behind the category distance matrix, read
+    as any tree file is from the plain, editable ``data/category_corpus.trees``."""
+    return parse_tree_file(os.path.join(os.path.dirname(__file__), "data", "category_corpus.trees"))
 
 
 def tree_category_minima(tree: PhraseTree) -> dict[tuple[str, str], int]:

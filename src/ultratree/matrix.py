@@ -19,6 +19,17 @@ _surrogate = re.compile("[\ud800-\udfff]").search
 _BITS = bytes.maketrans(b"\0\1", b"01")
 
 
+def _csv(header, rows) -> str:
+    """The CSV text of a header row and then ``rows``, each line ended by ``\\n``."""
+    import csv  # only CSV output pays for it
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
 class LabeledMatrix:
     """Immutable square matrix with one label per row/column."""
 
@@ -47,7 +58,8 @@ class LabeledMatrix:
         return matrix
 
     def _fill(self, labels: tuple[str, ...], rows: tuple[tuple, ...]) -> None:
-        # Disambiguated labels can still collide: N#1 N#1 N#2 from N#1 N N.
+        # Labels a user gives, to a constructor or as min_distance_matrix's
+        # categories, can repeat; disambiguated tree labels cannot.
         if len(set(labels)) != len(labels):
             raise UltratreeError("matrix labels must be unique")
         self.labels = labels
@@ -165,17 +177,11 @@ class LabeledMatrix:
         return next((f"labels[{j}]" for j, x in enumerate(labels) if x in labels[:j]), "labels")
 
     def to_csv(self) -> str:
-        import csv  # only CSV output pays for it
-
         cell = self._cell_text
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["", *self.labels])
-        for label, row in zip(self.labels, self.entries):
-            if cell is not None:
-                row = ["" if v is None else cell(v) for v in row]
-            writer.writerow([label, *row])
-        return buffer.getvalue()
+        rows = self.entries
+        if cell is not None:
+            rows = (["" if v is None else cell(v) for v in row] for row in rows)
+        return _csv(["", *self.labels], ([label, *row] for label, row in zip(self.labels, rows)))
 
 
 class DistanceMatrix(LabeledMatrix):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import random
 import re
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate
 
@@ -311,20 +312,24 @@ def disambiguate(labels: Iterable[str]) -> tuple[str, ...]:
     """Suffix repeated labels with ``#k`` (k-th occurrence, 1-based).
 
     Unique labels are returned unchanged, so ``the the man`` becomes
-    ``the#1 the#2 man``.
+    ``the#1 the#2 man``.  A ``label#k`` that is itself an input label is
+    skipped, so ``N#1 N N`` becomes ``N#1 N#2 N#3`` and the output is
+    always distinct.
     """
     labels = list(labels)
-    counts: dict[str, int] = {}
-    for label in labels:
-        counts[label] = counts.get(label, 0) + 1
+    counts = Counter(labels)
     seen: dict[str, int] = {}
     out: list[str] = []
     for label in labels:
         if counts[label] == 1:
             out.append(label)
         else:
-            seen[label] = seen.get(label, 0) + 1
-            out.append(f"{label}#{seen[label]}")
+            # Two repeated labels never give the same label#k: k holds no "#".
+            k = seen.get(label, 0) + 1
+            while (name := f"{label}#{k}") in counts:
+                k += 1
+            seen[label] = k
+            out.append(name)
     return tuple(out)
 
 

@@ -475,45 +475,55 @@ class TestDeepInput:
         assert repr(tree.root).count("Node(") == self.DEPTH + 1
 
 
-# Disambiguation can collide: N#1 N N becomes N#1 N#1 N#2, and the words
-# a#1 a a become a#1 a#1 a#2.  The builders' matrices check only that.
+# Disambiguation skips a label#k that the tree already holds: N#1 N N
+# becomes N#1 N#2 N#3, and the words a#1 a a become a#1 a#2 a#3.
 COLLIDING_NODES = "(S (N#1 a) (N b) (N c))"
 COLLIDING_WORDS = "(S (N a#1) (N a) (N a))"
+DISTINCT_NODES = ["S", "N#1", "N#2", "N#3"]
+DISTINCT_WORDS = ["a#1", "a#2", "a#3"]
 
 
 class TestLabelCollisions:
     @pytest.mark.parametrize(
-        "argv, tree",
+        "argv, tree, labels",
         [
-            (["dominance"], COLLIDING_NODES),
-            (["ccommand", "--nodes", "all"], COLLIDING_NODES),
-            (["cucommand", "--nodes", "all"], COLLIDING_NODES),
-            (["govern"], COLLIDING_NODES),
-            (["matrix"], COLLIDING_WORDS),
+            (["dominance"], COLLIDING_NODES, DISTINCT_NODES),
+            (["ccommand", "--nodes", "all"], COLLIDING_NODES, DISTINCT_NODES),
+            (["cucommand", "--nodes", "all"], COLLIDING_NODES, DISTINCT_NODES),
+            (["govern"], COLLIDING_NODES, DISTINCT_NODES),
+            (["matrix"], COLLIDING_WORDS, DISTINCT_WORDS),
         ],
         ids=["dominance", "ccommand", "cucommand", "govern", "matrix"],
     )
-    def test_exit_2_with_empty_stdout(self, tmp_path, capsys, argv, tree):
+    def test_exit_0_with_distinct_labels(self, tmp_path, capsys, argv, tree, labels):
         path = tmp_path / "trees.txt"
         path.write_text(f"{fx.TREE_FIRST}\n{tree}\n")
-        assert run([*argv, str(path)]) == 2
+        assert run([*argv, str(path)]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: matrix labels must be unique\n"
+        assert captured.err == ""
+        assert json.loads(captured.out)[1]["labels"] == labels
+
+    @pytest.mark.parametrize(
+        "build, tree, labels",
+        [
+            (dominance_matrix, COLLIDING_NODES, DISTINCT_NODES),
+            (partial(c_command_matrix, nodes="all"), COLLIDING_NODES, DISTINCT_NODES),
+            (partial(cu_command_matrix, nodes="all"), COLLIDING_NODES, DISTINCT_NODES),
+            (government_matrix, COLLIDING_NODES, DISTINCT_NODES),
+            (leaf_matrix, COLLIDING_WORDS, DISTINCT_WORDS),
+        ],
+        ids=["dominance", "ccommand", "cucommand", "govern", "matrix"],
+    )
+    def test_library_makes_labels_distinct(self, build, tree, labels):
+        assert build(parse_tree(tree)).labels == tuple(labels)
 
     @pytest.mark.parametrize(
         "build, tree",
-        [
-            (dominance_matrix, COLLIDING_NODES),
-            (partial(c_command_matrix, nodes="all"), COLLIDING_NODES),
-            (partial(cu_command_matrix, nodes="all"), COLLIDING_NODES),
-            (government_matrix, COLLIDING_NODES),
-            (leaf_matrix, COLLIDING_WORDS),
-            (lambda tree: min_distance_matrix([tree], categories=("N", "N")), COLLIDING_WORDS),
-        ],
-        ids=["dominance", "ccommand", "cucommand", "govern", "matrix", "mindist"],
+        [(lambda tree: min_distance_matrix([tree], categories=("N", "N")), COLLIDING_WORDS)],
+        ids=["mindist"],
     )
     def test_library_raises(self, build, tree):
+        # Categories come from the caller, so a repeated one is refused.
         with pytest.raises(UltratreeError, match="^matrix labels must be unique$"):
             build(parse_tree(tree))
 
@@ -581,19 +591,22 @@ class TestErrors:
         assert self.one_error(capsys) == f"error: {path}: {where}\n"
 
     @pytest.mark.parametrize(
-        "command, document, message",
+        "command, text, message",
         [
-            (["triangles"], {"labels": ["a", "b"], "rows": [[0, 1], [1, 0]]}, "need at least 3 labels, got 2"),
-            (["triangles", "--format", "csv"], {"labels": [], "rows": []}, "need at least 3 labels, got 0"),
-            (["features"], {"labels": ["N", "A"], "rows": [[None, 2], [2, None]]},
+            (["triangles", "--matrix"], json.dumps({"labels": ["a", "b"], "rows": [[0, 1], [1, 0]]}),
+             "need at least 3 labels, got 2"),
+            (["triangles", "--format", "csv", "--matrix"], json.dumps({"labels": [], "rows": []}),
+             "need at least 3 labels, got 0"),
+            (["features", "--matrix"], json.dumps({"labels": ["N", "A"], "rows": [[None, 2], [2, None]]}),
              "no ultrametric distance for pair (N, V)"),
+            (["mindist"], "# only\n", "corpus has no trees"),
         ],
-        ids=["triangles-two-labels", "triangles-csv-empty", "features-no-n-v"],
+        ids=["triangles-two-labels", "triangles-csv-empty", "features-no-n-v", "mindist-no-trees"],
     )
-    def test_analysis_fault_names_file(self, tmp_path, capsys, command, document, message):
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps(document))
-        assert run([*command, "--matrix", str(path)]) == 2
+    def test_analysis_fault_names_file(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "input"
+        path.write_text(text)
+        assert run([*command, str(path)]) == 2
         assert self.one_error(capsys) == f"error: {path}: {message}\n"
 
     def test_repeated_order_names_the_flag(self, capsys):
@@ -959,7 +972,7 @@ class TestStartup:
 
     HEAVY = [
         "dataclasses", "inspect", "typing", "csv", "importlib.resources",
-        "ultratree.features", "ultratree.hierarchy", "ultratree.data",
+        "ultratree.features", "ultratree.hierarchy",
     ]
     CORE = [
         "ultratree.trees", "ultratree.ultrametric", "ultratree.command", "ultratree.lexdist",

@@ -365,6 +365,30 @@ class TestLabels:
     def test_disambiguate_unique_untouched(self):
         assert disambiguate(["a", "b"]) == ("a", "b")
 
+    @staticmethod
+    def numbered(labels):
+        """Each repeated label suffixed with #k, its k-th occurrence."""
+        seen = {}
+        out = []
+        for label in labels:
+            if labels.count(label) == 1:
+                out.append(label)
+            else:
+                seen[label] = seen.get(label, 0) + 1
+                out.append(f"{label}#{seen[label]}")
+        return tuple(out)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(alphabet="N#12", max_size=4), max_size=8))
+    def test_disambiguate_property(self, labels):
+        out = disambiguate(labels)
+        assert len(set(out)) == len(out) == len(labels)
+        assert all(new.startswith(old) for old, new in zip(labels, out))
+        numbered = self.numbered(labels)
+        suffixed = {new for old, new in zip(labels, numbered) if new != old}
+        if not suffixed & set(labels):  # no label#k is itself an input label
+            assert out == numbered
+
     def test_leaf_labels(self):
         tree = parse_tree("(S (X (D the) (N man)) (Y (D the) (N dog)))")
         assert tree.leaf_labels() == ("the#1", "man", "the#2", "dog")
