@@ -141,7 +141,8 @@ def _json_list(items: list[str]) -> str:
 def _matrix_text(m, level: int = 0) -> str:
     """``_json_text(m.to_json_dict(), level)``, written straight from the
     labels and rows when every entry of the kind has a fixed text."""
-    if m._cell_text is None:
+    cells = m._cells("null")
+    if cells is None:
         return _json_text(m.to_json_dict(), level)
     pad = "\n" + "  " * level
     if not m.labels:
@@ -149,8 +150,7 @@ def _matrix_text(m, level: int = 0) -> str:
     item, entry = pad + "    ", pad + "      "  # a label or row; an entry
     items, entries = "," + item, "," + entry
     labels = items.join(map(_quote, m.labels))
-    row_text = m._row_text
-    rows = items.join(["[" + entry + row_text(entries, row) + item + "]" for row in m.entries])
+    rows = items.join(["[" + entry + m._row_text(entries, row, cells) + item + "]" for row in m.entries])
     return '{%s  "labels": [%s%s%s  ],%s  "rows": [%s%s%s  ]%s}' % (
         pad, item, labels, pad, pad, item, rows, pad, pad
     )
@@ -313,7 +313,8 @@ def _cmd_complexity(args) -> tuple[int, str]:
     code = EXIT_VIOLATIONS if report.exceeding else EXIT_OK
     if args.format == "json":
         return code, _json_text(report.to_json_dict())
-    rows = [(i, h, int(i in report.exceeding)) for i, h in report.per_tree]
+    over = set(report.exceeding)
+    rows = [(i, h, int(i in over)) for i, h in report.per_tree]
     return code, _csv(("tree", "height", "over_bound"), rows)
 
 

@@ -106,15 +106,15 @@ class LabeledMatrix:
 
     # -- serialization ----------------------------------------------------
 
-    # The JSON and CSV text of one entry, for kinds whose every entry has a
-    # fixed one; None sends JSON through ``to_json_dict`` and leaves CSV
-    # entries to ``csv``.  A CSV cell of an absent (None) entry is empty.
-    _cell_text = None
+    def _cells(self, absent: str):
+        """Each entry's JSON and CSV text, in a table built for one write, with
+        ``absent`` for None; None for kinds without a fixed text per entry."""
+        return None
 
-    @classmethod
-    def _row_text(cls, sep: str, row) -> str:
-        """The cell texts of ``row`` joined by ``sep``; needs ``_cell_text``."""
-        return sep.join(map(cls._cell_text, row))
+    @staticmethod
+    def _row_text(sep: str, row, cells) -> str:
+        """The texts of ``row``'s entries in ``cells``, joined by ``sep``."""
+        return sep.join(map(cells.__getitem__, row))
 
     @staticmethod
     def _cell_to_json(value):
@@ -177,17 +177,20 @@ class LabeledMatrix:
         return next((f"labels[{j}]" for j, x in enumerate(labels) if x in labels[:j]), "labels")
 
     def to_csv(self) -> str:
-        cell = self._cell_text
-        rows = self.entries
-        if cell is not None:
-            rows = (["" if v is None else cell(v) for v in row] for row in rows)
+        cells = self._cells("")
+        rows = self.entries if cells is None else (map(cells.__getitem__, row) for row in self.entries)
         return _csv(["", *self.labels], ([label, *row] for label, row in zip(self.labels, rows)))
+
+
+def _int_cells(matrix: LabeledMatrix, absent: str) -> dict:
+    """``_cells`` of ints and None: one ``int.__repr__`` per distinct value, not per entry."""
+    return {v: absent if v is None else int.__repr__(v) for v in set(chain.from_iterable(matrix.entries))}
 
 
 class DistanceMatrix(LabeledMatrix):
     """Integer distances; symmetry and axioms are checked, not enforced."""
 
-    _cell_text = staticmethod(int.__repr__)
+    _cells = _int_cells
 
     def _check_entries(self, rows) -> None:
         # One scan of the entry types at C speed; the per-entry check runs
@@ -204,10 +207,11 @@ class DistanceMatrix(LabeledMatrix):
 class RelationMatrix(LabeledMatrix):
     """Boolean relation over labeled nodes; serialized as 0/1."""
 
-    _cell_text = ("0", "1").__getitem__
+    def _cells(self, absent: str) -> tuple[str, str]:
+        return ("0", "1")  # indexed by the bool entries
 
     @staticmethod
-    def _row_text(sep: str, row) -> str:
+    def _row_text(sep: str, row, cells) -> str:
         # Every entry is a bool, so the row's bytes are 0s and 1s.
         return sep.join(bytes(row).translate(_BITS).decode())
 
@@ -225,7 +229,7 @@ class RelationMatrix(LabeledMatrix):
 class SignMatrix(LabeledMatrix):
     """Square matrix over {+1, -1}."""
 
-    _cell_text = staticmethod(int.__repr__)
+    _cells = _int_cells
 
     @staticmethod
     def _check_entry(value) -> None:
@@ -237,9 +241,7 @@ class SignMatrix(LabeledMatrix):
 class CategoryDistanceMatrix(LabeledMatrix):
     """Minimum distances per category pair; absent entries are None."""
 
-    @staticmethod
-    def _cell_text(value) -> str:
-        return "null" if value is None else int.__repr__(value)
+    _cells = _int_cells
 
     @staticmethod
     def _check_entry(value) -> None:

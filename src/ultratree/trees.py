@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import io
 import random
-import re
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate
@@ -114,7 +113,7 @@ class PhraseTree:
             raise ParseError("a tree needs at least one record")
         path: list[int] = []  # the open nodes, from the root to the last record read
         for p, (label, word, parent) in enumerate(records):
-            try:  # most tokens are alphanumeric and skip the regex
+            try:  # most tokens are alphanumeric and skip _token
                 printable = (str.isalnum(label) or _token(label)) and (
                     word is None or str.isalnum(word) or _token(word)
                 )
@@ -335,11 +334,15 @@ def disambiguate(labels: Iterable[str]) -> tuple[str, ...]:
 
 # -- parsing ---------------------------------------------------------------
 
-# Regex ``\s`` and ``str.isspace`` agree on every code point, so this splits
-# where a character loop testing ``isspace`` would.
-_tokenize = re.compile(r"[()]|[^\s()]+").findall
-# A label or word must be one token, so that a tree prints back as it parses.
-_token = re.compile(r"[^\s()]+").fullmatch
+def _tokenize(text: str) -> list[str]:
+    """``(``, ``)`` and the runs between them: ``str.split`` splits at exactly
+    the ``str.isspace`` characters, as a character loop testing them would."""
+    return text.replace("(", " ( ").replace(")", " ) ").split()
+
+
+def _token(text: str) -> bool:
+    """A label or word must be one token, so that a tree prints back as it parses."""
+    return text.split() == [text] and "(" not in text and ")" not in text
 
 
 def parse_tree(text: str) -> PhraseTree:
@@ -358,8 +361,9 @@ def parse_tree(text: str) -> PhraseTree:
         EmptyNode: a ``()`` group, or a labeled group with no content.
         MixedNode: a group mixing a word with child groups, or several words.
 
-    One pass reads the tokens into preorder columns, raising a bracket,
-    label or repeated-word fault at once.  If the text reads cleanly, the
+    One ``str.split`` makes the tokens, and one pass of an iterator over
+    them reads them into preorder columns, raising a bracket, label or
+    repeated-word fault at once.  If the text reads cleanly, the
     columns fill the tree's arrays in the pass every builder uses, and the
     last group in preorder with both or neither of a word and children is
     raised by the check the constructor runs.
@@ -370,33 +374,29 @@ def parse_tree(text: str) -> PhraseTree:
     if tokens[0] != "(":
         raise UnbalancedBrackets(f"expected '(' but found {tokens[0]!r}")
     labels, words, up = [], [], []  # up: parent positions, -1 at the root
-    open_groups: list[int] = []
-    pos, count = 0, len(tokens)
-    while True:
-        token = tokens[pos]
+    open_groups = [-1]  # positions of the open groups, on the root's parent -1
+    it = iter(tokens)
+    for token in it:
         if token == "(":
-            pos += 1
-            if pos >= count:
+            if (label := next(it, None)) is None:
                 raise UnbalancedBrackets("unexpected end of input")
-            if tokens[pos] in "()":
+            if label in "()":
                 raise EmptyNode("node with no label")
-            up.append(open_groups[-1] if open_groups else -1)
+            up.append(open_groups[-1])
             open_groups.append(len(labels))
-            labels.append(tokens[pos])
+            labels.append(label)
             words.append(None)
         elif token == ")":
-            open_groups.pop()
-            if not open_groups:
+            if open_groups.pop() == 0:  # the root closed
                 break
         else:
             p = open_groups[-1]
             if words[p] is not None:
                 raise MixedNode(f"node {labels[p]!r} has more than one word")
             words[p] = token
-        pos += 1
-        if pos >= count:
-            raise UnbalancedBrackets("missing closing parenthesis")
-    if pos + 1 != count:
+    else:
+        raise UnbalancedBrackets("missing closing parenthesis")
+    if next(it, None) is not None:
         raise UnbalancedBrackets("trailing content after the tree")
     tree = _filled(labels, words, up)
     _check_words(tree)

@@ -281,6 +281,15 @@ class TestComplexityCommand:
         assert run(["complexity", str(path), "--format", "csv"]) == 0
         assert capsys.readouterr().out == "tree,height,over_bound\n"
 
+    def test_csv_over_bound_is_json_exceeding(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_text("(A a)\n(X (A a) (B b))\n" * 50)  # every tree is over the bound
+        assert run(["complexity", str(path), "--bound", "-1"]) == 1
+        exceeding = get_json(capsys)["exceeding"]
+        assert run(["complexity", str(path), "--bound", "-1", "--format", "csv"]) == 1
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows if row.endswith(",1")] == exceeding == list(range(100))
+
 
 class TestFeaturesCommand:
     def test_report(self, capsys):

@@ -176,11 +176,14 @@ class TestParse:
     def test_tokens_match_character_loop(self, text):
         assert _tokenize(text) == list(reference_tokenize(text))
 
-    def test_regex_whitespace_is_isspace(self):
-        space = re.compile(r"\s")
-        assert all(
-            bool(space.fullmatch(c)) == c.isspace() for c in map(chr, range(sys.maxunicode + 1))
-        )
+    def test_split_whitespace_is_isspace(self):
+        # _tokenize splits with str.split(), so it splits where isspace holds.
+        wrong = [
+            c
+            for c in map(chr, range(sys.maxunicode + 1))
+            if ("a" + c + "b").split() != (["a", "b"] if c.isspace() else ["a" + c + "b"])
+        ]
+        assert wrong == []
 
 
 class TestTreeFile:
@@ -722,6 +725,20 @@ class TestParseMatchesReference:
         ],
     )
     def test_several_faults(self, text, error, message):
+        assert parse_outcome(parse_tree, text) == (error, message)
+        assert parse_outcome(reference_parse_tree, text) == (error, message)
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("(", UnbalancedBrackets, "unexpected end of input"),
+            ("(S", UnbalancedBrackets, "missing closing parenthesis"),
+            ("(S (A a)", UnbalancedBrackets, "missing closing parenthesis"),
+            ("(S (A a)) x", UnbalancedBrackets, "trailing content after the tree"),
+            ("( )", EmptyNode, "node with no label"),
+        ],
+    )
+    def test_end_of_input(self, text, error, message):
         assert parse_outcome(parse_tree, text) == (error, message)
         assert parse_outcome(reference_parse_tree, text) == (error, message)
 

@@ -124,10 +124,11 @@ class TestMatrixText:
     @settings(max_examples=400, deadline=None)
     @given(any_matrices(), st.sampled_from([",", ",\n      ", ""]))
     def test_row_text_is_the_joined_cells(self, matrix, sep):
-        if matrix._cell_text is None:  # the base kind writes through to_json_dict
+        cells = matrix._cells("null")
+        if cells is None:  # the base kind writes through to_json_dict
             return
-        for row in matrix.entries:
-            assert matrix._row_text(sep, row) == sep.join(map(matrix._cell_text, row))
+        for row, values in zip(matrix.entries, matrix.to_json_dict()["rows"]):
+            assert matrix._row_text(sep, row, cells) == sep.join(map(json.dumps, values))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(any_matrices(), max_size=3))
