@@ -8,8 +8,10 @@ equilateral, and strictly binary branching rules the equilateral case out.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
 from itertools import accumulate, repeat
+from operator import itemgetter, lt, neg
 
 from .errors import DuplicateVertex, TooFewLabels, UltratreeError, _Record, _set
 from .matrix import DistanceMatrix
@@ -110,47 +112,49 @@ def leaf_matrix(tree: PhraseTree) -> DistanceMatrix:
     return DistanceMatrix._made(tree.leaf_labels(), tuple(leaf_rows))
 
 
+def _above(m, joins) -> list[tuple[int, int]] | None:
+    """Pairs ``(x, y)``, x < y, ascending, whose entry is above v, or None once
+    one is below v.  Vertex 0, then each ``(vertex, weight)`` of ``joins``,
+    joins in turn; v between the i-th and j-th is the largest weight in (i, j].
+    Each row of v extends the last by a bisection and a slice and meets the
+    vertex's row at C speed: O(n) Python steps, O(n) more per row above v."""
+    order, v, above, in_order = [0], (), [], True
+    for y, w in joins:
+        j = len(order)
+        k = bisect_left(v, -w, key=neg)  # v's row falls along the join order; raise its tail to w
+        v = v[:k] + (w,) * (j - k)
+        mine = m[y][:j] if in_order else itemgetter(*order)(m[y])
+        if mine != v:
+            if any(map(lt, mine, v)):
+                return None
+            above += [(min(x, y), max(x, y)) for x, a, b in zip(order, mine, v) if a != b]
+        in_order = in_order and y == j
+        order.append(y)
+    return sorted(above)
+
+
+def _prim(m, n: int):
+    """Yield ``(vertex, weight)`` as Prim's algorithm, from vertex 0, attaches
+    each vertex of ``m`` at its least entry to the vertices attached before."""
+    left, best = list(range(1, n)), list(m[0][1:] if n else ())
+    while left:
+        i = best.index(min(best))
+        y, w = left.pop(i), best.pop(i)
+        yield y, w
+        row = m[y]
+        for k, x in enumerate(left):
+            if row[x] < best[k]:
+                best[k] = row[x]
+
+
 def _suspect_pairs(m, n: int) -> list[tuple[int, int]]:
     """Pairs ``(x, y)``, x < y, ascending, that can be the long side of a
-    violating triple of the symmetric matrix ``m``, whose entries off the
-    diagonal are not negative.
-
-    A pair is suspect exactly when its entry exceeds the subdominant
-    ultrametric u, the minimax distance over a minimum spanning tree (single
-    linkage; Gower & Ross 1969).  For any other pair and any z,
-    ``d(x,z) + d(z,y) >= max(d(x,z), d(z,y)) >= u(x,y) = d(x,y)``, so neither
-    inequality can fail.  O(n^2); a tree's leaf matrix has no suspect pairs.
-    """
-    # Prim's algorithm on the dense matrix: attach the nearest vertex each step.
-    best = list(m[0]) if n else []
-    near = [0] * n
-    left = list(range(1, n))
-    edges = []
-    while left:
-        v = min(left, key=best.__getitem__)
-        left.remove(v)
-        edges.append((best[v], near[v], v))
-        row = m[v]
-        for y in left:
-            if row[y] < best[y]:
-                best[y] = row[y]
-                near[y] = v
-    # Single linkage: merging along the MST edges in ascending weight, two
-    # clusters joined at weight w have u(p, q) = w for every cross pair.
-    cluster = [[x] for x in range(n)]
-    suspects: list[tuple[int, int]] = []
-    for w, a, b in sorted(edges):
-        big, small = cluster[a], cluster[b]
-        if len(big) < len(small):
-            big, small = small, big
-        for p in small:
-            row = m[p]
-            suspects.extend((min(p, q), max(p, q)) for q in big if row[q] > w)
-        big.extend(small)
-        for q in small:
-            cluster[q] = big
-    suspects.sort()
-    return suspects
+    violating triple of the symmetric, non-negative ``m``: those above the
+    subdominant ultrametric u, the largest one at or below ``m`` (single
+    linkage; Gower & Ross 1969): any other pair has ``d(x,y) = u(x,y) <=
+    max(d(x,z), d(z,y))``.  In any Prim run, u between the i-th and j-th
+    attached vertices is the largest attach weight in (i, j]: O(n^2)."""
+    return _above(m, _prim(m, n))
 
 
 def _check_axioms(matrix: DistanceMatrix) -> tuple[list, list]:
@@ -158,32 +162,39 @@ def _check_axioms(matrix: DistanceMatrix) -> tuple[list, list]:
     metric list (zero diagonal, positivity, symmetry, triangle) and the
     ultrametric list, each in report order.
 
-    Each row is screened at C speed: its diagonal entry, one ``min`` over
-    its entries off the diagonal, and its upper part against the same part
-    of its column.  Only a row that fails a screen is read entry by entry.
-    An asymmetric matrix, or one with a negative entry, makes every pair
-    suspect; otherwise the suspect pairs come from ``_suspect_pairs``.
-    Each suspect pair (x, y) then costs one scan over z per inequality.
+    A symmetric matrix with a zero diagonal and positive steps ``m[k][k-1]``
+    is first held against v, whose entry for labels i < j is the largest step
+    in (i, j].  The subdominant u is at most v along the consecutive labels,
+    and v at or below ``m`` makes v at most u: then the suspect pairs are those
+    above v, and every row passes its screens.  This holds when the label order
+    keeps each single-linkage cluster contiguous, as a tree's leaves do.  Else
+    each row is screened at C speed (its diagonal, a ``min`` off it, its upper
+    part against its column), an asymmetric or negative matrix makes every
+    pair suspect, and ``_suspect_pairs`` finds them otherwise.  Each suspect
+    pair (x, y) costs one scan over z per inequality.
     """
-    m = matrix.entries
-    n = matrix.size
-    columns = list(zip(*m))
+    m, n = matrix.entries, matrix.size
+    columns = tuple(zip(*m))
     diagonal, positivity, symmetry, triangle, ultrametric = [], [], [], [], []
-    least = 1  # the least entry off the diagonal, if below 1
-    for x, row in enumerate(m):
-        if row[x] != 0:
-            diagonal.append((AXIOM_ZERO_DIAGONAL, (x,)))
-        low = min(row[:x] + row[x + 1 :], default=1)
-        if low <= 0:
-            least = min(least, low)
-            positivity += [(AXIOM_POSITIVITY, (x, y)) for y, d in enumerate(row) if d <= 0 and y != x]
-        column = columns[x]
-        if row[x + 1 :] != column[x + 1 :]:
-            symmetry += [(AXIOM_SYMMETRY, (x, y)) for y in range(x + 1, n) if row[y] != column[y]]
-    if symmetry or least < 0:
-        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
-    else:
-        pairs = _suspect_pairs(m, n)
+    steps = [m[k][k - 1] for k in range(1, n)]
+    own = columns == m and not any(map(tuple.__getitem__, m, range(n))) and min(steps, default=1) > 0
+    pairs = _above(m, zip(range(1, n), steps)) if own else None
+    if pairs is None:
+        least = 1  # the least entry off the diagonal, if below 1
+        for x, row in enumerate(m):
+            if row[x] != 0:
+                diagonal.append((AXIOM_ZERO_DIAGONAL, (x,)))
+            low = min(row[:x] + row[x + 1 :], default=1)
+            if low <= 0:
+                least = min(least, low)
+                positivity += [(AXIOM_POSITIVITY, (x, y)) for y, d in enumerate(row) if d <= 0 and y != x]
+            column = columns[x]
+            if row[x + 1 :] != column[x + 1 :]:
+                symmetry += [(AXIOM_SYMMETRY, (x, y)) for y in range(x + 1, n) if row[y] != column[y]]
+        if symmetry or least < 0:
+            pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+        else:
+            pairs = _suspect_pairs(m, n)
     for x, y in pairs:
         row, column = m[x], columns[y]
         d = row[y]
@@ -199,11 +210,11 @@ def check_metric(matrix: DistanceMatrix) -> ViolationReport:
     """Scan the four measure axioms: zero diagonal, positivity, symmetry, triangle.
 
     The triangle scan reports canonical triples ``(x, z, y)`` with x < y and
-    ``d(x,y) > d(x,z) + d(z,y)``.  It visits only the suspect pairs (x, y),
-    so it costs O(n^2) on an ultrametric matrix and O(n^2 + k*n) with k
-    suspect pairs; an asymmetric matrix, or one with a negative entry, gets
-    the full O(n^3) scan.  The first three axioms are screened row by row at
-    C speed.
+    ``d(x,y) > d(x,z) + d(z,y)``, visiting only the k suspect pairs (x, y).
+    It costs O(n) Python steps, O(n^2) compares at C speed and O(k*n) when
+    the label order keeps every single-linkage cluster contiguous (every leaf
+    matrix), and Prim's O(n^2) steps otherwise; an asymmetric or negative
+    matrix gets the full O(n^3) scan.
     """
     metric, _ = _check_axioms(matrix)
     return ViolationReport(metric_violations=tuple([Violation(*v) for v in metric]))
@@ -213,9 +224,8 @@ def check_ultrametric(matrix: DistanceMatrix) -> ViolationReport:
     """Scan the strengthened triangle condition d(x,y) <= max(d(x,z), d(z,y)).
 
     Every violating canonical triple ``(x, z, y)`` with x < y is listed; an
-    empty report certifies the matrix ultrametric.  Only the suspect pairs
-    (x, y) are scanned: O(n^2) on an ultrametric matrix, O(n^2 + k*n) with k
-    suspect pairs, and O(n^3) on an asymmetric or negative matrix.
+    empty report certifies the matrix ultrametric.  One pass finds both this
+    and ``check_metric``'s report, at the cost stated there.
     """
     _, ultrametric = _check_axioms(matrix)
     return ViolationReport(ultrametric_violations=tuple([Violation(*v) for v in ultrametric]))

@@ -274,6 +274,20 @@ def brute_axiom_scan(entries) -> tuple[list[tuple[str, tuple[int, ...]]], list[t
     return metric, ultrametric
 
 
+def minimax_closure(entries) -> list[list]:
+    """The subdominant ultrametric of a symmetric matrix, the largest one at or
+    below it off the diagonal: for each pair, the least over all paths of the
+    path's largest entry, by Floyd-Warshall with max in place of +."""
+    n = len(entries)
+    u = [[0 if x == y else entries[x][y] for y in range(n)] for x in range(n)]
+    for k in range(n):
+        for x in range(n):
+            for y in range(n):
+                if x != y:
+                    u[x][y] = min(u[x][y], max(u[x][k], u[k][y]))
+    return u
+
+
 def reference_random_records(seed: int, leaf_count: int, arity: str = "binary") -> list[tuple]:
     """The preorder records ``random_tree`` drew with ``randint`` and a
     ``sample`` for every split, two-way ones included; the generator must

@@ -9,6 +9,7 @@ is a bug unless the change says why and re-pins it.
 """
 
 import json
+import random
 from typing import NamedTuple
 
 from ultratree import leaf_matrix, random_tree
@@ -24,6 +25,9 @@ class Pin(NamedTuple):
     stderr: str | None = ""
 
 
+T300 = random_tree(1, 300, "mixed:4")
+
+
 def _raised() -> str:
     """A 60-leaf tree's leaf matrix with four entries raised above the root
     height: only the suspect pairs are scanned."""
@@ -35,12 +39,26 @@ def _raised() -> str:
     return json.dumps({"labels": m.labels, "rows": rows})
 
 
+def _shuffled() -> str:
+    """The 300-leaf tree's leaf matrix with its labels shuffled and three
+    entries raised: its own label order is no certificate, so check finds
+    the suspect pairs in Prim's order."""
+    m = leaf_matrix(T300)
+    order = list(range(m.size))
+    random.Random(25).shuffle(order)
+    rows = [[m.entries[x][y] for y in order] for x in order]
+    for x, y in [(0, 299), (7, 150), (200, 201)]:
+        rows[x][y] = rows[y][x] = rows[x][y] + 1
+    return json.dumps({"labels": [m.labels[x] for x in order], "rows": rows})
+
+
 # Each malformed file has a comment, a good tree and then a bad line 3.
 MALFORMED = "# one good tree, then a bad one\n(S (N ok))\n{}\n"
 
 INPUTS = {
-    "t300": random_tree(1, 300, "mixed:4").to_bracketed() + "\n",
+    "t300": T300.to_bracketed() + "\n",
     "raised": _raised(),
+    "shuffled": _shuffled(),
     # 30 labels, asymmetric, with zeros and a non-zero diagonal: every pair is scanned.
     "asymmetric": json.dumps({"labels": ["v%d" % x for x in range(30)],
                               "rows": [[(3 * x + 5 * y) % 7 for y in range(30)] for x in range(30)]}),
@@ -100,6 +118,9 @@ PINS = [
         "triangles --matrix {asymmetric} --format json"),
     Pin(0, "dbda1667020e72f444a1c5635b1e1c902bd1229cbf31a9e01d1a14b8d9d783da",
         "triangles --matrix {asymmetric} --format csv"),
+    # A tree matrix whose shuffled labels break its clusters: check finds
+    # the suspect pairs of its three raised entries in Prim's order.
+    Pin(1, "9b53f544bbc312d50abffa4fe865108176d3865059c9b70f069c89e7a395c612", "check --matrix {shuffled}"),
     # Bundled data and small documents.
     Pin(0, "3ded310dc382ef0b22c179e0b75155ec90cc6e9234ee3e23c96929dfca791c5f", "features"),
     Pin(0, "2c5f357f3e7c294793894b4bf98c42864d422dd8c8fabe476a0972ec88bb6e09", "features --ap 1"),

@@ -20,7 +20,9 @@ from ultratree import (
     random_tree,
     xbar_template,
 )
-from ultratree.ultrametric import _suspect_pairs
+from ultratree import ultrametric
+from ultratree.cli import run
+from ultratree.ultrametric import _above, _check_axioms, _prim, _suspect_pairs
 
 from . import helpers as fx
 
@@ -155,12 +157,28 @@ def random_matrices(draw):
 
 
 @st.composite
-def perturbed_tree_matrices(draw):
-    """A tree leaf matrix with 1-3 entries raised or lowered symmetrically."""
-    rows = [list(row) for row in draw(st.sampled_from(TREE_MATRICES)).entries]
+def symmetric_matrices(draw):
+    """Symmetric matrices of 0-12 labels with a zero diagonal and entries
+    from 0 to at most 4 off it, so ties and zeros are common."""
+    n = draw(st.integers(0, 12))
+    cells = st.integers(0, draw(st.integers(0, 4)))
+    rows = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            rows[x][y] = rows[y][x] = draw(cells)
+    return tuple(map(tuple, rows))
+
+
+@st.composite
+def perturbed_tree_matrices(draw, permuted=False):
+    """A tree leaf matrix with 1-3 entries raised or lowered symmetrically;
+    if ``permuted``, with its labels in a drawn order and 0-3 entries changed."""
+    entries = draw(st.sampled_from(TREE_MATRICES)).entries
+    order = draw(st.permutations(range(len(entries)))) if permuted else range(len(entries))
+    rows = [[entries[x][y] for y in order] for x in order]
     n = len(rows)
     if n >= 2:
-        for _ in range(draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(0 if permuted else 1, 3))):
             x, y = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
             rows[x][y] = rows[y][x] = rows[x][y] + draw(st.sampled_from([-2, -1, 1, 2, 3]))
     return rows
@@ -200,6 +218,32 @@ class TestAxiomScanOracle:
     def test_perturbed_tree_matrices(self, rows):
         self.check(rows)
 
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_tree_matrices(permuted=True))
+    def test_permuted_tree_matrices(self, rows):
+        # Labels out of leaf order: the own-order certificate fails, and
+        # the suspect pairs come from Prim's order.
+        self.check(rows)
+
+    @pytest.mark.parametrize(
+        "rows, metric",
+        [
+            ([], []),
+            ([[0]], []),
+            ([[2]], [("zero_diagonal", (0,))]),
+            ([[0, 3], [3, 0]], []),
+            ([[0, 0], [0, 0]], [("positivity", (0, 1)), ("positivity", (1, 0))]),
+            ([[0, 1], [2, 0]], [("symmetry", (0, 1))]),
+            # A zero step m[1][0]: no certificate in the own order, and
+            # Prim's order finds no suspect pair.
+            ([[0, 0, 2], [0, 0, 2], [2, 2, 0]], [("positivity", (0, 1)), ("positivity", (1, 0))]),
+        ],
+    )
+    def test_small_matrices(self, rows, metric):
+        m = DistanceMatrix([f"l{i}" for i in range(len(rows))], rows)
+        assert _check_axioms(m) == (metric, [])
+        self.check(rows)
+
     def test_guard_examples_report_violations(self):
         negative = DistanceMatrix("abc", [[0, 3, -1], [3, 0, 3], [-1, 3, 0]])
         triangles = [v.indices for v in check_metric(negative).metric_violations
@@ -216,6 +260,48 @@ class TestAxiomScanOracle:
         # Keeps the scans O(n^2) on every tree: none of them visits a pair.
         for m in TREE_MATRICES:
             assert _suspect_pairs(m.entries, m.size) == []
+
+    def test_tree_matrices_never_run_prim(self, monkeypatch, tmp_path, capsys):
+        # Every leaf matrix is certified in its own label order, so check
+        # on a tree takes O(n) Python steps and never searches for a
+        # spanning tree.
+        def no_prim(m, n):
+            raise AssertionError("Prim's algorithm ran on a leaf matrix")
+
+        monkeypatch.setattr(ultrametric, "_prim", no_prim)
+        tree = random_tree(1, 300, "mixed:4")
+        for m in [*TREE_MATRICES, leaf_matrix(tree)]:
+            assert _check_axioms(m) == ([], [])
+        path = tmp_path / "t300.trees"
+        path.write_text(tree.to_bracketed() + "\n")
+        assert run(["check", str(path)]) == 0
+        assert capsys.readouterr().out == "[]\n"
+
+
+class TestSingleLinkage:
+    """Prim's order and attach weights against the minimax-path closure."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_matrices())
+    @example(())
+    @example(((0,),))
+    @example(((0, 0, 2), (0, 0, 2), (2, 2, 0)))
+    def test_prim_order_gives_the_subdominant_ultrametric(self, m):
+        n = len(m)
+        u = fx.minimax_closure(m)
+        joins = list(_prim(m, n))
+        order, weights = [0, *(y for y, _ in joins)][:n], [w for _, w in joins]
+        assert sorted(order) == list(range(n))
+        for j in range(n):
+            for i in range(j):
+                assert u[order[i]][order[j]] == max(weights[i:j])
+        above = [(x, y) for x in range(n) for y in range(x + 1, n) if m[x][y] > u[x][y]]
+        assert _suspect_pairs(m, n) == above
+        # The own label order certifies exactly when no entry lies below
+        # the largest step between its labels, and then it finds the same pairs.
+        steps = [m[k][k - 1] for k in range(1, n)]
+        below = any(m[i][j] < max(steps[i:j]) for j in range(n) for i in range(j))
+        assert _above(m, zip(range(1, n), steps)) == (None if below else above)
 
 
 class TestTriangles:
