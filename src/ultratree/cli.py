@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Every analysis is reachable as a subcommand over tree files and JSON
-documents.  Exit codes separate outcomes so pipelines can branch on them:
+Every analysis is a subcommand over tree files and JSON documents.  run()
+parses a call by its subcommand's parser; the top-level one serves help and
+errors.  Exit codes separate outcomes so pipelines can branch on them:
 
 * 0: the analysis ran and found nothing wrong,
 * 1: the analysis ran and found violations (failed axioms, theorem
@@ -490,14 +491,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
-    # Built on the first run(), not at import.  Sharing it is safe:
-    # parse_args leaves the parser as it was and returns a new namespace.
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # The top-level parser and each subcommand's by name, built on the first
+    # run(), not at import.  Sharing them is safe: a parse returns a new namespace.
+    parser = build_parser()
+    return parser, next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parser()
+    if argv and argv[0] in commands:  # one pass over argv, by the subcommand's own parser
+        args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error("unrecognized arguments: %s" % " ".join(extras))
+    else:  # no argv, -h or an unknown command
+        args = parser.parse_args(argv)
     try:
         code, text = args.handler(args)
         # The one write to stdout, after the analysis: a failed run writes

@@ -212,8 +212,9 @@ class RelationMatrix(LabeledMatrix):
 
     @staticmethod
     def _row_text(sep: str, row, cells) -> str:
-        # Every entry is a bool, so the row's bytes are 0s and 1s.
-        return sep.join(bytes(row).translate(_BITS).decode())
+        # Every entry is a bool, so the row's bytes are 0s and 1s; replace puts sep around each.
+        text = bytes(row).translate(_BITS).decode().replace("", sep)
+        return text[len(sep) : len(text) - len(sep)]
 
     def __init__(self, labels: Sequence[str], entries: Sequence[Sequence]):
         super().__init__(labels, [[*map(bool, row)] for row in entries])

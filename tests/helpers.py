@@ -6,7 +6,10 @@ the node structure so library results can be checked against a second path.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import enum
+import io
 import os
 import random
 import subprocess
@@ -25,6 +28,7 @@ from ultratree import (
     SignMatrix,
     UltratreeError,
     UnbalancedBrackets,
+    cli,
 )
 from ultratree.trees import DEFAULT_RANDOM_CATEGORIES, _parse_arity, _tokenize
 
@@ -380,3 +384,112 @@ def run_python(
         timeout=timeout,
         preexec_fn=preexec_fn,
     )
+
+
+def argv_pieces(commands: dict) -> tuple[dict[str, list[tuple[str, ...]]], list[tuple[str, ...]]]:
+    """What to draw argv from, given cli's table of subcommand parsers by
+    name: by the word that comes first, its pieces, and stray pieces for any
+    first word.  A first word is a subcommand's name, an unknown one, none
+    (``""``) or a flag; a piece is one or two words.
+    A subcommand's pieces are its file, and each of its flags alone, with
+    each of its values, as ``--flag=value`` and abbreviated; a word that is no
+    subcommand gets every subcommand's pieces.  The stray pieces are
+    ``--``, ``-h``, values, subcommand names and flags no parser knows."""
+    table = {}
+    for name, sub in commands.items():
+        pieces = set()
+        for action in sub._actions:
+            if not action.option_strings:  # the file, as a tree file's name
+                pieces.add(("t.trees",))
+            if isinstance(action, argparse._HelpAction):  # -h is a stray piece
+                continue
+            if action.nargs == 0:  # switches take no value
+                values = []
+            elif action.choices:
+                values = [str(choice) for choice in action.choices]
+            else:
+                values = ["1", "-1", "x"] if action.type is int else ["V,P", "t.trees"]
+            for flag in action.option_strings:
+                names = [flag, *(flag[:end] for end in (4, 6) if flag.startswith("--") and end < len(flag))]
+                pieces.update((word,) for word in names)
+                pieces.update((word, value) for word in names for value in values)
+                pieces.update((f"{flag}={value}",) for value in values)
+        table[name] = sorted(pieces)
+    everything = sorted(set().union(*table.values()))
+    table.update(dict.fromkeys(["nosuch", "", "-h", "--help", "--format"], everything))
+    stray = ["--", "-", "-h", "--help", "--he", "--bogus", "-x", "", "t.trees", "-1", "x", "nosuch", *commands]
+    return table, [(word,) for word in stray]
+
+
+def random_argv(rng: random.Random, table: dict, stray: list) -> list[str]:
+    """A first word (``""`` stands for none) and then up to five pieces,
+    each a stray one with odds 1 in 5."""
+    first = rng.choice(list(table))
+    pieces = [rng.choice(stray if rng.random() < 0.2 else table[first]) for _ in range(rng.randrange(6))]
+    rest = [word for piece in pieces for word in piece]
+    return [first, *rest] if first else rest
+
+
+def parse_outcome(parse, argv) -> tuple:
+    """What ``parse(argv)`` gives: ``vars`` of its namespace or its
+    SystemExit code, and what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("args", vars(parse(argv)))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+class _Parsed(Exception):
+    """Carries the namespace that run() hands its subcommand's handler."""
+
+
+def _hand_back(args):
+    raise _Parsed(args)
+
+
+@contextlib.contextmanager
+def handed_back_parsers():
+    """cli's top-level parser and its table of subcommand parsers, built
+    afresh for the block with every subcommand's handler swapped for one
+    that raises its namespace back, so ``run_parse`` sees what run()
+    parsed.  The next run() builds the parsers again."""
+    cli._parser.cache_clear()
+    parser, commands = cli._parser()
+    for sub in commands.values():
+        sub.set_defaults(handler=_hand_back)
+    try:
+        yield parser, commands
+    finally:
+        cli._parser.cache_clear()
+
+
+def run_parse(argv):
+    """The namespace that ``cli.run(argv)`` parsed, inside ``handed_back_parsers``."""
+    try:
+        cli.run(argv)
+    except _Parsed as parsed:
+        return parsed.args[0]
+    raise AssertionError(f"run({argv!r}) returned without calling its handler")
+
+
+def argv_differences(count: int, seed: int = 0) -> list[list[str]]:
+    """The argv, of ``count`` drawn by ``random_argv``, for which run()'s
+    parse and the top-level parser's ``parse_args`` differ."""
+    with handed_back_parsers() as (parser, commands):
+        table, stray = argv_pieces(commands)
+        rng = random.Random(seed)
+        draws = (random_argv(rng, table, stray) for _ in range(count))
+        return [a for a in draws if parse_outcome(run_parse, a) != parse_outcome(parser.parse_args, a)]
+
+
+if __name__ == "__main__":
+    # python tests/helpers.py [COUNT]  (with src on PYTHONPATH; needs no pytest)
+    count = int(sys.argv[1]) if len(sys.argv) > 1 else 20000
+    differences = argv_differences(count)
+    print(f"{sys.version.split()[0]}: {len(differences)} of {count} argv differ")
+    for argv in differences[:10]:
+        print(argv)
+    sys.exit(1 if differences else 0)

@@ -10,6 +10,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultratree import (
     UltratreeError,
@@ -924,6 +925,116 @@ class TestParserReuse:
         assert cli.build_parser() is not cli.build_parser()
 
 
+PIECES, STRAY = fx.argv_pieces(cli._parser()[1])
+
+
+@st.composite
+def argvs(draw):
+    """A first word (``""`` for none) and up to five of its or stray pieces."""
+    first = draw(st.sampled_from(sorted(PIECES)))
+    pieces = draw(st.lists(st.sampled_from(PIECES[first]) | st.sampled_from(STRAY), max_size=5))
+    rest = [word for piece in pieces for word in piece]
+    return [first, *rest] if first else rest
+
+
+class TestOnePassParse:
+    """run() parses a call that names its subcommand first with that
+    subcommand's parser alone, and gets what the top-level parse_args gets:
+    the same namespace, or the same exit code, stdout and stderr."""
+
+    @staticmethod
+    def assert_same_parse(argv):
+        with fx.handed_back_parsers() as (top, _):
+            assert fx.parse_outcome(fx.run_parse, argv) == fx.parse_outcome(top.parse_args, argv)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(argvs())
+    def test_matches_parse_args(self, argv):
+        self.assert_same_parse(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            [""],
+            ["-h"],
+            ["--help"],
+            ["--he"],
+            ["nosuch"],
+            ["nosuch", "t.trees"],
+            ["--format", "csv", "check", "t.trees"],
+            ["--", "check", "t.trees"],
+            ["check"],
+            ["check", "-h"],
+            ["check", "--help"],
+            ["check", "--he"],
+            ["check", "t.trees", "-h"],
+            ["check", "t.trees"],
+            ["check", "--", "t.trees"],
+            ["check", "t.trees", "--"],
+            ["check", "--", "--format"],
+            ["check", "--format=csv", "t.trees"],
+            ["check", "--format=xml", "t.trees"],
+            ["check", "--form", "csv", "t.trees"],
+            ["check", "t.trees", "--bogus"],
+            ["check", "t.trees", "--bogus=1", "extra"],
+            ["check", "t.trees", "u.trees"],
+            ["check", ""],
+            ["check", "", ""],
+            ["check", "-x", "t.trees"],
+            ["ccommand", "t.trees", "--nodes", "all"],
+            ["ccommand", "--nodes=all", "t.trees"],
+            ["ccommand", "t.trees", "--nodes"],
+            ["ccommand", "--nodes", "some", "t.trees"],
+            ["govern", "t.trees", "--governors", ""],
+            ["randtest", "--max", "3", "--seed", "1"],
+            ["randtest", "--max-leaves", "-1", "--seed", "-1"],
+            ["randtest", "--seed", "x"],
+            ["randtest", "--se", "1", "--ex", "3"],
+            ["randtest"],
+            ["matrix", "--xbar", "--i", "-1"],
+            ["matrix", "--xbar=1"],
+            ["features", "--ap", "2"],
+            ["hierarchy"],
+            ["mindist", "--", "-1"],
+            ["dominance", "t.trees", "dominance"],
+        ],
+    )
+    def test_rows(self, argv):
+        self.assert_same_parse(argv)
+
+    def test_argv_none_is_sys_argv(self, tree_file, monkeypatch, capsys):
+        expected = (run(["ccommand", tree_file, "--nodes", "all"]), capsys.readouterr())
+        monkeypatch.setattr(sys, "argv", ["ultratree", "ccommand", tree_file, "--nodes", "all"])
+        assert (run(), capsys.readouterr()) == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dominance", "{file}"],
+            ["ccommand", "{file}", "--nodes", "all"],
+            ["cucommand", "{file}", "--nodes", "all"],
+            ["govern", "{file}"],
+            ["theorem", "{file}", "--nodes", "all"],
+            ["matrix", "{file}"],
+            ["check", "{file}"],
+            ["randtest", "--seed", "1", "--trees", "5"],
+        ],
+    )
+    def test_no_top_level_pass(self, argv, tree_file, monkeypatch, capsys):
+        argv = [word.format(file=tree_file) for word in argv]
+        expected = (run(argv), capsys.readouterr())
+
+        def second_pass(*args, **kwargs):
+            raise AssertionError("the top-level parser parsed a subcommand's call")
+
+        top = cli._parser()[0]
+        monkeypatch.setattr(top, "parse_args", second_pass)
+        monkeypatch.setattr(top, "parse_known_args", second_pass)
+        assert (run(argv), capsys.readouterr()) == expected
+        assert expected[0] in (0, 1) and expected[1].out
+
+
 class TestEntryPoint:
     """``python -m ultratree`` runs main() in a process of its own."""
 
@@ -1064,10 +1175,4 @@ def test_command_table_covers_public_operations():
 
 
 def test_command_table_matches_parser():
-    from ultratree.cli import build_parser
-
-    parser = build_parser()
-    sub = next(
-        a for a in parser._actions if isinstance(a, type(parser._subparsers._group_actions[0]))
-    )
-    assert set(COMMAND_OPERATIONS) == set(sub.choices)
+    assert set(COMMAND_OPERATIONS) == set(cli._parser()[1])
