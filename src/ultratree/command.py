@@ -76,6 +76,7 @@ class _Facts:
     holding the previous or next peer for cu-command, the node itself for
     both when it is alone.  A first branching ancestor holding another peer
     is the cu-command root too, so c-command is contained in cu-command.
+    ``_facts`` runs the pass once per tree and keeps it on the tree.
     """
 
     def __init__(self, tree: PhraseTree):
@@ -89,7 +90,7 @@ class _Facts:
             levels[h].append(p)
         self.peers = [levels[h] for h in height]  # positions at each node's height
         c_root, cu_root = self.c_root, self.cu_root = list(range(n)), list(range(n))
-        above = [0] * n  # first branching ancestor; a node with peers has one
+        above = self.above = [-1] * n  # first branching ancestor or -1; a node with peers has one
         for p in range(1, n):
             top = above[p] = up[p] if arity[up[p]] > 1 else above[up[p]]
             level = self.peers[p]
@@ -113,9 +114,16 @@ class _Facts:
         return self.peers[p] is self.peers[q] and root <= q < self.end[root]
 
 
+def _facts(tree: PhraseTree) -> _Facts:
+    """The tree's command facts, kept from its first query; racing threads build equal ones."""
+    if tree._facts is None:
+        tree._facts = _Facts(tree)
+    return tree._facts
+
+
 def _relation(tree: PhraseTree, nodes: str, related) -> RelationMatrix:
     """The matrix over the chosen nodes; row p marks the positions ``related(facts, p)``."""
-    positions, facts = _positions(tree, nodes), _Facts(tree)
+    positions, facts = _positions(tree, nodes), _facts(tree)
     column = {p: k for k, p in enumerate(positions)}
     blank, rows = [False] * len(positions), []
     for p in positions:
@@ -129,13 +137,10 @@ def _relation(tree: PhraseTree, nodes: str, related) -> RelationMatrix:
 
 def first_branching_ancestor(tree: PhraseTree, node_id: int) -> int:
     """Nearest strict ancestor with at least two children; unary nodes are skipped."""
-    up, arity = tree._up, tree._arity
-    q = up[tree._position(node_id)]
-    while q >= 0 and arity[q] < 2:
-        q = up[q]
-    if q < 0:
+    top = _facts(tree).above[tree._position(node_id)]
+    if top < 0:
         raise NoBranchingAncestor(f"no branching ancestor above node {node_id}")
-    return q
+    return top
 
 
 def same_height_distance(tree: PhraseTree, a: int, b: int) -> int:
@@ -150,16 +155,11 @@ def same_height_distance(tree: PhraseTree, a: int, b: int) -> int:
 
 
 def c_command(tree: PhraseTree, a: int, b: int) -> bool:
-    """Whether the first branching node strictly above ``a`` dominates ``b``.
-
-    The relation includes the self pair and applies only between nodes at
-    the same height.  One climb from ``a`` answers it: O(depth).
-    """
-    p, q = tree._position(a), tree._position(b)
-    if p == q or tree._height[p] != tree._height[q]:
-        return p == q
-    top = first_branching_ancestor(tree, p)
-    return top <= q < tree._end[top]
+    """Whether the first branching node strictly above ``a`` dominates ``b``:
+    the self pair included, between same-height nodes only, in O(1) once
+    the tree's command pass is kept."""
+    facts = _facts(tree)
+    return facts.holds(facts.c_root, tree._position(a), tree._position(b))
 
 
 def c_command_matrix(tree: PhraseTree, nodes: str = "leaves") -> RelationMatrix:
@@ -169,16 +169,16 @@ def c_command_matrix(tree: PhraseTree, nodes: str = "leaves") -> RelationMatrix:
 def cu_domain(tree: PhraseTree, a: int) -> CuDomain:
     """Distances from ``a`` to its height peers and the set of closest ones.
 
-    The members come from the pass behind the relation matrices, and each
+    The members come from the tree's kept command pass, and each
     distance from one ``lca``.  When ``a`` is alone the domain is ``{a}``.
     """
-    facts, p = _Facts(tree), tree._position(a)
+    facts, p = _facts(tree), tree._position(a)
     distance_set = {q: same_height_distance(tree, a, q) for q in facts.peers[p]}
     return CuDomain(a, distance_set, frozenset(facts.run(facts.cu_root, p)))
 
 
 def cu_command(tree: PhraseTree, a: int, b: int) -> bool:
-    facts = _Facts(tree)
+    facts = _facts(tree)
     return facts.holds(facts.cu_root, tree._position(a), tree._position(b))
 
 
@@ -197,7 +197,7 @@ def theorem_check(tree: PhraseTree, nodes: str = "leaves") -> list[Disagreement]
     it does not c-command.  C-command is contained in cu-command, so every
     disagreement holds ``"cu_command"``: O(N·depth + output).
     """
-    positions, facts = _positions(tree, nodes), _Facts(tree)
+    positions, facts = _positions(tree, nodes), _facts(tree)
     c_root, cu_root = facts.c_root, facts.cu_root
     return [
         Disagreement(p, q, "cu_command")
@@ -276,7 +276,7 @@ def governs(tree: PhraseTree, a: int, b: int, policy: GovernorPolicy | None = No
     each node lies in the other's cu-domain.  Self government is excluded.
     """
     policy, p, q = _checked(policy), tree._position(a), tree._position(b)
-    return q in _governed(tree, _Facts(tree), policy, p)
+    return q in _governed(tree, _facts(tree), policy, p)
 
 
 def government_matrix(

@@ -107,8 +107,8 @@ class LabeledMatrix:
     # -- serialization ----------------------------------------------------
 
     def _cells(self, absent: str):
-        """Each entry's JSON and CSV text, in a table built for one write, with
-        ``absent`` for None; None for kinds without a fixed text per entry."""
+        """Each entry's text, with ``absent`` for None, for ``to_csv`` and ``_row_text``
+        (``cli._matrix_text``); None for kinds without a fixed text per entry."""
         return None
 
     @staticmethod

@@ -102,11 +102,11 @@ class PhraseTree:
     ``parse_tree`` makes only valid preorders, so it fills the lists
     directly and runs the same word check; ``random_tree`` and
     ``enumerate_binary_trees`` make only valid trees and skip it.  ``Node``
-    views are built on first use.  All queries are pure; instances may be
-    shared freely across threads.
+    views and the command pass are built on first use and kept (copies and
+    pickles carry them); queries are pure, and trees may be shared by threads.
     """
 
-    __slots__ = ("_label", "_word", "_up", "_end", "_height", "_arity", "_views")
+    __slots__ = ("_label", "_word", "_up", "_end", "_height", "_arity", "_views", "_facts")
 
     def __init__(self, records: Sequence[tuple[str, str | None, int]]):
         if not records:
@@ -284,7 +284,7 @@ def _filled(
             arity[parent], end[parent], height[parent] = 1, end[p], h
     tree = object.__new__(PhraseTree) if tree is None else tree
     tree._label, tree._word, tree._up, tree._end = labels, words, up, end
-    tree._height, tree._arity, tree._views = height, arity, None  # views: built on first use
+    tree._height, tree._arity, tree._views, tree._facts = height, arity, None, None  # built on first use
     return tree
 
 

@@ -1,7 +1,13 @@
 """C-command, cu-command, theorem comparison, and government."""
 
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 
+import ultratree.command
 from ultratree import (
     CuDomain,
     EmptyPolicy,
@@ -99,6 +105,12 @@ class TestCCommand:
         tree = parse_tree("(N dog)")
         with pytest.raises(NoBranchingAncestor):
             first_branching_ancestor(tree, tree.root.id)
+
+    def test_no_branching_ancestor_anywhere_on_a_unary_chain(self):
+        tree = parse_tree("(R (U (A a)))")
+        for node in tree.nodes:
+            with pytest.raises(NoBranchingAncestor, match=f"above node {node.id}$"):
+                first_branching_ancestor(tree, node.id)
 
 
 class TestCuDomain:
@@ -244,3 +256,81 @@ class TestPairQueries:
                 query(f13, 0, bad)
             with pytest.raises(UnknownNode, match=f"no node with id {bad}"):
                 query(f13, bad, 0)
+
+
+def every_answer(tree):
+    """Every command query's answer on every node and pair of ``tree``."""
+    ids = [n.id for n in tree.nodes]
+    policy = GovernorPolicy(frozenset({"V", "P", "N"}))
+    answers = [
+        [c_command(tree, a, b), cu_command(tree, a, b), governs(tree, a, b, policy)] for a in ids for b in ids
+    ]
+    for a in ids:
+        try:
+            answers.append(first_branching_ancestor(tree, a))
+        except NoBranchingAncestor:
+            answers.append(None)
+        answers.append(cu_domain(tree, a))
+    for nodes in ("leaves", "all"):
+        answers += [c_command_matrix(tree, nodes), cu_command_matrix(tree, nodes), theorem_check(tree, nodes)]
+        answers.append(government_matrix(tree, policy, nodes))
+    return answers
+
+
+def unary_rooted(seed):
+    """A random 14-leaf tree under a unary root, so that two nodes have no
+    branching ancestor."""
+    return parse_tree(f"(U {random_tree(seed, 14, 'mixed:4').to_bracketed()})")
+
+
+class TestKeptPass:
+    """Each tree runs the command pass once, on its first query, and keeps it."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """The trees the command pass is run on, one entry per run."""
+        built = []
+
+        class Counted(ultratree.command._Facts):
+            def __init__(self, tree):
+                built.append(tree)
+                super().__init__(tree)
+
+        monkeypatch.setattr(ultratree.command, "_Facts", Counted)
+        return built
+
+    def test_built_once_per_tree(self, built):
+        tree = unary_rooted(5)
+        every_answer(tree)
+        assert built == [tree]
+        every_answer(random_tree(6, 3, "binary"))
+        assert len(built) == 2
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_and_pickles_carry_the_pass(self, monkeypatch, round_trip):
+        expected = every_answer(unary_rooted(5))
+        tree = unary_rooted(5)
+        assert every_answer(tree) == expected
+        again = round_trip(tree)
+        monkeypatch.setattr(ultratree.command, "_Facts", None)  # a pass run on the copy would fail
+        assert again == tree and hash(again) == hash(tree)
+        assert every_answer(again) == expected
+
+    def test_threads_share_a_fresh_tree(self):
+        expected, tree, results = every_answer(unary_rooted(5)), unary_rooted(5), []
+        threads = [threading.Thread(target=lambda: results.append(every_answer(tree))) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 4

@@ -14,6 +14,7 @@ from ultratree import (
     Disagreement,
     DistanceMatrix,
     GovernorPolicy,
+    NoBranchingAncestor,
     PhraseTree,
     RelationMatrix,
     UnknownLabel,
@@ -24,6 +25,7 @@ from ultratree import (
     cu_domain,
     dominance_matrix,
     dominates,
+    first_branching_ancestor,
     governs,
     government_matrix,
     leaf_matrix,
@@ -116,17 +118,18 @@ def check_command_relations(tree):
     ids = [n.id for n in tree.nodes]
     peers = {a: [b for b in ids if heights[b] == heights[a]] for a in ids}
     children = {n.id: len(n.children) for n in tree.nodes}
+    # Each node's ancestor chain, branching ancestors and peer distances,
+    # found once from the brute references.
+    chains = {a: brute_ancestors(tree, a) for a in ids}
+    branching = {a: [x for x in chains[a][1:] if children[x] >= 2] for a in ids}
+    distances = {a: {b: heights[brute_lca(tree, a, b)] - heights[a] for b in peers[a]} for a in ids}
 
     def c_commands(a, b):
-        if heights[a] != heights[b]:
-            return False
-        if a == b:
-            return True
-        above = next(x for x in brute_ancestors(tree, a)[1:] if children[x] >= 2)
-        return brute_lca(tree, above, b) == above
+        # The first branching ancestor of a dominates b.
+        return heights[a] == heights[b] and (a == b or branching[a][0] in chains[b])
 
     def cu_members(a):
-        distance = {b: heights[brute_lca(tree, a, b)] - heights[a] for b in peers[a]}
+        distance = distances[a]
         positive = [d for d in distance.values() if d > 0]
         return {a} | {b for b, d in distance.items() if positive and d == min(positive)}
 
@@ -165,16 +168,17 @@ def check_command_relations(tree):
     for a in ids:
         domain = cu_domain(tree, a)
         assert domain.owner == a and domain.members == members[a]
-        assert list(domain.distance_set.items()) == [
-            (b, heights[brute_lca(tree, a, b)] - heights[a]) for b in peers[a]
-        ]
+        assert list(domain.distance_set.items()) == list(distances[a].items())
 
-    # cu_command and governs each run the whole pass, so only small trees
-    # get every pair.
-    if len(ids) <= 16:
-        assert [[c_command(tree, a, b) for b in ids] for a in ids] == c_expected
-        assert [[cu_command(tree, a, b) for b in ids] for a in ids] == cu_expected
-        assert [[governs(tree, a, b, POLICY) for b in ids] for a in ids] == governs_expected
+    assert [[c_command(tree, a, b) for b in ids] for a in ids] == c_expected
+    assert [[cu_command(tree, a, b) for b in ids] for a in ids] == cu_expected
+    assert [[governs(tree, a, b, POLICY) for b in ids] for a in ids] == governs_expected
+    for a in ids:
+        if branching[a]:
+            assert first_branching_ancestor(tree, a) == branching[a][0]
+        else:
+            with pytest.raises(NoBranchingAncestor):
+                first_branching_ancestor(tree, a)
 
 
 def check_built_matrices(tree):
@@ -215,6 +219,15 @@ def test_every_small_shape(check):
 @settings(max_examples=40, deadline=None)
 def test_random_trees(check, tree):
     check(tree)
+
+
+def test_command_relations_pair_by_pair_on_a_large_tree():
+    """A seeded 70-leaf tree with unary nodes inserted under every fifth
+    node, the root included, checked pair by pair like the small ones."""
+    tree = random_tree(27, 70, "mixed:4")
+    tree = PhraseTree.from_nested(as_nested(tree.root, {n.id: 1 + n.id % 3 for n in tree.nodes if n.id % 5 == 0}))
+    assert len(tree) >= 100
+    check_command_relations(tree)
 
 
 @st.composite
