@@ -18,7 +18,7 @@ from collections.abc import Iterable, Mapping
 
 from .errors import EmptyPolicy, HeightMismatch, NoBranchingAncestor, UltratreeError, _ReadOnlyDict, _Record, _set
 from .matrix import RelationMatrix
-from .trees import PhraseTree, _parse_arity, disambiguate, lca, random_tree, serialize_tree
+from .trees import DEFAULT_RANDOM_CATEGORIES, PhraseTree, _below, _drawn, _parse_arity, disambiguate, lca, serialize_tree
 
 DEFAULT_GOVERNOR_CATEGORIES = frozenset({"V", "P"})
 
@@ -172,8 +172,8 @@ def cu_domain(tree: PhraseTree, a: int) -> CuDomain:
     The members come from the tree's kept command pass, and each
     distance from one ``lca``.  When ``a`` is alone the domain is ``{a}``.
     """
-    facts, p = _facts(tree), tree._position(a)
-    distance_set = {q: same_height_distance(tree, a, q) for q in facts.peers[p]}
+    facts, p, height = _facts(tree), tree._position(a), tree._height
+    distance_set = {q: height[lca(tree, p, q)] - height[p] for q in facts.peers[p]}
     return CuDomain(a, distance_set, frozenset(facts.run(facts.cu_root, p)))
 
 
@@ -243,13 +243,14 @@ def random_theorem_suite(
         raise UltratreeError(f"max_leaves must be at least 1, got {max_leaves}")
     if trees < 0:
         raise UltratreeError(f"trees must be at least 0, got {trees}")
-    _parse_arity(arity)  # a bad spec fails even when no tree is drawn
-    rng = random.Random(seed)
+    max_arity = _parse_arity(arity)  # a bad spec fails even when no tree is drawn
+    outer, rng = random.Random(seed), random.Random()  # rng is reseeded for each tree
 
     def generate():
-        for _ in range(trees):
-            leaf_count = rng.randint(1, max_leaves)
-            yield random_tree(rng.randrange(2**32), leaf_count, arity)
+        for _ in range(trees):  # outer.randint(1, max_leaves) leaves, then an outer.randrange(2**32) seed
+            leaf_count = 1 + _below(outer.getrandbits, max_leaves)
+            rng.seed(_below(outer.getrandbits, 2**32))
+            yield _drawn(rng, leaf_count, max_arity, DEFAULT_RANDOM_CATEGORIES)
 
     return theorem_report(generate(), nodes=nodes)
 

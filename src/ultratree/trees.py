@@ -16,7 +16,7 @@ import io
 import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import accumulate
+from itertools import accumulate, islice, repeat
 
 from .errors import (
     BadAritySpec,
@@ -495,35 +495,46 @@ def random_tree(
 ) -> PhraseTree:
     """Deterministic random tree over ``leaf_count`` leaves.
 
-    The shape is drawn by random splits of the leaf sequence, each node's
-    split before its children's; with ``arity='mixed:K'`` each split picks
-    between 2 and K parts.  Leaves are words ``w1..wn`` with categories drawn
-    from ``categories``.  The same seed always yields the identical tree.
+    Splits of the leaf sequence shape the tree, each node's before its
+    children's, into 2 parts or, with ``arity='mixed:K'``, 2 to K.  Leaves are
+    words ``w1..wn`` with categories, all tokens, from ``categories``.  It is
+    the tree that ``choice``, ``randint`` and ``sample`` on ``Random(seed)`` draw.
     """
     if leaf_count < 1:
         raise UltratreeError("leaf_count must be at least 1")
-    max_arity = _parse_arity(arity)
-    rng = random.Random(seed)
-    choice, randrange, sample = rng.choice, rng.randrange, rng.sample
-    categories = list(categories)
-    leaf_categories = [choice(categories) for _ in range(leaf_count)]
-    labels, words, up = [], [], []
-    stack = [(0, leaf_count, -1)]  # leaf spans [lo, hi) still to draw, next on top
+    max_arity, categories = _parse_arity(arity), list(categories)
+    bad = [c for c in categories if not (isinstance(c, str) and (c.isalnum() or _token(c)))]  # PhraseTree's test
+    if bad or not categories:
+        raise UltratreeError(f"category {bad[0]!r} is not one token" if bad else "categories must not be empty")
+    return _drawn(random.Random(seed), leaf_count, max_arity, categories)
+
+
+def _below(getrandbits, n: int) -> int:
+    """``Random._randbelow(n)``: k-bit draws until one is below n, so n == 1 spends one too."""
+    r = getrandbits(k := n.bit_length())
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _drawn(rng: random.Random, leaf_count: int, max_arity: int | None, categories: Sequence[str]) -> PhraseTree:
+    """The tree that a ``choice`` per leaf, then a ``randint`` and a ``sample`` per split, draw on ``rng``."""
+    draw, sample, n = rng.getrandbits, rng.sample, len(categories)
+    chosen = [categories[r] for r in islice(filter(n.__gt__, map(draw, repeat(n.bit_length()))), leaf_count)]
+    labels, words, up, stack = [], [], [], [(0, leaf_count, -1)]  # stack: spans [lo, hi) to draw, next on top
     while stack:
         lo, hi, parent = stack.pop()
+        leaf = hi - lo == 1
+        labels.append(chosen[lo] if leaf else "X")
+        words.append(f"w{hi}" if leaf else None)
         up.append(parent)
-        if hi - lo == 1:
-            labels.append(leaf_categories[lo])
-            words.append(f"w{lo + 1}")
-            continue
-        # The stream of randint(2, m) and of sample(range(lo + 1, hi), 1), in fewer calls.
-        parts = 2 if max_arity is None else randrange(2, min(max_arity, hi - lo) + 1)
-        cuts = [randrange(lo + 1, hi)] if parts == 2 else sorted(sample(range(lo + 1, hi), parts - 1))
-        bounds = [lo, *cuts, hi]
-        labels.append("X")
-        words.append(None)
-        here = len(up) - 1
-        stack.extend((bounds[i], bounds[i + 1], here) for i in range(parts - 1, -1, -1))
+        if not leaf:  # children go on the stack last first; a two-way cut is sample(range(lo + 1, hi), 1)
+            if max_arity is None or (parts := 2 + _below(draw, min(max_arity, hi - lo) - 1)) == 2:
+                cut = lo + 1 + _below(draw, hi - lo - 1)
+                stack += (cut, hi, len(up) - 1), (lo, cut, len(up) - 1)
+            else:
+                bounds = [lo, *sorted(sample(range(lo + 1, hi), parts - 1)), hi]
+                stack.extend(zip(bounds[-2::-1], bounds[:0:-1], repeat(len(up) - 1)))
     return _filled(labels, words, up)
 
 

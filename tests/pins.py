@@ -83,6 +83,11 @@ PINS = [
         "randtest --seed 0 --exhaustive-leaves 10 --nodes all"),
     Pin(1, "6afedbe2510e94753c0352affa1c0b131cee2301a7278287ca24200fe735b4fe",
         "randtest --seed 5 --trees 300 --max-leaves 10 --nodes all"),
+    # One-leaf trees have no disagreement, so this row pins the exit code and
+    # tree count only; that each tree still spends its leaf-count draw is
+    # checked tree by tree in tests/test_command.py.
+    Pin(0, "9fae0d65aaa4227155b0cbd6f8f7ef07f3efb96757af657c7e2018ac9ee8d4bc",
+        "randtest --seed 11 --trees 200 --max-leaves 1 --nodes all"),
     Pin(1, "8de4ffe765f0ee8b0a9858f415075c3a1a3bdb049565e9ccf4f2eeea17ef9d4a",
         "randtest --seed 3 --trees 400 --max-leaves 40 --arity binary --nodes all"),
     Pin(1, "22bbc4d6e4024261d29638a023429e1faf2ae52ec09e37ff5f3ea4670aa998d2",

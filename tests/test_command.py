@@ -2,10 +2,13 @@
 
 import copy
 import pickle
+import random
 import sys
 import threading
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ultratree.command
 from ultratree import (
@@ -14,6 +17,7 @@ from ultratree import (
     GovernorPolicy,
     HeightMismatch,
     NoBranchingAncestor,
+    PhraseTree,
     UnknownNode,
     assign_heights,
     c_command,
@@ -29,6 +33,7 @@ from ultratree import (
     random_tree,
     same_height_distance,
     theorem_check,
+    theorem_report,
 )
 
 from . import helpers as fx
@@ -177,6 +182,31 @@ class TestTheorem:
         assert first == second
         assert first["trees_tested"] == 40
         assert first["disagreements"] == []
+
+    @given(
+        seed=st.integers(0, 2**64),
+        trees=st.integers(0, 12),
+        max_leaves=st.sampled_from([1, 10, 60]),
+        arity=st.sampled_from(["binary", "mixed:4", "mixed:9"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_suite_keeps_the_reference_stream(self, seed, trees, max_leaves, arity):
+        # Each tree's leaf count and then its seed come from one generator
+        # seeded once, as randint and randrange drew them, and the tree is
+        # the reference stream's for that seed.  The report names only trees
+        # with disagreements, so the trees drawn are compared as well: with
+        # one leaf, a tree's category shows whether its leaf count was drawn.
+        outer, expected = random.Random(seed), []
+        for _ in range(trees):
+            leaf_count = outer.randint(1, max_leaves)
+            records = fx.reference_random_records(outer.randrange(2**32), leaf_count, arity)
+            expected.append(PhraseTree(records))
+        report = random_theorem_suite(seed, trees, max_leaves, arity, nodes="all")
+        assert report == theorem_report(expected, nodes="all")
+        drawn = []
+        with mock.patch.object(ultratree.command, "theorem_report", lambda trees, nodes: drawn.extend(trees)):
+            random_theorem_suite(seed, trees, max_leaves, arity, nodes="all")
+        assert drawn == expected
 
     def test_symmetric_membership_under_shared_branching_ancestor(self):
         for seed in range(60):

@@ -3,7 +3,8 @@
 Inputs are every tree shape with 1-7 nodes (unary nodes included), shapes
 under a unary root spine, and hypothesis-drawn random trees with unary nodes
 inserted.  The command relations are checked pairwise, over all nodes,
-against references built here from brute_heights and brute_lca alone.
+against references built here from brute_heights and brute_ancestors
+alone, each node's chain found once per tree.
 """
 
 import pytest
@@ -40,7 +41,6 @@ from .helpers import (
     brute_ancestors,
     brute_heights,
     brute_lca,
-    brute_leaf_distance,
 )
 
 
@@ -89,40 +89,54 @@ RANDOM_TREES = random_trees()
 POLICY = GovernorPolicy(frozenset({"W", "V", "P"}))
 
 
+def brute_chains(tree):
+    """Each node's ancestor chain from brute_ancestors, and brute_heights,
+    found once per tree: brute_lca and brute_leaf_distance find them again
+    for every pair."""
+    return {n.id: brute_ancestors(tree, n.id) for n in tree.nodes}, brute_heights(tree)
+
+
+def chain_lca(chains, a, b):
+    """brute_lca from the chains: the first of a's ancestors, bottom up, on b's chain."""
+    above_b = set(chains[b])
+    return next(x for x in chains[a] if x in above_b)
+
+
 def check_dominance(tree):
     ids = [n.id for n in tree.nodes]
-    expected = [[a in brute_ancestors(tree, b) for b in ids] for a in ids]
+    chains = {b: set(chain) for b, chain in brute_chains(tree)[0].items()}
+    expected = [[a in chains[b] for b in ids] for a in ids]
     assert [[dominates(tree, a, b) for b in ids] for a in ids] == expected
     assert [list(row) for row in dominance_matrix(tree).entries] == expected
 
 
 def check_leaf_matrix(tree):
     ids = [n.id for n in tree.leaves]
-    expected = [[brute_leaf_distance(tree, a, b) for b in ids] for a in ids]
+    chains, heights = brute_chains(tree)
+    expected = [[heights[chain_lca(chains, a, b)] for b in ids] for a in ids]
     assert [list(row) for row in leaf_matrix(tree).entries] == expected
 
 
 def check_category_minima(tree):
     leaves = tree.leaves
+    chains, heights = brute_chains(tree)
     expected = {}
     for i, x in enumerate(leaves):
         for y in leaves[i + 1 :]:
             pair = tuple(sorted((x.label, y.label)))
-            d = brute_leaf_distance(tree, x.id, y.id)
+            d = heights[chain_lca(chains, x.id, y.id)]
             expected[pair] = min(d, expected.get(pair, d))
     assert tree_category_minima(tree) == expected
 
 
 def check_command_relations(tree):
-    heights = brute_heights(tree)
+    chains, heights = brute_chains(tree)
     ids = [n.id for n in tree.nodes]
     peers = {a: [b for b in ids if heights[b] == heights[a]] for a in ids}
     children = {n.id: len(n.children) for n in tree.nodes}
-    # Each node's ancestor chain, branching ancestors and peer distances,
-    # found once from the brute references.
-    chains = {a: brute_ancestors(tree, a) for a in ids}
+    # Each node's branching ancestors and peer distances, from its chain.
     branching = {a: [x for x in chains[a][1:] if children[x] >= 2] for a in ids}
-    distances = {a: {b: heights[brute_lca(tree, a, b)] - heights[a] for b in peers[a]} for a in ids}
+    distances = {a: {b: heights[chain_lca(chains, a, b)] - heights[a] for b in peers[a]} for a in ids}
 
     def c_commands(a, b):
         # The first branching ancestor of a dominates b.
@@ -257,7 +271,7 @@ def test_cu_domain_distances_match_brute_lca(case):
 @given(deep_trees_and_owners())
 @settings(max_examples=60, deadline=None)
 def test_leaf_matrix_on_deep_trees(case):
-    """Up to 40 leaves, with unary chains: the top-down rows against brute_lca."""
+    """Up to 40 leaves, with unary chains: the top-down rows against the brute chains."""
     tree, _ = case
     check_leaf_matrix(tree)
 

@@ -434,6 +434,17 @@ class TestGeneration:
                 records = list(zip(tree._label, tree._word, tree._up))
                 assert records == reference_random_records(seed, leaf_count, arity), (seed, leaf_count)
 
+    def test_random_tree_refuses_no_categories(self):
+        # With nothing to draw from, the leaf draws would never end.
+        with pytest.raises(UltratreeError, match="categories must not be empty"):
+            random_tree(1, 3, "binary", ())
+
+    @pytest.mark.parametrize("category", ["a b", "(", ")", "", "a\tb", None, 7])
+    def test_random_tree_refuses_categories_that_are_not_tokens(self, category):
+        # Such a leaf would print as text that parse_tree rejects.
+        with pytest.raises(UltratreeError, match=re.escape(f"category {category!r} is not one token")):
+            random_tree(1, 3, "binary", ("N", category))
+
     def test_random_mixed_respects_max_arity(self):
         for seed in range(100):
             tree = random_tree(seed, 10, "mixed:4")
