@@ -147,14 +147,22 @@ def _prim(m, n: int):
                 best[k] = row[x]
 
 
-def _suspect_pairs(m, n: int) -> list[tuple[int, int]]:
-    """Pairs ``(x, y)``, x < y, ascending, that can be the long side of a
-    violating triple of the symmetric, non-negative ``m``: those above the
-    subdominant ultrametric u, the largest one at or below ``m`` (single
-    linkage; Gower & Ross 1969): any other pair has ``d(x,y) = u(x,y) <=
-    max(d(x,z), d(z,y))``.  In any Prim run, u between the i-th and j-th
-    attached vertices is the largest attach weight in (i, j]: O(n^2)."""
-    return _above(m, _prim(m, n))
+def _linkage(m, n: int) -> tuple[list[tuple[int, int]], int]:
+    """Single linkage of the symmetric ``m``: the pairs ``(x, y)``, x < y,
+    ascending, above its subdominant ultrametric u (Gower & Ross 1969), the
+    only ones that can be the long side of a violating triple, and its least
+    join weight (1 if n < 2), which is the least entry off the diagonal.
+    The own label order is tried if its steps ``m[k][k-1]`` are positive: u is
+    at most the largest step in (i, j], and equal to it if ``_above`` certifies
+    the order, as for a tree's leaves: O(n) Python steps, O(n^2) compares at
+    C speed.  Else Prim's order, always certified, costs O(n^2) Python steps."""
+    steps = [m[k][k - 1] for k in range(1, n)]
+    least = min(steps, default=1)
+    pairs = _above(m, zip(range(1, n), steps)) if least > 0 else None
+    if pairs is None:
+        joins = [*_prim(m, n)]
+        pairs, least = _above(m, joins), min(map(itemgetter(1), joins), default=1)
+    return pairs, least
 
 
 def _check_axioms(matrix: DistanceMatrix) -> tuple[list, list]:
@@ -162,39 +170,23 @@ def _check_axioms(matrix: DistanceMatrix) -> tuple[list, list]:
     metric list (zero diagonal, positivity, symmetry, triangle) and the
     ultrametric list, each in report order.
 
-    A symmetric matrix with a zero diagonal and positive steps ``m[k][k-1]``
-    is first held against v, whose entry for labels i < j is the largest step
-    in (i, j].  The subdominant u is at most v along the consecutive labels,
-    and v at or below ``m`` makes v at most u: then the suspect pairs are those
-    above v, and every row passes its screens.  This holds when the label order
-    keeps each single-linkage cluster contiguous, as a tree's leaves do.  Else
-    each row is screened at C speed (its diagonal, a ``min`` off it, its upper
-    part against its column), an asymmetric or negative matrix makes every
-    pair suspect, and ``_suspect_pairs`` finds them otherwise.  Each suspect
-    pair (x, y) costs one scan over z per inequality.
+    A symmetric matrix (``zip(*m)`` equals its rows, at C speed) gets its
+    suspect pairs and least entry off the diagonal from ``_linkage``.  Its
+    entries are read one by one only if that entry is not positive, and every
+    pair is suspect only if it is negative; an asymmetric matrix gets both.
+    Each suspect pair (x, y) costs one scan over z per inequality.
     """
     m, n = matrix.entries, matrix.size
     columns = tuple(zip(*m))
-    diagonal, positivity, symmetry, triangle, ultrametric = [], [], [], [], []
-    steps = [m[k][k - 1] for k in range(1, n)]
-    own = columns == m and not any(map(tuple.__getitem__, m, range(n))) and min(steps, default=1) > 0
-    pairs = _above(m, zip(range(1, n), steps)) if own else None
-    if pairs is None:
-        least = 1  # the least entry off the diagonal, if below 1
-        for x, row in enumerate(m):
-            if row[x] != 0:
-                diagonal.append((AXIOM_ZERO_DIAGONAL, (x,)))
-            low = min(row[:x] + row[x + 1 :], default=1)
-            if low <= 0:
-                least = min(least, low)
-                positivity += [(AXIOM_POSITIVITY, (x, y)) for y, d in enumerate(row) if d <= 0 and y != x]
-            column = columns[x]
-            if row[x + 1 :] != column[x + 1 :]:
-                symmetry += [(AXIOM_SYMMETRY, (x, y)) for y in range(x + 1, n) if row[y] != column[y]]
-        if symmetry or least < 0:
-            pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
-        else:
-            pairs = _suspect_pairs(m, n)
+    pairs, least = _linkage(m, n) if columns == m else ([], -1)  # asymmetric: read as if negative
+    diagonal = [(AXIOM_ZERO_DIAGONAL, (x,)) for x, row in enumerate(m) if row[x] != 0]
+    positivity, symmetry, triangle, ultrametric = [], [], [], []
+    if least <= 0:
+        for x, row, column in zip(range(n), m, columns):
+            positivity += [(AXIOM_POSITIVITY, (x, y)) for y, d in enumerate(row) if d <= 0 and y != x]
+            symmetry += [(AXIOM_SYMMETRY, (x, y)) for y in range(x + 1, n) if row[y] != column[y]]
+    if least < 0:
+        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
     for x, y in pairs:
         row, column = m[x], columns[y]
         d = row[y]
@@ -213,8 +205,10 @@ def check_metric(matrix: DistanceMatrix) -> ViolationReport:
     ``d(x,y) > d(x,z) + d(z,y)``, visiting only the k suspect pairs (x, y).
     It costs O(n) Python steps, O(n^2) compares at C speed and O(k*n) when
     the label order keeps every single-linkage cluster contiguous (every leaf
-    matrix), and Prim's O(n^2) steps otherwise; an asymmetric or negative
-    matrix gets the full O(n^3) scan.
+    matrix), and Prim's O(n^2) steps otherwise.  Entries are read one by one
+    for positivity and symmetry only when one off the diagonal is 0 or less
+    or the matrix is asymmetric, and a negative or asymmetric matrix gets the
+    full O(n^3) scan.
     """
     metric, _ = _check_axioms(matrix)
     return ViolationReport(metric_violations=tuple([Violation(*v) for v in metric]))

@@ -39,17 +39,34 @@ def _raised() -> str:
     return json.dumps({"labels": m.labels, "rows": rows})
 
 
-def _shuffled() -> str:
-    """The 300-leaf tree's leaf matrix with its labels shuffled and three
-    entries raised: its own label order is no certificate, so check finds
-    the suspect pairs in Prim's order."""
-    m = leaf_matrix(T300)
+def _shuffled_rows(tree, seed: int) -> tuple[list, list]:
+    """The labels and rows of the tree's leaf matrix, labels shuffled by
+    ``random.Random(seed)``: its own label order is no certificate, so
+    check finds the suspect pairs in Prim's order."""
+    m = leaf_matrix(tree)
     order = list(range(m.size))
-    random.Random(25).shuffle(order)
-    rows = [[m.entries[x][y] for y in order] for x in order]
+    random.Random(seed).shuffle(order)
+    return [m.labels[x] for x in order], [[m.entries[x][y] for y in order] for x in order]
+
+
+def _shuffled() -> str:
+    """The 300-leaf tree's shuffled leaf matrix with three entries raised."""
+    labels, rows = _shuffled_rows(T300, 25)
     for x, y in [(0, 299), (7, 150), (200, 201)]:
         rows[x][y] = rows[y][x] = rows[x][y] + 1
-    return json.dumps({"labels": [m.labels[x] for x in order], "rows": rows})
+    return json.dumps({"labels": labels, "rows": rows})
+
+
+def _zeroed() -> str:
+    """A 60-leaf tree's shuffled leaf matrix with two entries off the
+    diagonal set to 0 and one diagonal entry to 2: check lists their
+    zero-diagonal and positivity faults, and as no entry is negative, it
+    scans only the suspect pairs."""
+    labels, rows = _shuffled_rows(random_tree(1, 60, "mixed:4"), 29)
+    for x, y in [(4, 33), (50, 51)]:
+        rows[x][y] = rows[y][x] = 0
+    rows[12][12] = 2
+    return json.dumps({"labels": labels, "rows": rows})
 
 
 # Each malformed file has a comment, a good tree and then a bad line 3.
@@ -59,6 +76,7 @@ INPUTS = {
     "t300": T300.to_bracketed() + "\n",
     "raised": _raised(),
     "shuffled": _shuffled(),
+    "zeroed": _zeroed(),
     # 30 labels, asymmetric, with zeros and a non-zero diagonal: every pair is scanned.
     "asymmetric": json.dumps({"labels": ["v%d" % x for x in range(30)],
                               "rows": [[(3 * x + 5 * y) % 7 for y in range(30)] for x in range(30)]}),
@@ -126,6 +144,9 @@ PINS = [
     # A tree matrix whose shuffled labels break its clusters: check finds
     # the suspect pairs of its three raised entries in Prim's order.
     Pin(1, "9b53f544bbc312d50abffa4fe865108176d3865059c9b70f069c89e7a395c612", "check --matrix {shuffled}"),
+    # Symmetric, with zero entries and a non-zero diagonal entry: positivity
+    # is listed, and the suspect pairs still come from Prim's order.
+    Pin(1, "bd95dc13124a39051c6dc87937c3c65d4618eaf06d0820ab69693964b4c08448", "check --matrix {zeroed}"),
     # Bundled data and small documents.
     Pin(0, "3ded310dc382ef0b22c179e0b75155ec90cc6e9234ee3e23c96929dfca791c5f", "features"),
     Pin(0, "2c5f357f3e7c294793894b4bf98c42864d422dd8c8fabe476a0972ec88bb6e09", "features --ap 1"),

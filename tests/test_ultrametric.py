@@ -22,7 +22,7 @@ from ultratree import (
 )
 from ultratree import ultrametric
 from ultratree.cli import run
-from ultratree.ultrametric import _above, _check_axioms, _prim, _suspect_pairs
+from ultratree.ultrametric import _above, _check_axioms, _linkage, _prim
 
 from . import helpers as fx
 
@@ -259,7 +259,7 @@ class TestAxiomScanOracle:
     def test_tree_matrices_have_no_suspect_pairs(self):
         # Keeps the scans O(n^2) on every tree: none of them visits a pair.
         for m in TREE_MATRICES:
-            assert _suspect_pairs(m.entries, m.size) == []
+            assert _linkage(m.entries, m.size)[0] == []
 
     def test_tree_matrices_never_run_prim(self, monkeypatch, tmp_path, capsys):
         # Every leaf matrix is certified in its own label order, so check
@@ -272,6 +272,12 @@ class TestAxiomScanOracle:
         tree = random_tree(1, 300, "mixed:4")
         for m in [*TREE_MATRICES, leaf_matrix(tree)]:
             assert _check_axioms(m) == ([], [])
+        # A non-zero diagonal entry is read off the diagonal; the suspect
+        # pairs never read it.
+        m = leaf_matrix(tree)
+        rows = [list(row) for row in m.entries]
+        rows[5][5] = 3
+        assert _check_axioms(DistanceMatrix(m.labels, rows)) == ([("zero_diagonal", (5,))], [])
         path = tmp_path / "t300.trees"
         path.write_text(tree.to_bracketed() + "\n")
         assert run(["check", str(path)]) == 0
@@ -296,7 +302,9 @@ class TestSingleLinkage:
             for i in range(j):
                 assert u[order[i]][order[j]] == max(weights[i:j])
         above = [(x, y) for x in range(n) for y in range(x + 1, n) if m[x][y] > u[x][y]]
-        assert _suspect_pairs(m, n) == above
+        pairs, least = _linkage(m, n)
+        assert pairs == above
+        assert least == min([m[x][y] for x in range(n) for y in range(n) if x != y], default=1)
         # The own label order certifies exactly when no entry lies below
         # the largest step between its labels, and then it finds the same pairs.
         steps = [m[k][k - 1] for k in range(1, n)]
