@@ -194,9 +194,8 @@ def _cmd_matrix(args) -> tuple[int, str]:
 
 # One record of the ``check`` JSON list, as json.dumps(records, indent=2)
 # lays it out: tree, axiom and the indices, never an empty list.  A --matrix
-# check writes its records without the tree.
-_CHECK_MATRIX_JSON = '{\n    "axiom": "%s",\n    "indices": [\n      %s\n    ]\n  }'
-_CHECK_JSON = '{\n    "tree": %d,' + _CHECK_MATRIX_JSON[1:]
+# check writes its records with empty text for the tree.
+_CHECK_JSON = '{%s\n    "axiom": "%s",\n    "indices": [\n      %s\n    ]\n  }'
 
 
 def _cmd_check(args) -> tuple[int, str]:
@@ -210,19 +209,16 @@ def _cmd_check(args) -> tuple[int, str]:
     if args.format == "csv":
         rows = [(tree, axiom, " ".join(map(str, indices))) for tree, axiom, indices in faults]
         return code, _csv(("tree", "axiom", "indices"), rows)
-    if args.matrix:
-        records = [_CHECK_MATRIX_JSON % (axiom, ",\n      ".join(map(str, i))) for _, axiom, i in faults]
-    else:
-        records = [_CHECK_JSON % (tree, axiom, ",\n      ".join(map(str, i))) for tree, axiom, i in faults]
+    field = "" if args.matrix else '\n    "tree": %d,'
+    records = [_CHECK_JSON % (field and field % tree, axiom, ",\n      ".join(map(str, i))) for tree, axiom, i in faults]
     return code, _json_list(records)
 
 
 # A ``triangles`` JSON record and its separator, as json.dumps(records,
 # indent=2) lays them out: head (separator, tree, first two quoted labels) +
-# third quoted label + tail (kind, sides ascending, base); %d writes ints.
+# third quoted label + tail (kind, sides ascending, base's text); %d writes ints.
 _TRIANGLE_HEAD = ',\n  {\n    "tree": %d,\n    "vertices": [\n      %s,\n      %s,\n      '
-_TRIANGLE_TAIL = '\n    ],\n    "kind": "%s",\n    "sides": [\n      %d,\n      %d,\n      %d\n    ],\n    "base": null\n  }'
-_ISOSCELES_TAIL = _TRIANGLE_TAIL.replace('"%s"', '"isosceles"').replace("null", "%d")
+_TRIANGLE_TAIL = '\n    ],\n    "kind": "%s",\n    "sides": [\n      %d,\n      %d,\n      %d\n    ],\n    "base": %s\n  }'
 
 
 def _triangle_text(matrices, fmt: str) -> str:
@@ -245,7 +241,7 @@ def _triangle_text(matrices, fmt: str) -> str:
             ),
         )
     classes = _TriangleClasses(
-        lambda kind, a, b, c: _ISOSCELES_TAIL % (a, b, c, a) if kind == "isosceles" else _TRIANGLE_TAIL % (kind, a, b, c)
+        lambda kind, a, b, c: _TRIANGLE_TAIL % (kind, a, b, c, "%d" % a if kind == "isosceles" else "null")
     )
     parts = []
     for tree, matrix in enumerate(matrices):
@@ -298,7 +294,10 @@ def _cmd_mindist(args) -> tuple[int, str]:
     if args.i is None:
         return EXIT_OK, _matrices_text([matrix], args.format, single=True)
     pattern_order = order if order else list(matrix.labels)
-    matches = check_nested_pattern(matrix, pattern_order, args.i)
+    try:  # a pair that no tree holds; on the bundled corpus only --order can name one
+        matches = check_nested_pattern(matrix, pattern_order, args.i)
+    except MissingEntry as exc:
+        raise MissingEntry(f"{args.file or '--order'}: {exc}") from None
     report = {
         "matrix": matrix.to_json_dict(),
         "pattern_order": pattern_order,

@@ -12,13 +12,12 @@ c-command is contained in cu-command.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 
 from .errors import EmptyPolicy, HeightMismatch, NoBranchingAncestor, UltratreeError, _ReadOnlyDict, _Record, _set
 from .matrix import RelationMatrix
-from .trees import DEFAULT_RANDOM_CATEGORIES, PhraseTree, _below, _drawn, _parse_arity, disambiguate, lca, serialize_tree
+from .trees import PhraseTree, _parse_arity, _suite, disambiguate, lca, serialize_tree
 
 DEFAULT_GOVERNOR_CATEGORIES = frozenset({"V", "P"})
 
@@ -244,15 +243,7 @@ def random_theorem_suite(
     if trees < 0:
         raise UltratreeError(f"trees must be at least 0, got {trees}")
     max_arity = _parse_arity(arity)  # a bad spec fails even when no tree is drawn
-    outer, rng = random.Random(seed), random.Random()  # rng is reseeded for each tree
-
-    def generate():
-        for _ in range(trees):  # outer.randint(1, max_leaves) leaves, then an outer.randrange(2**32) seed
-            leaf_count = 1 + _below(outer.getrandbits, max_leaves)
-            rng.seed(_below(outer.getrandbits, 2**32))
-            yield _drawn(rng, leaf_count, max_arity, DEFAULT_RANDOM_CATEGORIES)
-
-    return theorem_report(generate(), nodes=nodes)
+    return theorem_report(_suite(seed, trees, max_leaves, max_arity), nodes=nodes)
 
 
 def _checked(policy: GovernorPolicy | None) -> GovernorPolicy:

@@ -12,7 +12,7 @@ checkable here in exact integer arithmetic.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from itertools import chain, combinations
+from itertools import combinations
 
 from .errors import MissingEntry, NonSquare, UltratreeError, UnknownCategory, _ReadOnlyDict, _Record, _set
 from .matrix import CategoryDistanceMatrix, SignMatrix
@@ -92,13 +92,11 @@ def _echelon(matrix, square: bool) -> tuple[int, int]:
     if any(len(row) != width for row in m):
         raise NonSquare("determinant needs a square matrix" if square
                         else "matrix_rank needs rows of equal length")
-    # One scan of the entry types at C speed, as DistanceMatrix does; a float
-    # or Fraction would make the result inexact, and a bool is not a number.
-    if not set(map(type, chain.from_iterable(m))) <= {int}:
-        for i, row in enumerate(m):
-            for j, value in enumerate(row):
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise UltratreeError(f"rows[{i}][{j}]: expected an integer, got {value!r}")
+    # A float or Fraction would make the result inexact, and a bool is not a number.
+    for i, row in enumerate(m):
+        for j, value in enumerate(row):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise UltratreeError(f"rows[{i}][{j}]: expected an integer, got {value!r}")
     rank, sign, previous = 0, 1, 1
     for col in range(width):
         pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)

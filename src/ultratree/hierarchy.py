@@ -92,18 +92,14 @@ def check_strategy(chain: Chain, strategy: Strategy) -> list[ConstraintViolation
                 f"strategy {strategy.name!r} skips {gap} inside its segment",
             )
         )
-    if strategy.primary:
-        is_prefix = bool(positions) and positions[0] == 0 and positions == list(
-            range(len(positions))
-        )
-        if not is_prefix:
-            violations.append(
-                ConstraintViolation(
-                    PRC2,
-                    f"primary strategy {strategy.name!r} does not cover every "
-                    f"position from {chain.elements[0]} down",
-                )
+    if strategy.primary and not (positions and positions == list(range(len(positions)))):
+        violations.append(
+            ConstraintViolation(
+                PRC2,
+                f"primary strategy {strategy.name!r} does not cover every "
+                f"position from {chain.elements[0]} down",
             )
+        )
     return violations
 
 

@@ -113,13 +113,7 @@ class PhraseTree:
             raise ParseError("a tree needs at least one record")
         path: list[int] = []  # the open nodes, from the root to the last record read
         for p, (label, word, parent) in enumerate(records):
-            try:  # most tokens are alphanumeric and skip _token
-                printable = (str.isalnum(label) or _token(label)) and (
-                    word is None or str.isalnum(word) or _token(word)
-                )
-            except TypeError:  # a label or word that is not a string
-                printable = False
-            if not printable:
+            if not (_token(label) and (word is None or _token(word))):
                 raise _bad_token(p, label, word)
             if not isinstance(parent, int) or not (0 if p else -1) <= parent < p:
                 wanted = "an earlier record" if p else "-1: the first record is the root"
@@ -301,7 +295,7 @@ def _check_words(tree: PhraseTree) -> None:
 
 def _bad_token(p: int, label, word) -> ParseError:
     """The error for record ``p``, whose label or word is not one token."""
-    kind, token = ("word", word) if isinstance(label, str) and _token(label) else ("label", label)
+    kind, token = ("word", word) if _token(label) else ("label", label)
     return ParseError(
         f"record {p}: {kind} {token!r} is not a non-empty string free of whitespace and parentheses"
     )
@@ -340,9 +334,11 @@ def _tokenize(text: str) -> list[str]:
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def _token(text: str) -> bool:
-    """A label or word must be one token, so that a tree prints back as it parses."""
-    return text.split() == [text] and "(" not in text and ")" not in text
+def _token(text) -> bool:
+    """A label or word must be one token: a string that prints back as it parses."""
+    if not isinstance(text, str):
+        return False
+    return str.isalnum(text) or text.split() == [text] and "(" not in text and ")" not in text  # most are alnum
 
 
 def parse_tree(text: str) -> PhraseTree:
@@ -503,10 +499,20 @@ def random_tree(
     if leaf_count < 1:
         raise UltratreeError("leaf_count must be at least 1")
     max_arity, categories = _parse_arity(arity), list(categories)
-    bad = [c for c in categories if not (isinstance(c, str) and (c.isalnum() or _token(c)))]  # PhraseTree's test
+    bad = [c for c in categories if not _token(c)]  # PhraseTree's test
     if bad or not categories:
         raise UltratreeError(f"category {bad[0]!r} is not one token" if bad else "categories must not be empty")
     return _drawn(random.Random(seed), leaf_count, max_arity, categories)
+
+
+def _suite(seed: int, count: int, max_leaves: int, max_arity: int | None) -> Iterator[PhraseTree]:
+    """The randtest trees: per tree, ``randint(1, max_leaves)`` leaves and a ``randrange(2**32)``
+    seed on ``Random(seed)``, then the tree ``_drawn`` on a generator reseeded with it."""
+    outer, rng = random.Random(seed), random.Random()
+    for _ in range(count):
+        leaf_count = 1 + _below(outer.getrandbits, max_leaves)
+        rng.seed(_below(outer.getrandbits, 2**32))
+        yield _drawn(rng, leaf_count, max_arity, DEFAULT_RANDOM_CATEGORIES)
 
 
 def _below(getrandbits, n: int) -> int:

@@ -80,6 +80,10 @@ INPUTS = {
     # 30 labels, asymmetric, with zeros and a non-zero diagonal: every pair is scanned.
     "asymmetric": json.dumps({"labels": ["v%d" % x for x in range(30)],
                               "rows": [[(3 * x + 5 * y) % 7 for y in range(30)] for x in range(30)]}),
+    # The bundled category matrix with one entry that is not a number.
+    "entryx": json.dumps({"labels": ["D", "N", "V", "A", "P"],
+                          "rows": [[3, 1, 2, 2, 2], [1, 3, "x", 2, 2], [2, 2, None, 4, 3],
+                                   [2, 2, 4, None, 3], [2, 2, 3, 3, None]]}),
     "downset": '{"kind": "downset", "inventory": ["black", "white", "red"]}',
     "language": '{"kind": "language", "strategies": [{"name": "main", "covered": ["SU", "DO"], "primary": true}, '
                 '{"name": "gappy", "covered": ["SU", "IO"]}]}',
@@ -160,6 +164,8 @@ PINS = [
     Pin(2, NOTHING, "triangles --matrix {raised} --xbar", "error: triangles takes one of a tree file, --matrix, or --xbar"),
     Pin(2, NOTHING, "randtest --seed 0 --exhaustive-leaves 3 --trees 5", ONE_LINE),
     Pin(2, NOTHING, "mindist --i 0 --format csv", ONE_LINE),
+    Pin(2, NOTHING, "features --matrix {entryx}",
+        "error: {entryx}: rows[1][2]: entries must be integers or None, got 'x'"),
     Pin(2, NOTHING, "matrix {malformed1}", "error: {malformed1}:3: node 'NP' has more than one word"),
     Pin(2, NOTHING, "matrix {malformed2}", "error: {malformed2}:3: node 'B' has both a word and children"),
     Pin(2, NOTHING, "matrix {malformed3}", "error: {malformed3}:3: missing closing parenthesis"),

@@ -610,14 +610,21 @@ class TestErrors:
             (["features", "--matrix"], json.dumps({"labels": ["N", "A"], "rows": [[None, 2], [2, None]]}),
              "no ultrametric distance for pair (N, V)"),
             (["mindist"], "# only\n", "corpus has no trees"),
+            # D and A share no tree, so the nested pattern lacks their pair.
+            (["mindist", "--i", "0"], "(S (D a) (N b) (V c))\n(S (A d) (N e))\n", "no entry for pair (D, A)"),
         ],
-        ids=["triangles-two-labels", "triangles-csv-empty", "features-no-n-v", "mindist-no-trees"],
+        ids=["triangles-two-labels", "triangles-csv-empty", "features-no-n-v", "mindist-no-trees", "mindist-no-pair"],
     )
     def test_analysis_fault_names_file(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "input"
         path.write_text(text)
         assert run([*command, str(path)]) == 2
         assert self.one_error(capsys) == f"error: {path}: {message}\n"
+
+    def test_pattern_pair_missing_from_the_bundled_corpus_names_the_order(self, capsys):
+        # The bundled corpus holds every pair of its categories; Q is not one.
+        assert run(["mindist", "--order", "D,Q", "--i", "0"]) == 2
+        assert self.one_error(capsys) == "error: --order: no entry for pair (D, Q)\n"
 
     def test_repeated_order_names_the_flag(self, capsys):
         assert run(["mindist", "--order", "N,N"]) == 2
@@ -1164,6 +1171,16 @@ print(json.dumps(report))
         assert ultratree.hierarchy is importlib.import_module("ultratree.hierarchy")
         with pytest.raises(AttributeError, match="no_such_name"):
             ultratree.no_such_name
+
+    def test_submodule_imported_on_first_use(self):
+        # In a fresh interpreter the package has no hierarchy attribute yet,
+        # so the name is resolved by the package's __getattr__.
+        code = (
+            "import sys, ultratree; before = 'ultratree.hierarchy' in sys.modules; "
+            "print(before, ultratree.hierarchy is sys.modules['ultratree.hierarchy'])"
+        )
+        child = fx.run_python("-c", code)
+        assert (child.returncode, child.stdout, child.stderr) == (0, "False True\n", "")
 
 
 def test_command_table_covers_public_operations():

@@ -18,6 +18,7 @@ from ultratree import (
     HeightMismatch,
     NoBranchingAncestor,
     PhraseTree,
+    UltratreeError,
     UnknownNode,
     assign_heights,
     c_command,
@@ -286,6 +287,12 @@ class TestPairQueries:
                 query(f13, 0, bad)
             with pytest.raises(UnknownNode, match=f"no node with id {bad}"):
                 query(f13, bad, 0)
+
+
+    @pytest.mark.parametrize("query", [c_command_matrix, cu_command_matrix, theorem_check])
+    def test_node_sets_other_than_leaves_and_all_refused(self, f13, query):
+        with pytest.raises(UltratreeError, match="^nodes must be 'leaves' or 'all', got 'some'$"):
+            query(f13, nodes="some")
 
 
 def every_answer(tree):

@@ -168,6 +168,8 @@ class TestDownset:
 
     def test_predecessors_transitive(self):
         assert self.chain_order().predecessors("c") == {"a", "b"}
+        with pytest.raises(UnknownLabel, match="^label 'z' not a node$"):
+            self.chain_order().predecessors("z")
 
     def test_long_chain_validates_in_linear_time(self):
         # One predecessor walk per node took 2.2 s on a 2,000-node chain.

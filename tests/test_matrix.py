@@ -206,3 +206,8 @@ class TestCategoryDistanceMatrix:
         m = CategoryDistanceMatrix(("D", "N"), ((None, 4), (4, None)))
         assert m.get("D", "N") == 4
         assert m.get("D", "D") is None
+        assert m.categories == m.labels == ("D", "N")
+
+    def test_repr(self):
+        m = CategoryDistanceMatrix(("D", "N"), ((None, 4), (4, None)))
+        assert repr(m) == "CategoryDistanceMatrix(labels=('D', 'N'), entries=((None, 4), (4, None)))"

@@ -110,6 +110,13 @@ def check_dominance(tree):
     assert [list(row) for row in dominance_matrix(tree).entries] == expected
 
 
+def check_ancestors(tree):
+    chains = brute_chains(tree)[0]
+    for n in tree.nodes:
+        assert list(tree.ancestor_ids(n.id)) == chains[n.id][1:]
+        assert list(tree.ancestor_ids(n.id, include_self=True)) == chains[n.id]
+
+
 def check_leaf_matrix(tree):
     ids = [n.id for n in tree.leaves]
     chains, heights = brute_chains(tree)
@@ -219,7 +226,7 @@ def check_built_matrices(tree):
             matrix.index("not a label")
 
 
-CHECKS = [check_dominance, check_leaf_matrix, check_category_minima, check_command_relations, check_built_matrices]
+CHECKS = [check_dominance, check_ancestors, check_leaf_matrix, check_category_minima, check_command_relations, check_built_matrices]
 
 
 @pytest.mark.parametrize("check", CHECKS)

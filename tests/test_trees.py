@@ -405,6 +405,11 @@ class TestGeneration:
         tree = random_tree(99, 1, "binary")
         assert len(tree.leaves) == 1 and tree.root.is_leaf
 
+    @pytest.mark.parametrize("make", [lambda: random_tree(1, 0), lambda: list(enumerate_binary_trees(0))])
+    def test_no_leaves_refused(self, make):
+        with pytest.raises(UltratreeError, match="^leaf_count must be at least 1$"):
+            make()
+
     def test_random_tree_bad_arity(self):
         with pytest.raises(BadAritySpec):
             random_tree(1, 4, "ternary")
@@ -561,6 +566,7 @@ class TestPhraseTreeValidation:
         assert tree.root == again.root and hash(tree.root) == hash(again.root)
         assert tree.root != parse_tree("(X (U (A a)) (B c))").root
         assert tree.node(1) != tree.node(2) and tree.root != "X"
+        assert repr(tree) == "PhraseTree('(X (U (A a)) (B b))')"
 
 
 @st.composite
