@@ -27,7 +27,7 @@ import os
 import sys
 from collections.abc import Sequence
 from functools import cache, partial
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from .command import (
@@ -141,20 +141,19 @@ def _json_list(items: list[str]) -> str:
 
 def _matrix_text(m, level: int = 0) -> str:
     """``_json_text(m.to_json_dict(), level)``, written straight from the
-    labels and rows when every entry of the kind has a fixed text."""
-    cells = m._cells("null")
-    if cells is None:
-        return _json_text(m.to_json_dict(), level)
+    labels and the rows' texts when every entry of the kind has a fixed text."""
     pad = "\n" + "  " * level
+    item, entry = pad + "    ", pad + "      "  # a label or row; an entry
+    texts = m._texts("," + entry)
+    if texts is None:
+        return _json_text(m.to_json_dict(), level)
     if not m.labels:
         return '{%s  "labels": [],%s  "rows": []%s}' % (pad, pad, pad)
-    item, entry = pad + "    ", pad + "      "  # a label or row; an entry
-    items, entries = "," + item, "," + entry
-    labels = items.join(map(_quote, m.labels))
-    rows = items.join(["[" + entry + m._row_text(entries, row, cells) + item + "]" for row in m.entries])
-    return '{%s  "labels": [%s%s%s  ],%s  "rows": [%s%s%s  ]%s}' % (
-        pad, item, labels, pad, pad, item, rows, pad, pad
-    )
+    # The head and tail go onto the first and last rows, so one join copies the rows into the text.
+    labels = ("," + item).join(map(_quote, m.labels))
+    texts[0] = '{%s  "labels": [%s%s%s  ],%s  "rows": [%s[%s' % (pad, item, labels, pad, pad, item, entry) + texts[0]
+    texts[-1] += item + "]" + pad + "  ]" + pad + "}"
+    return (item + "]," + item + "[" + entry).join(texts)
 
 
 def _matrices_text(matrices, fmt: str, single: bool = False) -> str:
@@ -294,10 +293,12 @@ def _cmd_mindist(args) -> tuple[int, str]:
     if args.i is None:
         return EXIT_OK, _matrices_text([matrix], args.format, single=True)
     pattern_order = order if order else list(matrix.labels)
-    try:  # a pair that no tree holds; on the bundled corpus only --order can name one
+    try:
         matches = check_nested_pattern(matrix, pattern_order, args.i)
-    except MissingEntry as exc:
-        raise MissingEntry(f"{args.file or '--order'}: {exc}") from None
+    except MissingEntry as exc:  # --order is at fault if the first missing pair names a category no tree holds
+        held = {c for tree in corpus for c in tree.leaf_categories()}
+        pair = next(pair for pair in combinations(pattern_order, 2) if matrix.get(*pair) is None)
+        raise MissingEntry(f"{args.file if held.issuperset(pair) else '--order'}: {exc}") from None
     report = {
         "matrix": matrix.to_json_dict(),
         "pattern_order": pattern_order,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping
+from itertools import accumulate
 
 from .errors import EmptyPolicy, HeightMismatch, NoBranchingAncestor, UltratreeError, _ReadOnlyDict, _Record, _set
 from .matrix import RelationMatrix
@@ -120,18 +121,23 @@ def _facts(tree: PhraseTree) -> _Facts:
     return tree._facts
 
 
-def _relation(tree: PhraseTree, nodes: str, related) -> RelationMatrix:
-    """The matrix over the chosen nodes; row p marks the positions ``related(facts, p)``."""
-    positions, facts = _positions(tree, nodes), _facts(tree)
-    column = {p: k for k, p in enumerate(positions)}
-    blank, rows = [False] * len(positions), []
-    for p in positions:
-        row = blank.copy()
-        for q in related(facts, p):
-            row[column[q]] = True
-        rows.append(tuple(row))
+def _matrix(tree: PhraseTree, nodes: str, rows: list[bytes]) -> RelationMatrix:
+    """The relation matrix over ``rows``, labelled by the chosen nodes."""
     labels = tree.leaf_labels() if nodes == "leaves" else tree.node_labels()
     return RelationMatrix._made(labels, tuple(rows))
+
+
+def _relation(tree: PhraseTree, nodes: str, roots: list[int]) -> RelationMatrix:
+    """The matrix over the chosen nodes whose row p is the slice of the mask of p's height (1 at
+    the chosen nodes of that height) from ``roots[p]`` to its subtree's end, zeros on both sides."""
+    positions, end, height = _positions(tree, nodes), tree._end, tree._height
+    m, chosen = len(positions), bytearray(len(end))
+    masks = [bytearray(m) for _ in range(height[0] + 1)]  # over leaves alone, height 0's is all ones
+    for k, p in enumerate(positions):
+        masks[height[p]][k] = chosen[p] = 1
+    masks, rank = [*map(bytes, masks)], [*accumulate(chosen, initial=0)]  # chosen positions before each
+    spans = [(masks[height[p]], rank[roots[p]], rank[end[roots[p]]]) for p in positions]
+    return _matrix(tree, nodes, [mask[lo:hi].rjust(hi, b"\0").ljust(m, b"\0") for mask, lo, hi in spans])
 
 
 def first_branching_ancestor(tree: PhraseTree, node_id: int) -> int:
@@ -162,7 +168,7 @@ def c_command(tree: PhraseTree, a: int, b: int) -> bool:
 
 
 def c_command_matrix(tree: PhraseTree, nodes: str = "leaves") -> RelationMatrix:
-    return _relation(tree, nodes, lambda facts, p: facts.run(facts.c_root, p))
+    return _relation(tree, nodes, _facts(tree).c_root)
 
 
 def cu_domain(tree: PhraseTree, a: int) -> CuDomain:
@@ -182,7 +188,7 @@ def cu_command(tree: PhraseTree, a: int, b: int) -> bool:
 
 
 def cu_command_matrix(tree: PhraseTree, nodes: str = "leaves") -> RelationMatrix:
-    return _relation(tree, nodes, lambda facts, p: facts.run(facts.cu_root, p))
+    return _relation(tree, nodes, _facts(tree).cu_root)
 
 
 def theorem_check(tree: PhraseTree, nodes: str = "leaves") -> list[Disagreement]:
@@ -274,5 +280,13 @@ def governs(tree: PhraseTree, a: int, b: int, policy: GovernorPolicy | None = No
 def government_matrix(
     tree: PhraseTree, policy: GovernorPolicy | None = None, nodes: str = "all"
 ) -> RelationMatrix:
-    policy = _checked(policy)
-    return _relation(tree, nodes, lambda facts, p: _governed(tree, facts, policy, p))
+    """Row p marks the nodes p governs; the rows of the nodes that govern none share one zero row."""
+    policy, facts, positions = _checked(policy), _facts(tree), _positions(tree, nodes)
+    zero, rows = bytes(len(positions)), []
+    for p in positions:
+        governed = _governed(tree, facts, policy, p)
+        row = bytearray(zero) if governed else zero
+        for q in governed:
+            row[bisect_left(positions, q)] = 1
+        rows.append(bytes(row))
+    return _matrix(tree, nodes, rows)

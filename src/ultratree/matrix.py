@@ -51,8 +51,8 @@ class LabeledMatrix:
     @classmethod
     def _made(cls, labels: tuple[str, ...], rows: tuple[tuple, ...]):
         """The matrix over rows that a builder in this package made square,
-        as tuples of entries of this kind: nothing is copied or checked
-        but that the labels are distinct."""
+        as tuples of entries of this kind (bytes for a relation): nothing is
+        copied or checked but that the labels are distinct."""
         matrix = object.__new__(cls)
         matrix._fill(labels, rows)
         return matrix
@@ -107,8 +107,8 @@ class LabeledMatrix:
     # -- serialization ----------------------------------------------------
 
     def _cells(self, absent: str):
-        """Each entry's text, with ``absent`` for None, for ``to_csv`` and ``_row_text``
-        (``cli._matrix_text``); None for kinds without a fixed text per entry."""
+        """Each entry's text, with ``absent`` for None, for ``to_csv`` and
+        ``_texts``; None for kinds without a fixed text per entry."""
         return None
 
     @staticmethod
@@ -116,15 +116,14 @@ class LabeledMatrix:
         """The texts of ``row``'s entries in ``cells``, joined by ``sep``."""
         return sep.join(map(cells.__getitem__, row))
 
-    @staticmethod
-    def _cell_to_json(value):
-        return value
+    def _texts(self, sep: str) -> list[str] | None:
+        """Each row's entry texts joined by ``sep``, null for None, for
+        ``cli._matrix_text``; None for kinds without a fixed text per entry."""
+        cells = self._cells("null")
+        return None if cells is None else [self._row_text(sep, row, cells) for row in self.entries]
 
     def to_json_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "rows": [[self._cell_to_json(v) for v in row] for row in self.entries],
-        }
+        return {"labels": list(self.labels), "rows": [list(row) for row in self.entries]}
 
     @classmethod
     def from_json_dict(cls, data: dict, source: str = "<json>"):
@@ -205,26 +204,37 @@ class DistanceMatrix(LabeledMatrix):
 
 
 class RelationMatrix(LabeledMatrix):
-    """Boolean relation over labeled nodes; serialized as 0/1."""
+    """Boolean relation over labeled nodes; serialized as 0/1.  Each row is
+    kept as ``bytes`` of 0s and 1s, which the builders make from slices and
+    the writers translate whole; ``entries`` views them as tuples of bools,
+    built on its first read and kept."""
 
-    def _cells(self, absent: str) -> tuple[str, str]:
-        return ("0", "1")  # indexed by the bool entries
+    __slots__ = ("_rows", "_bools")
 
-    @staticmethod
-    def _row_text(sep: str, row, cells) -> str:
-        # Every entry is a bool, so the row's bytes are 0s and 1s; replace puts sep around each.
-        text = bytes(row).translate(_BITS).decode().replace("", sep)
-        return text[len(sep) : len(text) - len(sep)]
+    @property
+    def entries(self) -> tuple[tuple[bool, ...], ...]:
+        if self._bools is None:
+            self._bools = tuple([tuple(map(bool, row)) for row in self._rows])
+        return self._bools
 
-    def __init__(self, labels: Sequence[str], entries: Sequence[Sequence]):
-        super().__init__(labels, [[*map(bool, row)] for row in entries])
+    @entries.setter
+    def entries(self, rows) -> None:  # by _fill: a builder's bytes, or any entries coerced to bool
+        self._rows, self._bools = tuple([row if type(row) is bytes else bytes(map(bool, row)) for row in rows]), None
 
     def _check_entries(self, rows) -> None:
-        """``__init__`` coerced every entry to bool, so none can fail a check."""
+        """Setting ``entries`` coerces every entry to bool, so none can fail a check."""
 
-    @staticmethod
-    def _cell_to_json(value):
-        return int(value)
+    def to_json_dict(self) -> dict:
+        return {"labels": list(self.labels), "rows": [list(row) for row in self._rows]}  # bytes list as ints
+
+    def _texts(self, sep: str) -> list[str]:
+        # Each row as 0s and 1s; replace puts sep around each, and the slice drops the outer two.
+        texts = (row.translate(_BITS).decode().replace("", sep) for row in self._rows)
+        return [text[len(sep) : len(text) - len(sep)] for text in texts]
+
+    def to_csv(self) -> str:
+        cells = (row.translate(_BITS).decode() for row in self._rows)  # a str of 0s and 1s per row
+        return _csv(["", *self.labels], ([label, *row] for label, row in zip(self.labels, cells)))
 
 
 class SignMatrix(LabeledMatrix):

@@ -455,9 +455,9 @@ def dominates(tree: PhraseTree, a: int, b: int) -> bool:
 
 
 def dominance_matrix(tree: PhraseTree) -> RelationMatrix:
-    """Boolean dominance matrix over all nodes in preorder: row p is true on p's subtree."""
+    """Boolean dominance matrix over all nodes in preorder: row p is 1 on p's subtree."""
     n, end = len(tree), tree._end
-    rows = [(False,) * p + (True,) * (end[p] - p) + (False,) * (n - end[p]) for p in range(n)]
+    rows = [bytes(p) + b"\1" * (end[p] - p) + bytes(n - end[p]) for p in range(n)]
     return RelationMatrix._made(tree.node_labels(), tuple(rows))
 
 

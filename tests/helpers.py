@@ -356,6 +356,35 @@ def all_tree_shapes(node_count: int):
         yield to_nested(shape, [0])
 
 
+# Shape families that random_tree never draws: each is a function of n
+# that returns bracketed text.  Labels cycle through V, N, P and D, so under
+# the default policy some leaves and some unary nodes govern.
+def _category(k: int) -> str:
+    return "VNPD"[k % 4]
+
+
+def unary_chain(n: int) -> str:
+    """n unary nodes, one above the other, over a single leaf."""
+    return "".join(f"({_category(k)} " for k in range(n)) + "(N w1)" + ")" * n
+
+
+def padded_comb(n: int) -> str:
+    """A right comb over n leaves with a unary node over each left leaf: the
+    n - 1 unary nodes are peers at height 1, each under its own spine node."""
+    text = f"({_category(n - 1)} w{n})"
+    for k in range(n - 1, 0, -1):
+        text = f"(X ({_category(k)} ({_category(k - 1)} w{k})) {text})"
+    return text
+
+
+def star(n: int) -> str:
+    """One node over n leaves."""
+    return "(S " + " ".join(f"({_category(k)} w{k + 1})" for k in range(n)) + ")"
+
+
+SHAPE_FAMILIES = {"unary_chain": unary_chain, "padded_comb": padded_comb, "star": star}
+
+
 def python_command(*args: str) -> list[str]:
     """argv for a fresh interpreter with this one's ``-X dev`` and ``-W``
     options, so a child runs under the same warning rules as the tests."""

@@ -626,6 +626,29 @@ class TestErrors:
         assert run(["mindist", "--order", "D,Q", "--i", "0"]) == 2
         assert self.one_error(capsys) == "error: --order: no entry for pair (D, Q)\n"
 
+    @pytest.mark.parametrize(
+        "order, source, pair",
+        [
+            ("D,Q", "--order", "(D, Q)"),
+            ("Q,D", "--order", "(Q, D)"),
+            ("D,A,Q", "file", "(D, A)"),
+            ("D,N,Q", "--order", "(D, Q)"),
+        ],
+        ids=["unheld-last", "unheld-first", "held-pair-first", "held-pairs-present"],
+    )
+    def test_pattern_pair_missing_from_a_file_names_the_order_for_an_unheld_category(
+        self, tmp_path, capsys, order, source, pair
+    ):
+        # Q is in no tree of the file; D and A are, but share no tree.  The
+        # first missing pair names the source at fault.
+        path = tmp_path / "two.trees"
+        path.write_text("(S (D a) (N b) (V c))\n(S (A d) (N e))\n")
+        assert run(["mindist", str(path), "--order", order, "--i", "0"]) == 2
+        where = str(path) if source == "file" else source
+        assert self.one_error(capsys) == f"error: {where}: no entry for pair {pair}\n"
+        assert run(["mindist", str(path), "--order", order]) == 0  # without --i, Q's row is all null
+        assert json.loads(capsys.readouterr().out)["labels"] == order.split(",")
+
     def test_repeated_order_names_the_flag(self, capsys):
         assert run(["mindist", "--order", "N,N"]) == 2
         assert self.one_error(capsys) == "error: --order: categories must be distinct, got 'N,N'\n"

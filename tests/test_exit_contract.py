@@ -14,6 +14,7 @@ import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ultratree import random_tree, serialize_tree
@@ -191,3 +192,25 @@ def test_exit_contract(tmp_path, data):
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     if command in ALWAYS_NAMED or _read_fault(command, raw):
         assert str(path) in err
+
+
+def _assert_named_input_error(path, argv):
+    """Exit 2 with nothing on stdout and one ``error:`` line naming the file."""
+    code, out, err = _run([*argv, str(path)])
+    assert code == 2 and out == b""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+
+@pytest.mark.parametrize("command", ["check --matrix", "hierarchy"])
+def test_deeply_nested_document(tmp_path, command):
+    # json.loads runs out of recursion depth; the reader reports that as the file's fault.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    _assert_named_input_error(path, JSON_COMMANDS[command])
+
+
+def test_entry_past_the_integer_digit_limit(tmp_path):
+    # 5,001 digits is past the interpreter's default limit of 4,300 on int text.
+    path = tmp_path / "long.json"
+    path.write_text('{"labels": ["a"], "rows": [[%s]]}' % ("1" * 5001))
+    _assert_named_input_error(path, JSON_COMMANDS["check --matrix"])

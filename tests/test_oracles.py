@@ -31,16 +31,20 @@ from ultratree import (
     government_matrix,
     leaf_matrix,
     min_distance_matrix,
+    parse_tree,
     random_tree,
+    same_height_distance,
     theorem_check,
     tree_category_minima,
 )
 
 from .helpers import (
+    SHAPE_FAMILIES,
     all_tree_shapes,
     brute_ancestors,
     brute_heights,
     brute_lca,
+    padded_comb,
 )
 
 
@@ -303,3 +307,65 @@ def test_c_command_within_cu_command_on_every_small_shape():
 @settings(max_examples=200, deadline=None)
 def test_c_command_within_cu_command_on_random_trees(tree):
     check_c_command_within_cu_command(tree)
+
+
+# Each shape family at two sizes: chains of unary nodes, many peers above
+# height 0 under distinct roots, and one node with many children.
+FAMILY_TREES = {
+    f"{name}-{n}": parse_tree(family(n)) for name, family in SHAPE_FAMILIES.items() for n in (5, 12)
+}
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_every_check_on_shape_families(check):
+    for tree in FAMILY_TREES.values():
+        check(tree)
+
+
+@pytest.mark.parametrize("name", FAMILY_TREES)
+def test_relation_matrices_match_pair_predicates_on_shape_families(name):
+    """Each matrix row is built from slices of byte masks; each predicate
+    asks the kept command pass about one pair."""
+    tree = FAMILY_TREES[name]
+    ids = [n.id for n in tree.nodes]
+    leaves = [n.id for n in tree.leaves]
+
+    def rows(matrix):
+        return [list(row) for row in matrix.entries]
+
+    assert rows(dominance_matrix(tree)) == [[dominates(tree, a, b) for b in ids] for a in ids]
+    builders = [
+        (c_command_matrix, c_command),
+        (cu_command_matrix, cu_command),
+        (lambda t, nodes: government_matrix(t, POLICY, nodes), lambda t, a, b: governs(t, a, b, POLICY)),
+    ]
+    for nodes, chosen in (("all", ids), ("leaves", leaves)):
+        for build, holds in builders:
+            assert rows(build(tree, nodes)) == [[holds(tree, a, b) for b in chosen] for a in chosen]
+
+
+def check_same_height_distance(tree, heights):
+    """Every same-height pair, internal nodes included, against the height
+    of its brute lowest common ancestor above the pair."""
+    ids = [n.id for n in tree.nodes]
+    for a in ids:
+        for b in ids:
+            if heights[a] == heights[b]:
+                assert same_height_distance(tree, a, b) == heights[brute_lca(tree, a, b)] - heights[a]
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_same_height_distance_on_internal_peers(n):
+    # The unary nodes of a padded comb are peers at height 1, so a distance
+    # that added the pair's height instead of subtracting it would differ.
+    tree = parse_tree(padded_comb(n))
+    heights = brute_heights(tree)
+    assert sum(heights[x.id] == 1 for x in tree.nodes) == n - 1
+    check_same_height_distance(tree, heights)
+
+
+@given(deep_trees_and_owners())
+@settings(max_examples=40, deadline=None)
+def test_same_height_distance_on_deep_trees(case):
+    tree, _ = case
+    check_same_height_distance(tree, brute_heights(tree))
