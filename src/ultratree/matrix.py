@@ -111,16 +111,11 @@ class LabeledMatrix:
         ``_texts``; None for kinds without a fixed text per entry."""
         return None
 
-    @staticmethod
-    def _row_text(sep: str, row, cells) -> str:
-        """The texts of ``row``'s entries in ``cells``, joined by ``sep``."""
-        return sep.join(map(cells.__getitem__, row))
-
     def _texts(self, sep: str) -> list[str] | None:
         """Each row's entry texts joined by ``sep``, null for None, for
         ``cli._matrix_text``; None for kinds without a fixed text per entry."""
         cells = self._cells("null")
-        return None if cells is None else [self._row_text(sep, row, cells) for row in self.entries]
+        return None if cells is None else [sep.join(map(cells.__getitem__, row)) for row in self.entries]
 
     def to_json_dict(self) -> dict:
         return {"labels": list(self.labels), "rows": [list(row) for row in self.entries]}

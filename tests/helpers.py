@@ -359,8 +359,8 @@ def all_tree_shapes(node_count: int):
 # Shape families that random_tree never draws: each is a function of n
 # that returns bracketed text.  Labels cycle through V, N, P and D, so under
 # the default policy some leaves and some unary nodes govern.
-def _category(k: int) -> str:
-    return "VNPD"[k % 4]
+def _category(k: int, categories: str = "VNPD") -> str:
+    return categories[k % len(categories)]
 
 
 def unary_chain(n: int) -> str:
@@ -382,7 +382,42 @@ def star(n: int) -> str:
     return "(S " + " ".join(f"({_category(k)} w{k + 1})" for k in range(n)) + ")"
 
 
-SHAPE_FAMILIES = {"unary_chain": unary_chain, "padded_comb": padded_comb, "star": star}
+def right_comb(n: int, categories: str = "VNPD") -> str:
+    """n leaves, each but the last beside the comb of the rest: leaf k+1 is
+    labeled ``categories[k % len(categories)]``."""
+    spine = "".join(f"(X ({_category(k, categories)} w{k + 1}) " for k in range(n - 1))
+    return spine + f"({_category(n - 1, categories)} w{n})" + ")" * (n - 1)
+
+
+def left_comb(n: int) -> str:
+    """n leaves, each but the first beside the comb of the ones before it."""
+    return "(X " * (n - 1) + "(V w1)" + "".join(f" ({_category(k)} w{k + 1}))" for k in range(1, n))
+
+
+SHAPE_FAMILIES = {
+    "unary_chain": unary_chain,
+    "padded_comb": padded_comb,
+    "star": star,
+    "right_comb": right_comb,
+    "left_comb": left_comb,
+}
+
+
+def block_category_minima(tree: PhraseTree) -> dict[tuple[str, str], int]:
+    """``tree_category_minima`` by the leaf blocks: every leaf of a block's
+    child meets every leaf of its later siblings at the block's height, so
+    each pair of categories on the two sides takes that height.  Quadratic on
+    a comb; the reference on trees too large for the brute oracle."""
+    categories = tree.leaf_categories()
+    minima: dict[tuple[str, str], int] = {}
+    for d, lo, mid, hi in tree.leaf_blocks():
+        later = dict.fromkeys(categories[mid:hi])
+        for x in dict.fromkeys(categories[lo:mid]):
+            for y in later:
+                pair = (x, y) if x <= y else (y, x)
+                if pair not in minima or d < minima[pair]:
+                    minima[pair] = d
+    return minima
 
 
 def python_command(*args: str) -> list[str]:

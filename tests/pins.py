@@ -14,6 +14,8 @@ from typing import NamedTuple
 
 from ultratree import leaf_matrix, random_tree
 
+from .helpers import right_comb
+
 ONE_LINE = None
 NOTHING = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # sha256 of no bytes
 
@@ -74,6 +76,8 @@ MALFORMED = "# one good tree, then a bad one\n(S (N ok))\n{}\n"
 
 INPUTS = {
     "t300": T300.to_bracketed() + "\n",
+    # A right comb of 2,000 leaves over the five categories D, N, V, A, P.
+    "comb": right_comb(2000, "DNVAP") + "\n",
     "raised": _raised(),
     "shuffled": _shuffled(),
     "zeroed": _zeroed(),
@@ -159,6 +163,8 @@ PINS = [
     Pin(0, "6c30625c3ab19312ddc744a9bf6524348f3660646d4938c0f6b3020d73b09453", "mindist"),
     Pin(0, "08c22407bc9e1f79125c4abf7fd4a49d253e3b1c541659a8c0e25fbf22cadda9", "mindist --format csv"),
     Pin(1, "451faaa0143e949045756439a9ac82975d3320651b8a56f9fb04ee7fd2d27f21", "mindist --i 0"),
+    # The 2,000-leaf comb: each category pair meets at many heights, the least near its foot.
+    Pin(0, "2ed687ba02c303036fff489c3dde74f5f992cc914859ea3c1f7d80711098555d", "mindist {comb}"),
     # Refusals.  Three malformed lines have several faults: the token loop's
     # come first, then the last faulty node in preorder.
     Pin(2, NOTHING, "triangles --matrix {raised} --xbar", "error: triangles takes one of a tree file, --matrix, or --xbar"),

@@ -1,13 +1,18 @@
 """Category distance aggregation, the nested pattern, and complexity."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultratree import (
     CategoryDistanceMatrix,
+    DistanceMatrix,
     EmptyCorpus,
     MissingEntry,
     UnknownLabel,
     check_nested_pattern,
+    check_ultrametric,
     complexity,
     enumerate_binary_trees,
     leaf_matrix,
@@ -142,6 +147,46 @@ class TestNestedPattern:
         matrix = min_distance_matrix([parse_tree(SVO)])
         with pytest.raises(UnknownLabel):
             check_nested_pattern(matrix, ("D", "Q"), 1)
+
+
+def zero_diagonal(matrix):
+    """The category matrix as a distance matrix, its diagonal of same-category
+    minima (or None) set to 0."""
+    rows = [[0 if x == y else value for y, value in enumerate(row)] for x, row in enumerate(matrix.entries)]
+    return DistanceMatrix(matrix.labels, rows)
+
+
+class TestNotUltrametric:
+    """A minimum over trees of ultrametrics need not be one."""
+
+    def test_bundled_corpus_fails_on_seven_triples(self):
+        matrix = min_distance_matrix(load_category_corpus())
+        report = check_ultrametric(zero_diagonal(matrix))
+        triples = [tuple(matrix.labels[i] for i in v.indices) for v in report.ultrametric_violations]
+        # (x, z, y): d(x, y) exceeds both d(x, z) and d(z, y), as d(V, A) = 4 > 3 = d(V, P) = d(P, A).
+        assert triples == [
+            ("V", "D", "A"), ("V", "N", "A"), ("V", "P", "A"),
+            ("V", "D", "P"), ("V", "N", "P"), ("A", "D", "P"), ("A", "N", "P"),
+        ]
+        assert (matrix.get("V", "A"), matrix.get("V", "P"), matrix.get("A", "P")) == (4, 3, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_nested_pattern_fails_on_every_triple(self, data):
+        # The pattern fixes every entry off the diagonal; the labels are in
+        # any order and the diagonal holds anything a category matrix may.
+        n = data.draw(st.integers(3, 8))
+        order = data.draw(st.permutations([f"c{k}" for k in range(n)]))
+        labels = data.draw(st.permutations(order))
+        start = data.draw(st.integers(1, 10))
+        rank = {c: r for r, c in enumerate(order)}
+        rows = [
+            [data.draw(st.none() | st.integers(1, 20)) if x == y else start + min(rank[x], rank[y]) for y in labels]
+            for x in labels
+        ]
+        matrix = CategoryDistanceMatrix(labels, rows)
+        assert check_nested_pattern(matrix, order, start)
+        assert len(check_ultrametric(zero_diagonal(matrix)).ultrametric_violations) == math.comb(n, 3)
 
 
 def test_missing_entry_needs_category_column():

@@ -41,6 +41,7 @@ from ultratree import (
 from .helpers import (
     SHAPE_FAMILIES,
     all_tree_shapes,
+    block_category_minima,
     brute_ancestors,
     brute_heights,
     brute_lca,
@@ -140,6 +141,18 @@ def check_category_minima(tree):
     assert tree_category_minima(tree) == expected
 
 
+def check_leaf_blocks(tree):
+    """Each pair of distinct leaves, numbered left to right, lies in exactly
+    one block, at the height of the pair's lowest common ancestor."""
+    leaves = [n.id for n in tree.leaves]
+    chains, heights = brute_chains(tree)
+    blocks = [(i, j, h) for h, lo, mid, hi in tree.leaf_blocks() for i in range(lo, mid) for j in range(mid, hi)]
+    expected = [
+        (i, j, heights[chain_lca(chains, a, b)]) for i, a in enumerate(leaves) for j, b in enumerate(leaves) if i < j
+    ]
+    assert sorted(blocks) == expected
+
+
 def check_command_relations(tree):
     chains, heights = brute_chains(tree)
     ids = [n.id for n in tree.nodes]
@@ -230,7 +243,15 @@ def check_built_matrices(tree):
             matrix.index("not a label")
 
 
-CHECKS = [check_dominance, check_ancestors, check_leaf_matrix, check_category_minima, check_command_relations, check_built_matrices]
+CHECKS = [
+    check_dominance,
+    check_ancestors,
+    check_leaf_matrix,
+    check_category_minima,
+    check_leaf_blocks,
+    check_command_relations,
+    check_built_matrices,
+]
 
 
 @pytest.mark.parametrize("check", CHECKS)
@@ -310,7 +331,7 @@ def test_c_command_within_cu_command_on_random_trees(tree):
 
 
 # Each shape family at two sizes: chains of unary nodes, many peers above
-# height 0 under distinct roots, and one node with many children.
+# height 0 under distinct roots, one node with many children, and combs.
 FAMILY_TREES = {
     f"{name}-{n}": parse_tree(family(n)) for name, family in SHAPE_FAMILIES.items() for n in (5, 12)
 }
@@ -342,6 +363,18 @@ def test_relation_matrices_match_pair_predicates_on_shape_families(name):
     for nodes, chosen in (("all", ids), ("leaves", leaves)):
         for build, holds in builders:
             assert rows(build(tree, nodes)) == [[holds(tree, a, b) for b in chosen] for a in chosen]
+
+
+@pytest.mark.parametrize("name", ["right_comb", "left_comb"])
+@pytest.mark.parametrize("n", [500, 2000])
+def test_category_minima_match_the_leaf_blocks_on_combs(name, n):
+    tree = parse_tree(SHAPE_FAMILIES[name](n))
+    assert tree_category_minima(tree) == block_category_minima(tree)
+
+
+def test_category_minima_match_the_leaf_blocks_on_a_large_random_tree():
+    tree = random_tree(1, 400, "mixed:4")
+    assert tree_category_minima(tree) == block_category_minima(tree)
 
 
 def check_same_height_distance(tree, heights):
