@@ -8,6 +8,12 @@ at minimum positive ultrametric distance.  On leaves the two always agree;
 comparison to internal nodes, where configurations exist that separate the
 two relations (see the ``nodes`` argument).  They separate one way only:
 c-command is contained in cu-command.
+
+Each relation holds within the run of peers under a root (``_Facts``).  Two
+distinct peers command each other exactly when they share that root, for each
+root is then an ancestor of both holding another peer, the lowest one of its
+node.  So government (mutual cu-command from a governor category) is a shared
+height and cu-command root, and mutual c-command a shared first branching ancestor.
 """
 
 from __future__ import annotations
@@ -219,10 +225,7 @@ def label_disagreements(tree: PhraseTree, found: list[Disagreement]) -> list[dic
         return []
     names = disambiguate([word or label for label, word in zip(tree._label, tree._word)])
     bracketed = serialize_tree(tree)
-    return [
-        {"tree": bracketed, "a": names[d.a], "b": names[d.b], "relation": d.holds}
-        for d in found
-    ]
+    return [{"tree": bracketed, "a": names[d.a], "b": names[d.b], "relation": d.holds} for d in found]
 
 
 def theorem_report(trees: Iterable[PhraseTree], nodes: str = "leaves") -> dict:
@@ -232,10 +235,8 @@ def theorem_report(trees: Iterable[PhraseTree], nodes: str = "leaves") -> dict:
     disagreement records the offending tree (bracketed), the node pair, and
     which relation held.
     """
-    tested = 0
-    disagreements: list[dict] = []
-    for tree in trees:
-        tested += 1
+    tested, disagreements = 0, []
+    for tested, tree in enumerate(trees, 1):
         disagreements.extend(label_disagreements(tree, theorem_check(tree, nodes=nodes)))
     return {"trees_tested": tested, "disagreements": disagreements}
 
@@ -259,34 +260,29 @@ def _checked(policy: GovernorPolicy | None) -> GovernorPolicy:
     return policy
 
 
-def _governed(tree: PhraseTree, facts: _Facts, policy: GovernorPolicy, p: int) -> list[int]:
-    """The positions p governs: mutual cu-domain members, if p's label governs."""
-    if tree._label[p] not in policy.governor_categories:
-        return []
-    cu_root = facts.cu_root
-    return [q for q in facts.run(cu_root, p) if q != p and facts.holds(cu_root, q, p)]
-
-
 def governs(tree: PhraseTree, a: int, b: int, policy: GovernorPolicy | None = None) -> bool:
-    """Government as mutual closest-peer membership by a governor category.
-
-    ``a`` governs ``b`` iff a's label is a governor category, a != b, and
-    each node lies in the other's cu-domain.  Self government is excluded.
-    """
-    policy, p, q = _checked(policy), tree._position(a), tree._position(b)
-    return q in _governed(tree, _facts(tree), policy, p)
+    """Whether a's label is a governor category, a != b, and each lies in the other's
+    cu-domain: a shared height and cu-command root, in O(1) once the pass is kept."""
+    policy, p, q, facts = _checked(policy), tree._position(a), tree._position(b), _facts(tree)
+    shared = p != q and facts.peers[p] is facts.peers[q] and facts.cu_root[p] == facts.cu_root[q]
+    return shared and tree._label[p] in policy.governor_categories
 
 
 def government_matrix(
     tree: PhraseTree, policy: GovernorPolicy | None = None, nodes: str = "all"
 ) -> RelationMatrix:
-    """Row p marks the nodes p governs; the rows of the nodes that govern none share one zero row."""
+    """Row p marks the nodes p governs: the byte mask of p's class, the chosen nodes
+    of p's height and cu-command root (see the module docstring), with p's own bit
+    cleared if p's label governs; the nodes that do not govern share one zero row."""
     policy, facts, positions = _checked(policy), _facts(tree), _positions(tree, nodes)
-    zero, rows = bytes(len(positions)), []
-    for p in positions:
-        governed = _governed(tree, facts, policy, p)
-        row = bytearray(zero) if governed else zero
-        for q in governed:
-            row[bisect_left(positions, q)] = 1
-        rows.append(bytes(row))
+    keys = [(tree._height[p], facts.cu_root[p]) for p in positions]  # each chosen node's class
+    zero, masks, rows = bytes(len(positions)), {}, []
+    for k, key in enumerate(keys):
+        masks.setdefault(key, bytearray(zero))[k] = 1
+    for k, p in enumerate(positions):
+        if tree._label[p] in policy.governor_categories:
+            mask = masks[keys[k]]
+            rows.append(bytes(mask[:k]) + b"\0" + mask[k + 1 :])  # the class, p's own bit cleared
+        else:
+            rows.append(zero)
     return _matrix(tree, nodes, rows)

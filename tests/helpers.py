@@ -394,12 +394,21 @@ def left_comb(n: int) -> str:
     return "(X " * (n - 1) + "(V w1)" + "".join(f" ({_category(k)} w{k + 1}))" for k in range(1, n))
 
 
+def growing_chains(n: int) -> str:
+    """One root over n + 1 chains of 0, 1, ..., n unary nodes, each above one
+    leaf: the root is every node's first branching ancestor, so the n - h + 1
+    nodes at each height h form one class that governs within itself."""
+    chains = ["".join(f"({_category(j)} " for j in range(k)) + f"({_category(k)} w{k + 1})" + ")" * k for k in range(n + 1)]
+    return "(S " + " ".join(chains) + ")"
+
+
 SHAPE_FAMILIES = {
     "unary_chain": unary_chain,
     "padded_comb": padded_comb,
     "star": star,
     "right_comb": right_comb,
     "left_comb": left_comb,
+    "growing_chains": growing_chains,
 }
 
 

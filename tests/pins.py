@@ -123,6 +123,10 @@ PINS = [
     Pin(0, "608ebb17817735cdd83368641058187320f00413a3c39fbcdf35357d173f7603", "matrix {t300}"),
     Pin(0, "e7dfa013b37565f79f8df3d3d07df70500ad73e4b0beefae868699e58ede618b", "dominance {t300}"),
     Pin(0, "d3b0cb4a3b846c2b8a1547282ce82582d5e4b3bcf1ce041fa91c1b2c8f5bf67f", "govern {t300}"),
+    # Every label of the tree governs, internal nodes too; govern's default V,P has only leaves.
+    Pin(0, "8759ed204184fb1a381a0ced836553b53151b494030200a899d13e5d47a46320", "govern --governors X,D,N,V,A,P {t300}"),
+    Pin(0, "4a73d3bd284690afadf8cbee82449cc46e4114953d232f7f2a3cc8f49b0ffc22",
+        "govern --governors X,D,N,V,A,P --nodes leaves {t300}"),
     Pin(0, "b4e31c050647fe8108f83d7246c34abf276978d680385aa4f9421c295bda213e", "ccommand --nodes all {t300}"),
     Pin(0, "522566380dafae06a8fc83bd9aa20256e90aee14562a6f2a311addf78f7cce75", "cucommand --nodes all {t300}"),
     Pin(0, "0f6b0c557b7fe6eba936473cf7e3f69ef0c3e4b6f5f1d793fca2724b13bc3c38", "ccommand {t300}"),

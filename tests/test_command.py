@@ -5,6 +5,7 @@ import pickle
 import random
 import sys
 import threading
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -38,6 +39,7 @@ from ultratree import (
 )
 
 from . import helpers as fx
+from .mutants import EQUIVALENT
 
 
 @pytest.fixture()
@@ -177,6 +179,12 @@ class TestTheorem:
         g = next(n.id for n in tree.nodes if n.label == "G")
         assert [(d.a, d.b, d.holds) for d in found] == [(x, g, "cu_command")]
 
+    def test_report_names_leaves_by_word_and_the_rest_by_label(self):
+        # The leaf word X counts among the X labels, so the unary X above w3 is the fifth X.
+        tree = parse_tree("(X (X (W X)) (X (W w2) (X (W w3))))")
+        disagreement = {"tree": tree.to_bracketed(), "a": "X#5", "b": "X#2", "relation": "cu_command"}
+        assert theorem_report([tree], nodes="all") == {"trees_tested": 1, "disagreements": [disagreement]}
+
     def test_suite_deterministic(self):
         first = random_theorem_suite(seed=3, trees=40, max_leaves=8)
         second = random_theorem_suite(seed=3, trees=40, max_leaves=8)
@@ -278,6 +286,30 @@ class TestGovernment:
         matrix = government_matrix(tree, GovernorPolicy(frozenset({"V", "N"})))
         assert all(not matrix.entries[i][i] for i in range(matrix.size))
 
+    def test_unary_peers_govern_without_mutual_c_command(self):
+        # The unary X above w1 and the one above w3 are the only nodes at
+        # height 1: each cu-commands the other, but only the first c-commands.
+        tree = parse_tree("(X (X (W w1)) (X (W w2) (X (W w3))))")
+        every = GovernorPolicy({"X", "W"})
+        assert [n.id for n in tree.nodes if tree.height(n.id) == 1] == [1, 5]
+        assert governs(tree, 1, 5, every) and governs(tree, 5, 1, every)
+        assert cu_command(tree, 1, 5) and cu_command(tree, 5, 1)
+        assert c_command(tree, 1, 5) and not c_command(tree, 5, 1)
+        assert first_branching_ancestor(tree, 1) != first_branching_ancestor(tree, 5)
+
+    def test_a_class_holds_one_height(self):
+        # Leaf a and both height-1 nodes share the root as cu-command root,
+        # but a is no peer of theirs: it governs neither, and they govern each other.
+        tree = parse_tree("(X (W a) (X (W b) (W c)) (X (W d) (W e)))")
+        every = GovernorPolicy({"X", "W"})
+        a, x1, x2 = 1, 2, 5
+        assert tree.height(x1) == tree.height(x2) == 1
+        assert not governs(tree, a, x1, every) and not governs(tree, a, x2, every)
+        assert governs(tree, x1, x2, every) and governs(tree, x2, x1, every)
+        matrix = government_matrix(tree, every)
+        assert not any(matrix.entries[a]) and not any(row[a] for row in matrix.entries)
+        assert [x for x, held in enumerate(matrix.entries[x1]) if held] == [x2]
+
 
 class TestPairQueries:
     @pytest.mark.parametrize("bad", [-1, 99, "a"])
@@ -371,3 +403,12 @@ class TestKeptPass:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [expected] * 4
+
+
+def test_listed_equivalent_mutants_still_occur():
+    """Each mutant that tests/mutants.py lists as equivalent names a line its
+    module still holds, with the operator it swaps, so the list cannot go stale."""
+    for module, line, swap, _ in EQUIVALENT:
+        source = Path(ultratree.command.__file__).with_name(f"{module}.py").read_text()
+        assert line in [text.strip() for text in source.splitlines()]
+        assert f" {swap.split(' as ')[0]} " in f" {line} "

@@ -94,6 +94,11 @@ RANDOM_TREES = random_trees()
 POLICY = GovernorPolicy(frozenset({"W", "V", "P"}))
 
 
+def every_label(tree):
+    """A policy under which every node of ``tree`` governs, internal ones included."""
+    return GovernorPolicy(n.label for n in tree.nodes)
+
+
 def brute_chains(tree):
     """Each node's ancestor chain from brute_ancestors, and brute_heights,
     found once per tree: brute_lca and brute_leaf_distance find them again
@@ -153,45 +158,70 @@ def check_leaf_blocks(tree):
     assert sorted(blocks) == expected
 
 
+def brute_distances(tree, chains, heights):
+    """Each node's distance to each of its peers, from the chains."""
+    ids = [n.id for n in tree.nodes]
+    peers = {a: [b for b in ids if heights[b] == heights[a]] for a in ids}
+    return {a: {b: heights[chain_lca(chains, a, b)] - heights[a] for b in peers[a]} for a in ids}
+
+
+def brute_members(distances):
+    """Each node's cu-domain: itself and the peers at the least positive distance."""
+    members = {}
+    for a, distance in distances.items():
+        positive = [d for d in distance.values() if d > 0]
+        members[a] = {a} | {b for b, d in distance.items() if positive and d == min(positive)}
+    return members
+
+
+def rows(matrix):
+    return [list(row) for row in matrix.entries]
+
+
+def check_government(tree):
+    """governs and government_matrix against the brute rule, "distinct peers,
+    each in the other's brute cu-domain, the first a governor", under POLICY,
+    where no internal node of the small shapes governs, and under a policy
+    where every label governs, over all nodes and over leaves."""
+    chains, heights = brute_chains(tree)
+    members = brute_members(brute_distances(tree, chains, heights))
+    ids, leaves = [n.id for n in tree.nodes], [n.id for n in tree.leaves]
+    labels = {n.id: n.label for n in tree.nodes}
+    for policy in (POLICY, every_label(tree)):
+
+        def governs_ref(a, b):
+            return (
+                a != b
+                and labels[a] in policy.governor_categories
+                and heights[a] == heights[b]
+                and b in members[a]
+                and a in members[b]
+            )
+
+        assert [[governs(tree, a, b, policy) for b in ids] for a in ids] == [[governs_ref(a, b) for b in ids] for a in ids]
+        for nodes, chosen in (("all", ids), ("leaves", leaves)):
+            expected = [[governs_ref(a, b) for b in chosen] for a in chosen]
+            assert rows(government_matrix(tree, policy, nodes)) == expected
+
+
 def check_command_relations(tree):
     chains, heights = brute_chains(tree)
     ids = [n.id for n in tree.nodes]
-    peers = {a: [b for b in ids if heights[b] == heights[a]] for a in ids}
     children = {n.id: len(n.children) for n in tree.nodes}
     # Each node's branching ancestors and peer distances, from its chain.
     branching = {a: [x for x in chains[a][1:] if children[x] >= 2] for a in ids}
-    distances = {a: {b: heights[chain_lca(chains, a, b)] - heights[a] for b in peers[a]} for a in ids}
+    distances = brute_distances(tree, chains, heights)
 
     def c_commands(a, b):
         # The first branching ancestor of a dominates b.
         return heights[a] == heights[b] and (a == b or branching[a][0] in chains[b])
 
-    def cu_members(a):
-        distance = distances[a]
-        positive = [d for d in distance.values() if d > 0]
-        return {a} | {b for b, d in distance.items() if positive and d == min(positive)}
-
-    members = {a: cu_members(a) for a in ids}
-    labels = {n.id: n.label for n in tree.nodes}
-
-    def governs_ref(a, b):
-        return (
-            a != b
-            and labels[a] in POLICY.governor_categories
-            and heights[a] == heights[b]
-            and b in members[a]
-            and a in members[b]
-        )
-
-    def rows(matrix):
-        return [list(row) for row in matrix.entries]
-
+    members = brute_members(distances)
     c_expected = [[c_commands(a, b) for b in ids] for a in ids]
     cu_expected = [[b in members[a] for b in ids] for a in ids]
-    governs_expected = [[governs_ref(a, b) for b in ids] for a in ids]
     assert rows(c_command_matrix(tree, nodes="all")) == c_expected
     assert rows(cu_command_matrix(tree, nodes="all")) == cu_expected
-    assert rows(government_matrix(tree, POLICY, nodes="all")) == governs_expected
+    check_government(tree)
 
     leaves = [n.id for n in tree.leaves]
     for nodes, chosen in (("all", ids), ("leaves", leaves)):
@@ -210,7 +240,6 @@ def check_command_relations(tree):
 
     assert [[c_command(tree, a, b) for b in ids] for a in ids] == c_expected
     assert [[cu_command(tree, a, b) for b in ids] for a in ids] == cu_expected
-    assert [[governs(tree, a, b, POLICY) for b in ids] for a in ids] == governs_expected
     for a in ids:
         if branching[a]:
             assert first_branching_ancestor(tree, a) == branching[a][0]
@@ -330,8 +359,40 @@ def test_c_command_within_cu_command_on_random_trees(tree):
     check_c_command_within_cu_command(tree)
 
 
+def check_mutual_command(tree):
+    """For distinct peers, mutual cu-command is government when every label
+    governs, and mutual c-command is a shared first branching ancestor; it
+    implies mutual cu-command and, on leaves, equals it."""
+    policy, ids = every_label(tree), [n.id for n in tree.nodes]
+    for a in ids:
+        for b in ids:
+            if a == b or tree.height(a) != tree.height(b):
+                continue
+            mutual_cu = cu_command(tree, a, b) and cu_command(tree, b, a)
+            mutual_c = c_command(tree, a, b) and c_command(tree, b, a)
+            assert governs(tree, a, b, policy) == mutual_cu
+            assert mutual_c == (first_branching_ancestor(tree, a) == first_branching_ancestor(tree, b))
+            assert mutual_c <= mutual_cu
+            if tree.height(a) == 0:
+                assert mutual_c == mutual_cu
+
+
+@pytest.mark.parametrize("check", [check_government, check_mutual_command])
+def test_government_on_every_shape_to_nine_nodes(check):
+    for count in range(1, 10):
+        for nested in all_tree_shapes(count):
+            check(PhraseTree.from_nested(nested))
+
+
+@given(tree=RANDOM_TREES)
+@settings(max_examples=200, deadline=None)
+def test_mutual_command_on_random_trees(tree):
+    check_mutual_command(tree)
+
+
 # Each shape family at two sizes: chains of unary nodes, many peers above
-# height 0 under distinct roots, one node with many children, and combs.
+# height 0 under distinct roots, one node with many children, combs, and
+# chains of growing length under one root.
 FAMILY_TREES = {
     f"{name}-{n}": parse_tree(family(n)) for name, family in SHAPE_FAMILIES.items() for n in (5, 12)
 }
@@ -350,10 +411,6 @@ def test_relation_matrices_match_pair_predicates_on_shape_families(name):
     tree = FAMILY_TREES[name]
     ids = [n.id for n in tree.nodes]
     leaves = [n.id for n in tree.leaves]
-
-    def rows(matrix):
-        return [list(row) for row in matrix.entries]
-
     assert rows(dominance_matrix(tree)) == [[dominates(tree, a, b) for b in ids] for a in ids]
     builders = [
         (c_command_matrix, c_command),
