@@ -273,9 +273,20 @@ def _government_builder(args):
     return partial(government_matrix, policy=policy, nodes=args.nodes)
 
 
+def _theorem_result(report: dict, counterexamples: str | None = None) -> tuple[int, str]:
+    """A theorem report's exit code and JSON text; the records alone, [] if none, go to a named file.
+    Each record is one template over its values in order, as json.dumps(records, indent=2) lays it out."""
+    record = '{\n    "tree": %s,\n    "a": %s,\n    "b": %s,\n    "relation": %s\n  }'
+    listed = _json_list([record % tuple(map(_quote, d.values())) for d in report["disagreements"]])
+    if counterexamples:
+        with open(counterexamples, "w", encoding="utf-8") as handle:
+            handle.write(listed)
+    text = '{\n  "trees_tested": %d,\n  "disagreements": %s\n}' % (report["trees_tested"], listed.replace("\n", "\n  "))
+    return (EXIT_VIOLATIONS if report["disagreements"] else EXIT_OK), text
+
+
 def _cmd_theorem(args) -> tuple[int, str]:
-    report = theorem_report(parse_tree_file(args.file), nodes=args.nodes)
-    return (EXIT_VIOLATIONS if report["disagreements"] else EXIT_OK), _json_text(report)
+    return _theorem_result(theorem_report(parse_tree_file(args.file), nodes=args.nodes))
 
 
 def _cmd_mindist(args) -> tuple[int, str]:
@@ -370,11 +381,7 @@ def _cmd_randtest(args) -> tuple[int, str]:
                 raise UltratreeError(f"--{flag.replace('_', '-')}: not used with --exhaustive-leaves")
         if args.exhaustive_leaves < 1:
             raise UltratreeError(f"exhaustive_leaves must be at least 1, got {args.exhaustive_leaves}")
-        shapes = (
-            tree
-            for leaf_count in range(1, args.exhaustive_leaves + 1)
-            for tree in enumerate_binary_trees(leaf_count)
-        )
+        shapes = chain.from_iterable(map(enumerate_binary_trees, range(1, args.exhaustive_leaves + 1)))
         report = theorem_report(shapes, nodes=args.nodes)
     else:
         report = random_theorem_suite(
@@ -384,10 +391,7 @@ def _cmd_randtest(args) -> tuple[int, str]:
             arity="mixed:4" if args.arity is None else args.arity,
             nodes=args.nodes,
         )
-    if args.counterexamples:  # every run, a clean one as []
-        with open(args.counterexamples, "w", encoding="utf-8") as handle:
-            handle.write(_json_text(report["disagreements"]))
-    return (EXIT_VIOLATIONS if report["disagreements"] else EXIT_OK), _json_text(report)
+    return _theorem_result(report, args.counterexamples)
 
 
 # -- parser ------------------------------------------------------------------

@@ -94,12 +94,12 @@ class _Facts:
         for p, h in enumerate(height):
             index[p] = len(levels[h])
             levels[h].append(p)
-        self.peers = [levels[h] for h in height]  # positions at each node's height
+        peers = self.peers = [levels[h] for h in height]  # positions at each node's height
         c_root, cu_root = self.c_root, self.cu_root = list(range(n)), list(range(n))
         above = self.above = [-1] * n  # first branching ancestor or -1; a node with peers has one
         for p in range(1, n):
             top = above[p] = up[p] if arity[up[p]] > 1 else above[up[p]]
-            level = self.peers[p]
+            level = peers[p]
             if len(level) == 1:
                 continue
             i = index[p]

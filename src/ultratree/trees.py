@@ -17,6 +17,7 @@ import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, islice, repeat
+from math import ceil, log
 
 from .errors import (
     BadAritySpec,
@@ -508,10 +509,11 @@ def random_tree(
 def _suite(seed: int, count: int, max_leaves: int, max_arity: int | None) -> Iterator[PhraseTree]:
     """The randtest trees: per tree, ``randint(1, max_leaves)`` leaves and a ``randrange(2**32)``
     seed on ``Random(seed)``, then the tree ``_drawn`` on a generator reseeded with it."""
-    outer, rng = random.Random(seed), random.Random()
+    draw, rng = random.Random(seed).getrandbits, random.Random()
+    reseed = super(random.Random, rng).seed  # the C seed: Random.seed adds type checks and a gauss_next no draw reads
     for _ in range(count):
-        leaf_count = 1 + _below(outer.getrandbits, max_leaves)
-        rng.seed(_below(outer.getrandbits, 2**32))
+        leaf_count = 1 + _below(draw, max_leaves)
+        reseed(_below(draw, 2**32))
         yield _drawn(rng, leaf_count, max_arity, DEFAULT_RANDOM_CATEGORIES)
 
 
@@ -523,9 +525,23 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
+def _cuts(draw, lo: int, hi: int, k: int) -> list[int]:
+    """``sorted(sample(range(lo, hi), k))`` on ``draw``, by sample's rule (the same on Python 3.10 to 3.13)."""
+    n, picked = hi - lo, set()
+    if n > 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0):  # over sample's set size: draws until k differ
+        while len(picked) < k:
+            picked.add(lo + _below(draw, n))
+        return sorted(picked)
+    pool = list(range(lo, hi))  # else picks from a pool, each swapped to the pool's end
+    for i in range(n - 1, n - 1 - k, -1):
+        j = _below(draw, i + 1)
+        pool[j], pool[i] = pool[i], pool[j]
+    return sorted(pool[n - k :])
+
+
 def _drawn(rng: random.Random, leaf_count: int, max_arity: int | None, categories: Sequence[str]) -> PhraseTree:
     """The tree that a ``choice`` per leaf, then a ``randint`` and a ``sample`` per split, draw on ``rng``."""
-    draw, sample, n = rng.getrandbits, rng.sample, len(categories)
+    draw, n = rng.getrandbits, len(categories)
     chosen = [categories[r] for r in islice(filter(n.__gt__, map(draw, repeat(n.bit_length()))), leaf_count)]
     labels, words, up, stack = [], [], [], [(0, leaf_count, -1)]  # stack: spans [lo, hi) to draw, next on top
     while stack:
@@ -539,7 +555,7 @@ def _drawn(rng: random.Random, leaf_count: int, max_arity: int | None, categorie
                 cut = lo + 1 + _below(draw, hi - lo - 1)
                 stack += (cut, hi, len(up) - 1), (lo, cut, len(up) - 1)
             else:
-                bounds = [lo, *sorted(sample(range(lo + 1, hi), parts - 1)), hi]
+                bounds = [lo, *_cuts(draw, lo + 1, hi, parts - 1), hi]
                 stack.extend(zip(bounds[-2::-1], bounds[:0:-1], repeat(len(up) - 1)))
     return _filled(labels, words, up)
 

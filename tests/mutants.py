@@ -41,6 +41,18 @@ GUARD = "tests/test_command.py::test_listed_equivalent_mutants_still_occur"
 EQUIVALENT = [
     ("command", "while before < q and end[q] <= after:", "< as <=",
      "q climbs p's ancestors, and no ancestor of p is one of p's peers, so q never equals before"),
+    ("lexdist", "if d < step:", "< as <=", "at d == step the assignment writes the value d holds"),
+    ("lexdist", "pair = (x, y) if x <= y else (y, x)", "<= as <", "at x == y both branches give (x, x)"),
+    ("lexdist", "if pair not in minima or d < minima[pair]:", "< as <=",
+     "at d == minima[pair] the assignment writes the value the entry holds"),
+    ("lexdist", "if pair not in combined or d < combined[pair]:", "< as <=",
+     "at d == combined[pair] the assignment writes the value the entry holds"),
+    ("lexdist", "rows = [tuple([combined.get((x, y) if x <= y else (y, x)) for y in ordered]) for x in ordered]",
+     "<= as <", "at x == y both branches give (x, x)"),
+    ("lexdist", "required = [(order[r], order[k], start + r) for r in range(n - 1) for k in range(r + 1, n)]",
+     "- as +", "rows n - 1 and n have no k in range(r + 1, n), so range(n + 1) requires no more pairs"),
+    ("matrix", "if not set(map(type, chain.from_iterable(rows))) <= {int}:", "<= as <",
+     "only the empty set is a strict subset of {int}; on all-int rows the per-entry check then run passes every int"),
 ]
 
 

@@ -1,5 +1,8 @@
 """Matrix containers and their JSON/CSV wire formats."""
 
+import csv
+import io
+import json
 import re
 from fractions import Fraction
 
@@ -10,6 +13,7 @@ from ultratree import (
     BadMatrixDocument,
     CategoryDistanceMatrix,
     DistanceMatrix,
+    LabeledMatrix,
     NonSquare,
     RelationMatrix,
     SignMatrix,
@@ -191,6 +195,11 @@ class TestCategoryDistanceMatrix:
         with pytest.raises(ValueError):
             CategoryDistanceMatrix(("D", "N"), ((None, 0), (0, None)))
 
+    @pytest.mark.parametrize("value", [True, 2.5, "2", Fraction(2)])
+    def test_entry_that_is_not_an_int_rejected(self, value):
+        with pytest.raises(UltratreeError, match=re.escape(f"entries must be integers or None, got {value!r}")):
+            CategoryDistanceMatrix(("D", "N"), ((None, value), (value, None)))
+
     def test_zero_entry_in_document_names_path(self):
         document = {"labels": ["D", "N"], "rows": [[None, 1], [0, None]]}
         message = "c.json: rows[1][0]: present entries must be at least 1, got 0"
@@ -211,3 +220,41 @@ class TestCategoryDistanceMatrix:
     def test_repr(self):
         m = CategoryDistanceMatrix(("D", "N"), ((None, 4), (4, None)))
         assert repr(m) == "CategoryDistanceMatrix(labels=('D', 'N'), entries=((None, 4), (4, None)))"
+
+
+# One matrix of each kind; the labels need quoting in CSV and escaping in JSON.
+KINDS = [
+    LabeledMatrix(("a", 'b"c'), (("x", None), (1.5, True))),
+    DistanceMatrix(("a", "b,c"), ((0, 3), (3, 0))),
+    RelationMatrix(("p", "q", "r"), ((1, 0, 1), (0, 1, 0), (1, 1, 1))),
+    SignMatrix(("x", "y"), ((1, -1), (-1, 1))),
+    CategoryDistanceMatrix(("N", "V"), ((None, 2), (2, None))),
+]
+
+
+class TestEqualityAndWireTexts:
+    def test_equal_only_with_kind_labels_and_entries(self):
+        m = DistanceMatrix(("a", "b"), ((0, 1), (1, 0)))
+        assert m == DistanceMatrix(("a", "b"), ((0, 1), (1, 0)))
+        assert m != DistanceMatrix(("b", "a"), ((0, 1), (1, 0)))
+        assert m != DistanceMatrix(("a", "b"), ((0, 2), (2, 0)))
+        assert m != LabeledMatrix(("a", "b"), ((0, 1), (1, 0)))
+
+    @pytest.mark.parametrize("matrix", KINDS, ids=lambda m: type(m).__name__)
+    def test_row_texts_are_the_json_cells(self, matrix):
+        # Only the kinds with one fixed text per entry have row texts.
+        texts = matrix._texts(",\n  ")
+        if type(matrix) is LabeledMatrix:
+            assert texts is None
+        else:
+            assert texts == [",\n  ".join(map(json.dumps, row)) for row in matrix.to_json_dict()["rows"]]
+
+    @pytest.mark.parametrize("matrix", KINDS, ids=lambda m: type(m).__name__)
+    def test_csv_matches_csv_writer(self, matrix):
+        rows = matrix.to_json_dict()["rows"]
+        if type(matrix) is not LabeledMatrix:  # fixed kinds write their JSON cells, an absent entry empty
+            rows = [["" if v is None else json.dumps(v) for v in row] for row in rows]
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerows([["", *matrix.labels], *([x, *row] for x, row in zip(matrix.labels, rows))])
+        assert matrix.to_csv() == buffer.getvalue()

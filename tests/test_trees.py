@@ -1,8 +1,10 @@
 """Parsing, heights, ancestry, and tree generation."""
 
 import itertools
+import random
 import re
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +32,7 @@ from ultratree import (
     serialize_tree,
 )
 
+import ultratree.trees
 from ultratree.trees import _filled, _tokenize
 
 from .helpers import (
@@ -438,6 +441,43 @@ class TestGeneration:
                 tree = random_tree(seed, leaf_count, arity)
                 records = list(zip(tree._label, tree._word, tree._up))
                 assert records == reference_random_records(seed, leaf_count, arity), (seed, leaf_count)
+
+    @pytest.mark.parametrize("arity, leaf_count, min_k, set_size", [("mixed:9", 120, 6, 85), ("mixed:40", 300, 22, 277)])
+    def test_random_tree_keeps_the_reference_stream_past_samples_set_size(self, arity, leaf_count, min_k, set_size):
+        # With k > 5 cuts to pick, sample's set size is 21 + 4**ceil(log(3k, 4)):
+        # 85 for k = 6-21 and 277 for k = 22-85.  A split over more cuts than
+        # that takes its set branch, which some split of these trees reaches.
+        cuts, reached = ultratree.trees._cuts, []
+
+        def spy(draw, lo, hi, k):
+            reached.append(k >= min_k and hi - lo > set_size)
+            return cuts(draw, lo, hi, k)
+
+        with mock.patch.object(ultratree.trees, "_cuts", spy):
+            for seed in range(150):
+                tree = random_tree(seed, leaf_count, arity)
+                records = list(zip(tree._label, tree._word, tree._up))
+                assert records == reference_random_records(seed, leaf_count, arity), seed
+        assert any(reached)
+
+    def test_suite_reseeds_to_the_streams_of_its_seeds(self):
+        # After each reseed the suite's one generator gives Random(s)'s
+        # getrandbits stream, whatever it drew for the tree before.
+        seeds, below, streams = [0, 1, 2**32 - 1], ultratree.trees._below, []
+        fresh = iter(seeds)
+
+        def stream(getrandbits):
+            return [getrandbits(k) for k in (1, 5, 32, 33, 64, 200)]
+
+        def seeded(draw, n):  # the tree seeds are drawn below 2**32
+            return next(fresh) if n == 2**32 else below(draw, n)
+
+        def drawn(rng, leaf_count, max_arity, categories):
+            streams.append(stream(rng.getrandbits))
+
+        with mock.patch.object(ultratree.trees, "_below", seeded), mock.patch.object(ultratree.trees, "_drawn", drawn):
+            list(ultratree.trees._suite(5, len(seeds), 10, None))
+        assert streams == [stream(random.Random(s).getrandbits) for s in seeds]
 
     def test_random_tree_refuses_no_categories(self):
         # With nothing to draw from, the leaf draws would never end.

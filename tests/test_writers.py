@@ -3,8 +3,9 @@
 ``cli._json_text`` must equal ``json.dumps(obj, indent=2)`` byte for byte,
 matrix documents must equal ``json.dumps`` of ``to_json_dict()``, and the
 ``triangles`` output must equal ``json.dumps``/``csv`` of the record dicts
-built from ``classify_triangle``, and the ``check`` output those of the
-violation dicts from the brute axiom scan.  No subcommand may leave reference
+built from ``classify_triangle``, the ``check`` output those of the
+violation dicts from the brute axiom scan, and the ``theorem`` and
+``randtest`` output ``json.dumps`` of their report.  No subcommand may leave reference
 cycles behind, so memory does not depend on when the collector runs.
 """
 
@@ -25,12 +26,16 @@ from ultratree import (
     CategoryDistanceMatrix,
     DistanceMatrix,
     LabeledMatrix,
+    PhraseTree,
     RelationMatrix,
     SignMatrix,
     all_triangles,
     classify_triangle,
     leaf_matrix,
+    parse_tree,
+    random_theorem_suite,
     random_tree,
+    theorem_report,
 )
 from ultratree.cli import _json_text, _matrices_text, _matrix_text, _triangle_text, run
 
@@ -389,6 +394,74 @@ class TestCheckText:
         for argv in (["check", str(trees)], ["check", "--matrix", str(ultrametric)]):
             assert check_run(argv) == (0, "[]\n")
             assert check_run([*argv, "--format", "csv"]) == (0, "tree,axiom,indices\n")
+
+
+# Tokens json escapes, and ones disambiguate must rename: a repeated word or
+# label, or a label#k that is also a word or label.
+TOKENS = st.text(st.sampled_from(['"', "\\", "é", "😀", "\x00", "\x7f", "#", "1", "X", "W"]), min_size=1, max_size=3)
+
+
+@st.composite
+def relabelled_trees(draw):
+    """A random tree's shape, every label and word drawn from TOKENS."""
+    shape = random_tree(draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 9)), draw(st.sampled_from(["binary", "mixed:4"])))
+    labels = draw(st.lists(TOKENS, min_size=len(shape), max_size=len(shape)))
+    words = [word and draw(TOKENS) for word in shape._word]
+    return PhraseTree(list(zip(labels, words, shape._up)))
+
+
+def theorem_run(lines: list[str], nodes: str) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "trees.txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("".join(line + "\n" for line in lines))
+        return check_run(["theorem", path, "--nodes", nodes])
+
+
+class TestTheoremText:
+    """``theorem`` and ``randtest`` write each disagreement from one template:
+    their text must be json.dumps of the report dict, byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(relabelled_trees(), max_size=4), st.sampled_from(["leaves", "all"]))
+    def test_tree_file(self, trees, nodes):
+        report = theorem_report(trees, nodes=nodes)
+        expected = (1 if report["disagreements"] else 0, json.dumps(report, indent=2) + "\n")
+        assert theorem_run([t.to_bracketed() for t in trees], nodes) == expected
+
+    @pytest.mark.parametrize(
+        "lines, nodes",
+        [
+            (["# comments only", "", "#"], "all"),  # trees_tested 0
+            (["(S (A a) (B b))", "(X (W a) (X (W b) (W c)))"], "all"),  # no disagreement
+            (['(X (X (W X)) (X ("é\\ w2) (X (W X#1))))'], "all"),  # a word among the labels
+            (["(X (X (W X)) (X (W w2) (X (W w3))))"], "leaves"),
+        ],
+    )
+    def test_edge_files(self, lines, nodes):
+        trees = [parse_tree(line) for line in lines if line and not line.startswith("#")]
+        report = theorem_report(trees, nodes=nodes)
+        expected = (1 if report["disagreements"] else 0, json.dumps(report, indent=2) + "\n")
+        assert theorem_run(lines, nodes) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64),
+        trees=st.integers(0, 15),
+        max_leaves=st.integers(1, 12),
+        arity=st.sampled_from(["binary", "mixed:4", "mixed:9"]),
+        nodes=st.sampled_from(["leaves", "all"]),
+    )
+    def test_randtest(self, seed, trees, max_leaves, arity, nodes):
+        report = random_theorem_suite(seed, trees, max_leaves, arity, nodes=nodes)
+        code = 1 if report["disagreements"] else 0
+        with tempfile.TemporaryDirectory() as directory:
+            out = os.path.join(directory, "found.json")
+            argv = ["randtest", "--seed", str(seed), "--trees", str(trees), "--max-leaves", str(max_leaves)]
+            argv += ["--arity", arity, "--nodes", nodes, "--counterexamples", out]
+            assert check_run(argv) == (code, json.dumps(report, indent=2) + "\n")
+            with open(out, encoding="utf-8") as handle:
+                assert handle.read() == json.dumps(report["disagreements"], indent=2)
 
 
 @pytest.fixture()
