@@ -375,22 +375,18 @@ def _cmd_hierarchy(args) -> tuple[int, str]:
 
 
 def _cmd_randtest(args) -> tuple[int, str]:
+    given = {f: getattr(args, f) for f in ("trees", "max_leaves", "arity") if getattr(args, f) is not None}
     if args.exhaustive_leaves is not None:
-        for flag in ("trees", "max_leaves", "arity"):  # they shape random trees only
-            if getattr(args, flag) is not None:
-                raise UltratreeError(f"--{flag.replace('_', '-')}: not used with --exhaustive-leaves")
+        for flag in given:  # they shape random trees only
+            raise UltratreeError(f"--{flag.replace('_', '-')}: not used with --exhaustive-leaves")
         if args.exhaustive_leaves < 1:
             raise UltratreeError(f"exhaustive_leaves must be at least 1, got {args.exhaustive_leaves}")
         shapes = chain.from_iterable(map(enumerate_binary_trees, range(1, args.exhaustive_leaves + 1)))
         report = theorem_report(shapes, nodes=args.nodes)
+    elif args.seed is None:
+        raise UltratreeError("--seed: needed without --exhaustive-leaves")
     else:
-        report = random_theorem_suite(
-            seed=args.seed,
-            trees=1000 if args.trees is None else args.trees,
-            max_leaves=10 if args.max_leaves is None else args.max_leaves,
-            arity="mixed:4" if args.arity is None else args.arity,
-            nodes=args.nodes,
-        )
+        report = random_theorem_suite(args.seed, nodes=args.nodes, **given)
     return _theorem_result(report, args.counterexamples)
 
 
@@ -479,8 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_hierarchy)
 
     p = sub.add_parser("randtest", help="seeded random (or exhaustive) theorem sweeps")
-    p.add_argument("--seed", type=int, required=True,
-                   help="seed of the random trees; required also with --exhaustive-leaves, which draws none")
+    p.add_argument("--seed", type=int, help="seed of the random trees; needed without --exhaustive-leaves, ignored with it")
     p.add_argument("--trees", type=int, help="random trees to draw (default 1000)")
     p.add_argument("--max-leaves", type=int, help="leaves per random tree, at most (default 10)")
     p.add_argument("--arity", help="random splits: 'binary' or 'mixed:K' (default mixed:4)")

@@ -242,9 +242,10 @@ def theorem_report(trees: Iterable[PhraseTree], nodes: str = "leaves") -> dict:
 
 
 def random_theorem_suite(
-    seed: int, trees: int, max_leaves: int, arity: str = "mixed:4", nodes: str = "leaves"
+    seed: int, trees: int = 1000, max_leaves: int = 10, arity: str = "mixed:4", nodes: str = "leaves"
 ) -> dict:
-    """Run theorem_report over seeded random trees; deterministic for a fixed seed."""
+    """Run theorem_report over ``trees`` seeded random trees of 1 to ``max_leaves`` leaves
+    (1000 trees of up to 10 leaves, mixed:4 splits, by default); deterministic for a fixed seed."""
     if max_leaves < 1:
         raise UltratreeError(f"max_leaves must be at least 1, got {max_leaves}")
     if trees < 0:

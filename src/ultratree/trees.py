@@ -17,7 +17,6 @@ import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, islice, repeat
-from math import ceil, log
 
 from .errors import (
     BadAritySpec,
@@ -525,14 +524,11 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-def _cuts(draw, lo: int, hi: int, k: int) -> list[int]:
-    """``sorted(sample(range(lo, hi), k))`` on ``draw``, by sample's rule (the same on Python 3.10 to 3.13)."""
-    n, picked = hi - lo, set()
-    if n > 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0):  # over sample's set size: draws until k differ
-        while len(picked) < k:
-            picked.add(lo + _below(draw, n))
-        return sorted(picked)
-    pool = list(range(lo, hi))  # else picks from a pool, each swapped to the pool's end
+def _cuts(rng: random.Random, lo: int, hi: int, k: int) -> list[int]:
+    """``sorted(rng.sample(range(lo, hi), k))``; up to 21 candidates, by sample's own rule on ``getrandbits``."""
+    if (n := hi - lo) > 21:  # sample's set branch may take over from here
+        return sorted(rng.sample(range(lo, hi), k))
+    pool, draw = list(range(lo, hi)), rng.getrandbits  # sample's pool: each pick swapped to the pool's end
     for i in range(n - 1, n - 1 - k, -1):
         j = _below(draw, i + 1)
         pool[j], pool[i] = pool[i], pool[j]
@@ -555,7 +551,7 @@ def _drawn(rng: random.Random, leaf_count: int, max_arity: int | None, categorie
                 cut = lo + 1 + _below(draw, hi - lo - 1)
                 stack += (cut, hi, len(up) - 1), (lo, cut, len(up) - 1)
             else:
-                bounds = [lo, *_cuts(draw, lo + 1, hi, parts - 1), hi]
+                bounds = [lo, *_cuts(rng, lo + 1, hi, parts - 1), hi]
                 stack.extend(zip(bounds[-2::-1], bounds[:0:-1], repeat(len(up) - 1)))
     return _filled(labels, words, up)
 
@@ -568,20 +564,23 @@ def enumerate_binary_trees(leaf_count: int) -> Iterator[PhraseTree]:
     """
     if leaf_count < 1:
         raise UltratreeError("leaf_count must be at least 1")
-    for records in _binary_shapes(0, leaf_count, -1, 0):
-        labels, words, up = map(list, zip(*records))
+    cuts: list[list[int]] = []  # an odometer: [cut, last cut] of each internal node, in preorder
+    while True:
+        labels, words, up, stack, at = [], [], [], [(0, leaf_count, -1)], 0
+        while stack:  # one walk of the leaf spans, as in _drawn
+            lo, hi, parent = stack.pop()
+            leaf = hi - lo == 1
+            labels.append("W" if leaf else "X")
+            words.append(f"w{hi}" if leaf else None)
+            up.append(parent)
+            if not leaf:
+                if at == len(cuts):  # a node past the last advanced cut starts at its least cut
+                    cuts.append([lo + 1, hi - 1])
+                cut, at = cuts[at][0], at + 1
+                stack += (cut, hi, len(up) - 1), (lo, cut, len(up) - 1)
         yield _filled(labels, words, up)
-
-
-def _binary_shapes(lo: int, hi: int, parent: int, at: int):
-    # The preorder records of each shape over leaves [lo, hi), rooted at
-    # position ``at`` under ``parent``; k leaves make 2k - 1 records.
-    # Module level: a nested recursive function would be a reference cycle
-    # (function, closure cell, function) left behind by every call.
-    if hi - lo == 1:
-        yield [("W", f"w{lo + 1}", parent)]
-        return
-    for split in range(lo + 1, hi):
-        for left in _binary_shapes(lo, split, at, at + 1):
-            for right in _binary_shapes(split, hi, at, at + 2 * (split - lo)):
-                yield [("X", None, parent), *left, *right]
+        while cuts and cuts[-1][0] == cuts[-1][1]:  # the last cut that can advance does; those after it drop
+            cuts.pop()
+        if not cuts:
+            return
+        cuts[-1][0] += 1

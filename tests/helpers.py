@@ -314,6 +314,20 @@ def reference_random_records(seed: int, leaf_count: int, arity: str = "binary") 
     return records
 
 
+def binary_shape_records(lo: int, hi: int, parent: int = -1, at: int = 0):
+    """The preorder records of each strictly binary shape over leaves [lo, hi),
+    rooted at position ``at`` under ``parent``, by nested loops over the root's
+    cut, then the left shapes, then the right: the order that
+    ``enumerate_binary_trees`` keeps.  Recursive, so for small leaf counts only."""
+    if hi - lo == 1:
+        yield [("W", f"w{lo + 1}", parent)]
+        return
+    for split in range(lo + 1, hi):
+        for left in binary_shape_records(lo, split, at, at + 1):
+            for right in binary_shape_records(split, hi, at, at + 2 * (split - lo)):
+                yield [("X", None, parent), *left, *right]
+
+
 def all_tree_shapes(node_count: int):
     """Every rooted ordered tree shape with exactly ``node_count`` nodes.
 

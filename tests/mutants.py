@@ -53,6 +53,11 @@ EQUIVALENT = [
      "- as +", "rows n - 1 and n have no k in range(r + 1, n), so range(n + 1) requires no more pairs"),
     ("matrix", "if not set(map(type, chain.from_iterable(rows))) <= {int}:", "<= as <",
      "only the empty set is a strict subset of {int}; on all-int rows the per-entry check then run passes every int"),
+    ("trees", "while arity > 1 and end[child] < end[p]:", "> as >=",
+     "a unary node's one child ends where the node does, so the second test stops the loop at arity 1"),
+    ("trees", "if h > height[parent]:", "> as >=", "at h == height[parent] the assignment writes the value held"),
+    ("trees", "if (n := hi - lo) > 21:  # sample's set branch may take over from here", "> as >=",
+     "at 21 candidates sample takes its pool branch, the stream the getrandbits copy draws"),
 ]
 
 

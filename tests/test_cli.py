@@ -2,6 +2,7 @@
 
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import subprocess
@@ -387,6 +388,21 @@ class TestRandtestCommand:
         assert run(["randtest", "--seed", "3", "--nodes", "all"]) == 1
         expected = random_theorem_suite(seed=3, trees=1000, max_leaves=10, arity="mixed:4", nodes="all")
         assert get_json(capsys) == json.loads(json.dumps(expected))
+
+    @pytest.mark.parametrize("nodes", ["leaves", "all"])
+    def test_exhaustive_sweep_without_seed(self, tmp_path, capsys, nodes):
+        # The exhaustive sweep draws nothing, so --seed may be left out.
+        argv = ["randtest", "--exhaustive-leaves", "6", "--nodes", nodes, "--counterexamples"]
+        seeded = (run([*argv, str(tmp_path / "a.json"), "--seed", "0"]), capsys.readouterr())
+        assert (run([*argv, str(tmp_path / "b.json")]), capsys.readouterr()) == seeded
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_random_flag_help_names_the_suite_defaults(self):
+        # The defaults are written once, in random_theorem_suite's signature.
+        defaults = inspect.signature(random_theorem_suite).parameters
+        helps = {action.dest: action.help for action in cli._parser()[1]["randtest"]._actions}
+        for name in ("trees", "max_leaves", "arity"):
+            assert helps[name].endswith(f"(default {defaults[name].default})")
 
     def test_exhaustive_sweep(self, capsys):
         assert run(["randtest", "--seed", "1", "--exhaustive-leaves", "5"]) == 0
@@ -809,6 +825,14 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: max_leaves must be at least 1, got 0\n"
+
+    @pytest.mark.parametrize("extra", [[], ["--trees", "5"], ["--trees", "-1", "--arity", "bogus"]])
+    def test_random_sweep_needs_seed(self, tmp_path, capsys, extra):
+        # Without --exhaustive-leaves the trees are drawn, so the seed must be given.
+        out = tmp_path / "cx.json"
+        assert run(["randtest", *extra, "--counterexamples", str(out)]) == 2
+        assert self.one_error(capsys) == "error: --seed: needed without --exhaustive-leaves\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("leaves", ["0", "-3"])
     def test_randtest_exhaustive_leaves_below_one(self, capsys, leaves):

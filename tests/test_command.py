@@ -192,6 +192,12 @@ class TestTheorem:
         assert first["trees_tested"] == 40
         assert first["disagreements"] == []
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_suite_defaults(self, seed):
+        # 1000 trees of up to 10 leaves with splits of up to 4 children;
+        # randtest passes only the flags it is given.
+        assert random_theorem_suite(seed) == random_theorem_suite(seed, 1000, 10, "mixed:4")
+
     @given(
         seed=st.integers(0, 2**64),
         trees=st.integers(0, 12),

@@ -37,6 +37,7 @@ from ultratree.trees import _filled, _tokenize
 
 from .helpers import (
     all_tree_shapes,
+    binary_shape_records,
     brute_heights,
     brute_lca,
     reference_parse_records,
@@ -504,6 +505,20 @@ class TestGeneration:
             assert len({serialize_tree(t) for t in shapes}) == count
             assert all(is_switched(t) for t in shapes)
 
+    @pytest.mark.parametrize("leaves", range(1, 9))
+    def test_enumerate_binary_keeps_the_reference_order(self, leaves):
+        # The odometer yields the shapes in the nested-loop order of the
+        # recursive reference: root cut, then left shape, then right shape.
+        shapes = [list(zip(t._label, t._word, t._up)) for t in enumerate_binary_trees(leaves)]
+        assert shapes == list(binary_shape_records(0, leaves))
+
+    def test_enumerate_binary_builds_a_deep_first_shape(self):
+        # The first shape is the right comb: 2,999 nested right children,
+        # past any recursion limit.
+        tree = next(enumerate_binary_trees(3000))
+        assert len(tree.leaves) == 3000 and tree.height(tree.root.id) == 2999
+        assert tree.to_bracketed() == "".join(f"(X (W w{i}) " for i in range(1, 3000)) + "(W w3000)" + ")" * 2999
+
     def test_is_switched(self):
         assert is_switched(parse_tree(FIGURE4))
         assert not is_switched(parse_tree("(S (W A) (W M) (W J))"))
@@ -517,6 +532,14 @@ class TestPhraseTreeValidation:
     def test_word_on_internal_rejected(self):
         with pytest.raises(MixedNode, match="node 'X' has both a word and children"):
             PhraseTree([("X", "oops", -1), ("A", "a", 0)])
+
+    @pytest.mark.parametrize("token", ["N'", "w-1", "X#2", "'s", ".", "été"])
+    def test_tokens_need_not_be_alphanumeric(self, token):
+        # One token is any string free of whitespace and parentheses; the
+        # alphanumeric test is only a shortcut.
+        tree = PhraseTree([(token, None, -1), ("W", token, 0)])
+        assert tree.to_bracketed() == f"({token} (W {token}))" and parse_tree(tree.to_bracketed()) == tree
+        assert random_tree(1, 3, "binary", (token,)).leaf_categories() == [token] * 3
 
     @pytest.mark.parametrize(
         "records, message",
