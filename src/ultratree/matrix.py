@@ -8,10 +8,10 @@ entries as JSON null and empty CSV cells.
 
 from __future__ import annotations
 
-import io
 import re
 from collections.abc import Sequence
-from itertools import chain
+from itertools import chain, repeat
+from types import SimpleNamespace
 
 from .errors import BadMatrixDocument, NonSquare, UltratreeError, UnknownLabel
 
@@ -19,15 +19,18 @@ _surrogate = re.compile("[\ud800-\udfff]").search
 _BITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _csv(header, rows) -> str:
-    """The CSV text of a header row and then ``rows``, each line ended by ``\\n``."""
+def _csv_lines(rows) -> list[str]:
+    """Each of ``rows`` as ``csv`` writes it, ended by ``\\n``: one ``write`` per row."""
     import csv  # only CSV output pays for it
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(rows)
+    return lines
+
+
+def _csv(header, rows) -> str:
+    """The CSV text of a header row and then ``rows``."""
+    return "".join(_csv_lines(chain([header], rows)))
 
 
 class LabeledMatrix:
@@ -51,8 +54,8 @@ class LabeledMatrix:
     @classmethod
     def _made(cls, labels: tuple[str, ...], rows: tuple[tuple, ...]):
         """The matrix over rows that a builder in this package made square,
-        as tuples of entries of this kind (bytes for a relation): nothing is
-        copied or checked but that the labels are distinct."""
+        as tuples of entries of this kind (bytes for a relation, code points
+        for a leaf matrix): nothing is copied or checked but that the labels are distinct."""
         matrix = object.__new__(cls)
         matrix._fill(labels, rows)
         return matrix
@@ -75,6 +78,8 @@ class LabeledMatrix:
     @staticmethod
     def _check_entry(value) -> None:
         """Raise UltratreeError when ``value`` is not an entry of this kind."""
+
+    _rows = property(lambda self: self.entries)  # the rows as kept, unless a kind keeps another form
 
     @property
     def size(self) -> int:
@@ -111,11 +116,11 @@ class LabeledMatrix:
         ``_texts``; None for kinds without a fixed text per entry."""
         return None
 
-    def _texts(self, sep: str) -> list[str] | None:
-        """Each row's entry texts joined by ``sep``, null for None, for
-        ``cli._matrix_text``; None for kinds without a fixed text per entry."""
-        cells = self._cells("null")
-        return None if cells is None else [sep.join(map(cells.__getitem__, row)) for row in self.entries]
+    def _texts(self, sep: str, absent: str = "null") -> list[str] | None:
+        """Each row's entry texts joined by ``sep``, ``absent`` for None, for ``cli._matrix_text``
+        and ``to_csv``; None for kinds without a fixed text per entry."""
+        cells = self._cells(absent)
+        return None if cells is None else [sep.join(map(cells.__getitem__, row)) for row in self._rows]
 
     def to_json_dict(self) -> dict:
         return {"labels": list(self.labels), "rows": [list(row) for row in self.entries]}
@@ -171,20 +176,37 @@ class LabeledMatrix:
         return next((f"labels[{j}]" for j, x in enumerate(labels) if x in labels[:j]), "labels")
 
     def to_csv(self) -> str:
-        cells = self._cells("")
-        rows = self.entries if cells is None else (map(cells.__getitem__, row) for row in self.entries)
-        return _csv(["", *self.labels], ([label, *row] for label, row in zip(self.labels, rows)))
+        texts = self._texts(",", "")
+        if texts is None:
+            return _csv(["", *self.labels], ([label, *row] for label, row in zip(self.labels, self._rows)))
+        # Only labels need quoting: line k + 1 is label k as csv quotes it beside a second field, then ",\n".
+        lines = _csv_lines(chain([["", *self.labels]], zip(self.labels, repeat(""))))
+        return lines[0] + "".join([head[:-1] + text + "\n" for head, text in zip(lines[1:], texts)])
 
 
 def _int_cells(matrix: LabeledMatrix, absent: str) -> dict:
-    """``_cells`` of ints and None: one ``int.__repr__`` per distinct value, not per entry."""
-    return {v: absent if v is None else int.__repr__(v) for v in set(chain.from_iterable(matrix.entries))}
+    """``_cells`` of ints and None, one ``int.__repr__`` per distinct element of the kept rows."""
+    values = set(chain.from_iterable(matrix._rows))
+    return {v: absent if v is None else int.__repr__(ord(v) if type(v) is str else v) for v in values}
 
 
 class DistanceMatrix(LabeledMatrix):
-    """Integer distances; symmetry and axioms are checked, not enforced."""
+    """Integer distances; symmetry and axioms are checked, not enforced.  A leaf matrix keeps each
+    row as a ``str`` whose code points are the distances, and builds ``entries`` on first read and keeps
+    them; any other keeps tuples, its own ``entries``, as a negative, huge or IntEnum entry has no code point."""
 
+    __slots__ = ("_rows", "_ints")
     _cells = _int_cells
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        if self._ints is None:
+            self._ints = tuple([tuple(map(ord, row)) for row in self._rows])
+        return self._ints
+
+    @entries.setter
+    def entries(self, rows) -> None:  # by _fill: leaf_matrix's code-point rows, or checked tuples
+        self._rows, self._ints = rows, None if rows and type(rows[0]) is str else rows
 
     def _check_entries(self, rows) -> None:
         # One scan of the entry types at C speed; the per-entry check runs
@@ -222,14 +244,10 @@ class RelationMatrix(LabeledMatrix):
     def to_json_dict(self) -> dict:
         return {"labels": list(self.labels), "rows": [list(row) for row in self._rows]}  # bytes list as ints
 
-    def _texts(self, sep: str) -> list[str]:
+    def _texts(self, sep: str, absent: str = "null") -> list[str]:  # no entry is absent
         # Each row as 0s and 1s; replace puts sep around each, and the slice drops the outer two.
         texts = (row.translate(_BITS).decode().replace("", sep) for row in self._rows)
         return [text[len(sep) : len(text) - len(sep)] for text in texts]
-
-    def to_csv(self) -> str:
-        cells = (row.translate(_BITS).decode() for row in self._rows)  # a str of 0s and 1s per row
-        return _csv(["", *self.labels], ([label, *row] for label, row in zip(self.labels, cells)))
 
 
 class SignMatrix(LabeledMatrix):

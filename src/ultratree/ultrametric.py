@@ -8,10 +8,10 @@ equilateral, and strictly binary branching rules the equilateral case out.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from enum import Enum
 from itertools import accumulate, repeat
-from operator import itemgetter, lt, neg
+from operator import itemgetter, lt
 
 from .errors import DuplicateVertex, TooFewLabels, UltratreeError, _Record, _set
 from .matrix import DistanceMatrix
@@ -88,20 +88,21 @@ def leaf_matrix(tree: PhraseTree) -> DistanceMatrix:
     distances from its leaves: its parent's row with the spans of the
     parent's other children set to the parent's height, and zeros on its own
     span.  A unary node shares its parent's row, and a leaf's row is final.
-    Each row is three tuple slices joined, so the pass takes O(N) Python
-    steps over N nodes and O(N·n) copying at C speed.  The matrix is made
-    from those rows as they are; only its labels are checked, for clashes.
+    Each row is three slices joined, a ``str`` whose code points are the distances (tuples if
+    the root is above ``sys.maxunicode``), so the pass takes O(N) Python steps over N nodes and
+    O(N·n) byte copying.  The matrix is made from those rows as they are; only its labels are checked.
     """
     end, height, words = tree._end, tree._height, tree._word
     rank = [*accumulate([word is not None for word in words], initial=0)]  # leaves before each position
-    zeros = (0,) * rank[-1]
+    unit = chr if height[0] <= 0x10FFFF else lambda h: (h,)  # a row of one entry; 0x10FFFF is sys.maxunicode
+    zeros = unit(0) * rank[-1]
     rows = [zeros] * len(words)  # the root's row; the others are written before they are read
     for q, arity in enumerate(tree._arity):
         if arity == 1:
             rows[q + 1] = rows[q]
         elif arity:
             lo, hi, row = rank[q], rank[end[q]], rows[q]
-            joined = (height[q],) * (hi - lo)
+            joined = unit(height[q]) * (hi - lo)
             left, right = row[:lo] + joined, joined + row[hi:]
             child = q + 1
             while child < end[q]:
@@ -116,20 +117,21 @@ def _above(m, joins) -> list[tuple[int, int]] | None:
     """Pairs ``(x, y)``, x < y, ascending, whose entry is above v, or None once
     one is below v.  Vertex 0, then each ``(vertex, weight)`` of ``joins``,
     joins in turn; v between the i-th and j-th is the largest weight in (i, j].
-    Each row of v extends the last by a bisection and a slice and meets the
-    vertex's row at C speed: O(n) Python steps, O(n) more per row above v."""
-    order, v, above, in_order = [0], (), [], True
+    Each row of v, of m's kind and read back from its vertex, extends the last
+    by a bisection and a slice and meets the vertex's row at C speed: O(n) Python steps, O(n) more per row above v."""
+    join = "".join if m and type(m[0]) is str else tuple  # a row of m's kind from a tuple of entries
+    back, v, above, in_order = [0], join(()), [], True  # the vertices joined, the last first
     for y, w in joins:
-        j = len(order)
-        k = bisect_left(v, -w, key=neg)  # v's row falls along the join order; raise its tail to w
-        v = v[:k] + (w,) * (j - k)
-        mine = m[y][:j] if in_order else itemgetter(*order)(m[y])
+        j = len(back)
+        k = bisect_right(v, w)  # v rises back along the join order; raise its head to w
+        v = join((w,)) * (k + 1) + v[k:]
+        mine = m[y][j - 1 :: -1] if in_order else join(itemgetter(*back)(m[y]))
         if mine != v:
             if any(map(lt, mine, v)):
                 return None
-            above += [(min(x, y), max(x, y)) for x, a, b in zip(order, mine, v) if a != b]
+            above += [(min(x, y), max(x, y)) for x, a, b in zip(back, mine, v) if a != b]
         in_order = in_order and y == j
-        order.append(y)
+        back.insert(0, y)
     return sorted(above)
 
 
@@ -156,12 +158,13 @@ def _linkage(m, n: int) -> tuple[list[tuple[int, int]], int]:
     at most the largest step in (i, j], and equal to it if ``_above`` certifies
     the order, as for a tree's leaves: O(n) Python steps, O(n^2) compares at
     C speed.  Else Prim's order, always certified, costs O(n^2) Python steps."""
+    number = ord if m and type(m[0]) is str else int  # an entry's int, also in code-point rows
     steps = [m[k][k - 1] for k in range(1, n)]
-    least = min(steps, default=1)
+    least = number(min(steps)) if steps else 1
     pairs = _above(m, zip(range(1, n), steps)) if least > 0 else None
     if pairs is None:
         joins = [*_prim(m, n)]
-        pairs, least = _above(m, joins), min(map(itemgetter(1), joins), default=1)
+        pairs, least = _above(m, joins), number(min(map(itemgetter(1), joins))) if joins else 1
     return pairs, least
 
 
@@ -170,16 +173,20 @@ def _check_axioms(matrix: DistanceMatrix) -> tuple[list, list]:
     metric list (zero diagonal, positivity, symmetry, triangle) and the
     ultrametric list, each in report order.
 
-    A symmetric matrix (``zip(*m)`` equals its rows, at C speed) gets its
-    suspect pairs and least entry off the diagonal from ``_linkage``.  Its
-    entries are read one by one only if that entry is not positive, and every
-    pair is suspect only if it is negative; an asymmetric matrix gets both.
-    Each suspect pair (x, y) costs one scan over z per inequality.
+    A symmetric matrix (its columns equal its rows) gets its suspect pairs
+    and least entry off the diagonal from ``_linkage``.  Its entries are read
+    one by one, as ints, only if that entry is not positive, and every pair is
+    suspect only if it is negative; an asymmetric matrix gets both.  Each
+    suspect pair (x, y) costs one scan over z per inequality.
     """
-    m, n = matrix.entries, matrix.size
-    columns = tuple(zip(*m))
+    m, n = matrix._rows, matrix.size
+    # Code-point rows: zero is "\0", and the columns are strided slices of the joined rows.
+    zero, flat = ("\0", "".join(m)) if n and type(m[0]) is str else (0, None)
+    columns = tuple([flat[x::n] for x in range(n)]) if flat else tuple(zip(*m))
     pairs, least = _linkage(m, n) if columns == m else ([], -1)  # asymmetric: read as if negative
-    diagonal = [(AXIOM_ZERO_DIAGONAL, (x,)) for x, row in enumerate(m) if row[x] != 0]
+    diagonal = [(AXIOM_ZERO_DIAGONAL, (x,)) for x, row in enumerate(m) if row[x] != zero]
+    if flat and (pairs or least <= 0):  # entries to read one by one, as ints
+        m, columns = matrix.entries, tuple(zip(*matrix.entries))
     positivity, symmetry, triangle, ultrametric = [], [], [], []
     if least <= 0:
         for x, row, column in zip(range(n), m, columns):
@@ -208,7 +215,7 @@ def check_metric(matrix: DistanceMatrix) -> ViolationReport:
     matrix), and Prim's O(n^2) steps otherwise.  Entries are read one by one
     for positivity and symmetry only when one off the diagonal is 0 or less
     or the matrix is asymmetric, and a negative or asymmetric matrix gets the
-    full O(n^3) scan.
+    full O(n^3) scan.  A leaf matrix's certificate copies and compares its code-point rows as bytes.
     """
     metric, _ = _check_axioms(matrix)
     return ViolationReport(metric_violations=tuple([Violation(*v) for v in metric]))

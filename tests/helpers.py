@@ -278,6 +278,12 @@ def brute_axiom_scan(entries) -> tuple[list[tuple[str, tuple[int, ...]]], list[t
     return metric, ultrametric
 
 
+def code_point_matrix(labels, rows) -> "ultratree.DistanceMatrix":
+    """A distance matrix over ``rows`` of ints in ``range(sys.maxunicode + 1)``,
+    kept as ``leaf_matrix`` keeps its rows: one ``str`` of code points per row."""
+    return ultratree.DistanceMatrix._made(tuple(labels), tuple(["".join(map(chr, row)) for row in rows]))
+
+
 def minimax_closure(entries) -> list[list]:
     """The subdominant ultrametric of a symmetric matrix, the largest one at or
     below it off the diagonal: for each pair, the least over all paths of the

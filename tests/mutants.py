@@ -53,6 +53,14 @@ EQUIVALENT = [
      "- as +", "rows n - 1 and n have no k in range(r + 1, n), so range(n + 1) requires no more pairs"),
     ("matrix", "if not set(map(type, chain.from_iterable(rows))) <= {int}:", "<= as <",
      "only the empty set is a strict subset of {int}; on all-int rows the per-entry check then run passes every int"),
+    ("ultrametric", "unit = chr if height[0] <= 0x10FFFF else lambda h: (h,)  # a row of one entry; 0x10FFFF is sys.maxunicode",
+     "<= as <", "a root of exactly 0x10FFFF gets tuple rows, which hold the same entries as its code-point rows"),
+    ("ultrametric", "if row[x] < best[k]:", "< as <=",
+     "on a tie Prim's best weight is the same, only the vertex it attaches to changes, and any Prim order certifies"),
+    ("ultrametric", "pairs = _above(m, zip(range(1, n), steps)) if least > 0 else None", "> as >=",
+     "with a zero step the own order is tried first; _above certifies it exactly when u = v, as Prim's order would"),
+    ("ultrametric", "if least < 0:", "< as <=",
+     "at a least entry of 0 every pair is scanned, and only the suspect pairs can add a triple, in the same order"),
     ("trees", "while arity > 1 and end[child] < end[p]:", "> as >=",
      "a unary node's one child ends where the node does, so the second test stops the loop at arity 1"),
     ("trees", "if h > height[parent]:", "> as >=", "at h == height[parent] the assignment writes the value held"),

@@ -1,5 +1,11 @@
 """Leaf matrices, axiom checks, triangle classification, and the template."""
 
+import copy
+import json
+import pickle
+import sys
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -11,6 +17,8 @@ from ultratree import (
     TooFewLabels,
     TriangleKind,
     UnknownLabel,
+    Violation,
+    ViolationReport,
     all_triangles,
     check_metric,
     check_ultrametric,
@@ -21,7 +29,7 @@ from ultratree import (
     xbar_template,
 )
 from ultratree import ultrametric
-from ultratree.cli import run
+from ultratree.cli import _matrix_text, run
 from ultratree.ultrametric import _above, _check_axioms, _linkage, _prim
 
 from . import helpers as fx
@@ -57,6 +65,46 @@ class TestLeafMatrix:
         assert m.labels == ("the#1", "man", "the#2", "dog")
         assert m.entry("the#1", "the#2") == 2
 
+    def test_rows_are_code_points_with_an_int_view(self):
+        m = leaf_matrix(random_tree(1, 30, "mixed:4"))
+        t = DistanceMatrix(m.labels, m.entries)
+        assert {type(row) for row in m._rows} == {str} and {type(row) for row in t._rows} == {tuple}
+        assert t.entries is t._rows  # tuple rows are their own view: no copy
+        assert m.entries is m.entries and m.entries == tuple(tuple(map(ord, row)) for row in m._rows)
+        assert m == t and t == m and hash(m) == hash(t) and repr(m) == repr(t)
+        assert [m.entry(x, y) for x in m.labels for y in m.labels] == [t.entry(x, y) for x in t.labels for y in t.labels]
+        for copied in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert copied == m and hash(copied) == hash(m) and copied.entries == m.entries
+        assert m.to_json_dict() == t.to_json_dict() and m.to_csv() == t.to_csv()
+        assert _matrix_text(m) == _matrix_text(t) and m._texts(",") == t._texts(",")
+        fresh = leaf_matrix(random_tree(1, 30, "mixed:4"))
+        assert _check_axioms(fresh) == ([], []) and fresh._ints is None  # certified on its code points alone
+
+    @pytest.mark.parametrize(
+        "chain, kind",
+        [
+            # The root, one above the chain, is higher than any code point: tuple rows.
+            (sys.maxunicode + 6, tuple),
+            # The one leaf distance, 0xD805, is a lone surrogate, which no writer encodes.
+            (0xD804, str),
+        ],
+    )
+    def test_heights_past_code_points(self, tmp_path, capsys, chain, kind):
+        text = "(X (W w) " + "(U " * chain + "(W v)" + ")" * chain + ")"
+        m = leaf_matrix(parse_tree(text))
+        assert type(m._rows[0]) is kind
+        assert m == DistanceMatrix(("w", "v"), ((0, chain + 1), (chain + 1, 0)))
+        assert check_metric(m).ok and check_ultrametric(m).ok
+        path = tmp_path / "chain.trees"
+        path.write_text(text + "\n")
+        assert run(["matrix", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out.encode()) == [{"labels": ["w", "v"], "rows": [[0, chain + 1], [chain + 1, 0]]}]
+        assert run(["matrix", str(path), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.encode() == b",w,v\nw,0,%d\nv,%d,0\n" % (chain + 1, chain + 1)
+        assert run(["check", str(path)]) == 0
+        assert capsys.readouterr().out == "[]\n"
+
     def test_single_leaf(self):
         m = leaf_matrix(parse_tree("(N dog)"))
         assert m.labels == ("dog",) and m.entries == ((0,),)
@@ -65,6 +113,12 @@ class TestLeafMatrix:
 class TestCheckMetric:
     def test_clean(self):
         assert check_metric(matrix(fx.MATRIX_FIRST)).ok
+
+    def test_report_is_ok_only_with_both_lists_empty(self):
+        fault = Violation("symmetry", (0, 1))
+        assert ViolationReport().ok
+        assert not ViolationReport(metric_violations=(fault,)).ok
+        assert not ViolationReport(ultrametric_violations=(fault,)).ok
 
     def test_symmetry_violation(self):
         report = check_metric(DistanceMatrix(("a", "b"), ((0, 1), (2, 0))))
@@ -189,10 +243,14 @@ class TestAxiomScanOracle:
 
     @staticmethod
     def check(rows):
-        m = DistanceMatrix([f"l{i}" for i in range(len(rows))], rows)
+        labels = [f"l{i}" for i in range(len(rows))]
         metric, ultra = fx.brute_axiom_scan(rows)
-        assert check_metric(m).to_json_list() == [{"axiom": a, "indices": list(i)} for a, i in metric]
-        assert check_ultrametric(m).to_json_list() == [{"axiom": a, "indices": list(i)} for a, i in ultra]
+        matrices = [DistanceMatrix(labels, rows)]
+        if all(0 <= d <= sys.maxunicode for row in rows for d in row):  # also as leaf_matrix keeps rows
+            matrices.append(fx.code_point_matrix(labels, rows))
+        for m in matrices:
+            assert check_metric(m).to_json_list() == [{"axiom": a, "indices": list(i)} for a, i in metric]
+            assert check_ultrametric(m).to_json_list() == [{"axiom": a, "indices": list(i)} for a, i in ultra]
 
     @settings(max_examples=300, deadline=None)
     @given(random_matrices())
@@ -310,6 +368,11 @@ class TestSingleLinkage:
         steps = [m[k][k - 1] for k in range(1, n)]
         below = any(m[i][j] < max(steps[i:j]) for j in range(n) for i in range(j))
         assert _above(m, zip(range(1, n), steps)) == (None if below else above)
+        # Code-point rows give the same answers, read as they are.
+        text = fx.code_point_matrix(range(n), m)._rows
+        assert _linkage(text, n) == (pairs, least)
+        assert _above(text, zip(range(1, n), map(chr, steps))) == (None if below else above)
+        assert _above(text, ((y, chr(w)) for y, w in joins)) == above
 
 
 class TestTriangles:
@@ -347,6 +410,12 @@ class TestTriangles:
         results = all_triangles(matrix(fx.MATRIX_FIRST))
         assert len(results) == 4
         assert all(cls.kind is TriangleKind.ISOSCELES for _, cls in results)
+
+    def test_all_triangles_names_each_triple_once_in_order(self):
+        m = leaf_matrix(random_tree(3, 9, "mixed:4"))
+        found = all_triangles(m)
+        assert [vertices for vertices, _ in found] == list(combinations(m.labels, 3))
+        assert all(triangle == classify_triangle(m, *vertices) for vertices, triangle in found)
 
     def test_three_label_single_triple(self):
         m = DistanceMatrix(("a", "b", "c"), ((0, 1, 2), (1, 0, 2), (2, 2, 0)))

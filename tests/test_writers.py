@@ -15,6 +15,7 @@ import gc
 import io
 import json
 import os
+import sys
 import tempfile
 from itertools import combinations
 from unittest import mock
@@ -102,15 +103,18 @@ ENTRIES = {
     CategoryDistanceMatrix: st.none() | st.integers(min_value=1) | st.sampled_from([fx.Level.ONE, fx.Level.HUGE]),
 }
 
+CODE_POINTS = st.integers(0, 20) | st.integers(0xD800, 0xDFFF) | st.integers(0, sys.maxunicode)
+
 
 @st.composite
 def any_matrices(draw):
     """A matrix of any kind with 0-7 labels; labels may hold quotes,
-    backslashes, non-ASCII and lone surrogates."""
-    kind = draw(st.sampled_from(list(ENTRIES)))
+    backslashes, non-ASCII and lone surrogates.  A distance matrix may keep
+    code-point rows, as ``leaf_matrix`` makes them, surrogates included."""
+    kind = draw(st.sampled_from([*ENTRIES, fx.code_point_matrix]))
     n = draw(st.integers(0, 7))
     labels = draw(st.lists(TEXT, min_size=n, max_size=n, unique=True))
-    rows = [draw(st.lists(ENTRIES[kind], min_size=n, max_size=n)) for _ in range(n)]
+    rows = [draw(st.lists(ENTRIES.get(kind, CODE_POINTS), min_size=n, max_size=n)) for _ in range(n)]
     return kind(labels, rows)
 
 
@@ -188,6 +192,22 @@ class TestMatrixCsv:
     def test_documents_joined_by_blank_line(self, matrices):
         # Every document ends in a newline, so run() adds none.
         assert _matrices_text(matrices, "csv") == "\n".join(map(reference_matrix_csv, matrices))
+
+    @pytest.mark.parametrize("label", ["a,b", 'a"b', "a\rb", "a\nb", ""])
+    @pytest.mark.parametrize("kind", [DistanceMatrix, fx.code_point_matrix])
+    def test_labels_that_need_quoting(self, label, kind):
+        # Only a label ever needs quoting, and csv decides how.  The "\r" row
+        # is checked against csv alone: with lines ended by "\n", Python
+        # 3.11's csv leaves a lone carriage return bare.  An empty label is
+        # quoted only where it stands alone, as the header of a matrix
+        # without labels does.
+        matrix, alone = kind((label, "x"), ((0, 3), (3, 0))), kind((label,), ((0,),))
+        assert matrix.to_csv() == reference_matrix_csv(matrix) and alone.to_csv() == reference_matrix_csv(alone)
+        quoted = {"a,b": '"a,b"', 'a"b': '"a""b"', "a\nb": '"a\nb"', "": ""}.get(label)
+        if quoted is not None:
+            assert matrix.to_csv() == f",{quoted},x\n{quoted},0,3\nx,3,0\n"
+            assert alone.to_csv() == f",{quoted}\n{quoted},0\n"
+        assert kind((), ()).to_csv() == '""\n'
 
     def test_entry_texts(self):
         assert RelationMatrix(("a", "b"), ((1, 0), (True, None))).to_csv() == ",a,b\na,1,0\nb,1,0\n"
