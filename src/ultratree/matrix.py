@@ -8,29 +8,31 @@ entries as JSON null and empty CSV cells.
 
 from __future__ import annotations
 
+import io
 import re
+from collections import namedtuple
 from collections.abc import Sequence
-from itertools import chain, repeat
-from types import SimpleNamespace
+from itertools import chain
 
 from .errors import BadMatrixDocument, NonSquare, UltratreeError, UnknownLabel
 
 _surrogate = re.compile("[\ud800-\udfff]").search
 _BITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _csv_lines(rows) -> list[str]:
-    """Each of ``rows`` as ``csv`` writes it, ended by ``\\n``: one ``write`` per row."""
-    import csv  # only CSV output pays for it
-
-    lines: list[str] = []
-    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(rows)
-    return lines
+RowForm = namedtuple("RowForm", "row number zero columns")  # how an integer kind keeps its rows
+TUPLES = RowForm(tuple, int, 0, lambda m, n: tuple(zip(*m)))  # row(entries), an entry's int, 0, columns(m, n)
+# A leaf matrix's, one str per row; column x is every n-th code point of the joined rows from x.
+CODE_POINTS = RowForm("".join, ord, "\0", lambda m, n: tuple([s[x::n] for s in ["".join(m)] for x in range(n)]))
 
 
 def _csv(header, rows) -> str:
-    """The CSV text of a header row and then ``rows``."""
-    return "".join(_csv_lines(chain([header], rows)))
+    """The CSV text of a header row and then ``rows``, each line ended by ``\\n``."""
+    import csv  # only CSV output pays for it
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 class LabeledMatrix:
@@ -80,6 +82,7 @@ class LabeledMatrix:
         """Raise UltratreeError when ``value`` is not an entry of this kind."""
 
     _rows = property(lambda self: self.entries)  # the rows as kept, unless a kind keeps another form
+    _form = TUPLES  # the form of _rows for the integer kinds
 
     @property
     def size(self) -> int:
@@ -116,10 +119,10 @@ class LabeledMatrix:
         ``_texts``; None for kinds without a fixed text per entry."""
         return None
 
-    def _texts(self, sep: str, absent: str = "null") -> list[str] | None:
-        """Each row's entry texts joined by ``sep``, ``absent`` for None, for ``cli._matrix_text``
-        and ``to_csv``; None for kinds without a fixed text per entry."""
-        cells = self._cells(absent)
+    def _texts(self, sep: str) -> list[str] | None:
+        """Each row's entry texts joined by ``sep``, null for None, for
+        ``cli._matrix_text``; None for kinds without a fixed text per entry."""
+        cells = self._cells("null")
         return None if cells is None else [sep.join(map(cells.__getitem__, row)) for row in self._rows]
 
     def to_json_dict(self) -> dict:
@@ -176,27 +179,23 @@ class LabeledMatrix:
         return next((f"labels[{j}]" for j, x in enumerate(labels) if x in labels[:j]), "labels")
 
     def to_csv(self) -> str:
-        texts = self._texts(",", "")
-        if texts is None:
-            return _csv(["", *self.labels], ([label, *row] for label, row in zip(self.labels, self._rows)))
-        # Only labels need quoting: line k + 1 is label k as csv quotes it beside a second field, then ",\n".
-        lines = _csv_lines(chain([["", *self.labels]], zip(self.labels, repeat(""))))
-        return lines[0] + "".join([head[:-1] + text + "\n" for head, text in zip(lines[1:], texts)])
+        cells = self._cells("")
+        rows = self._rows if cells is None else (map(cells.__getitem__, row) for row in self._rows)
+        return _csv(["", *self.labels], ([label, *row] for label, row in zip(self.labels, rows)))
 
 
 def _int_cells(matrix: LabeledMatrix, absent: str) -> dict:
     """``_cells`` of ints and None, one ``int.__repr__`` per distinct element of the kept rows."""
-    values = set(chain.from_iterable(matrix._rows))
-    return {v: absent if v is None else int.__repr__(ord(v) if type(v) is str else v) for v in values}
+    return {v: absent if v is None else int.__repr__(matrix._form.number(v)) for v in {*chain.from_iterable(matrix._rows)}}
 
 
 class DistanceMatrix(LabeledMatrix):
-    """Integer distances; symmetry and axioms are checked, not enforced.  A leaf matrix keeps each
-    row as a ``str`` whose code points are the distances, and builds ``entries`` on first read and keeps
-    them; any other keeps tuples, its own ``entries``, as a negative, huge or IntEnum entry has no code point."""
+    """Integer distances; symmetry and axioms are checked, not enforced.  A leaf matrix keeps ``CODE_POINTS`` rows,
+    its ``entries`` built on first read; any other keeps tuples, its own ``entries`` (-1 or IntEnum has no code point)."""
 
-    __slots__ = ("_rows", "_ints")
+    __slots__ = ("_rows", "_ints", "_form")
     _cells = _int_cells
+    __reduce__ = lambda self: (type(self)._made, (self.labels, self._rows))  # copy and pickle keep the rows as kept
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -206,7 +205,8 @@ class DistanceMatrix(LabeledMatrix):
 
     @entries.setter
     def entries(self, rows) -> None:  # by _fill: leaf_matrix's code-point rows, or checked tuples
-        self._rows, self._ints = rows, None if rows and type(rows[0]) is str else rows
+        form = CODE_POINTS if rows and type(rows[0]) is str else TUPLES
+        self._rows, self._ints, self._form = rows, None if form is CODE_POINTS else rows, form
 
     def _check_entries(self, rows) -> None:
         # One scan of the entry types at C speed; the per-entry check runs
@@ -244,10 +244,14 @@ class RelationMatrix(LabeledMatrix):
     def to_json_dict(self) -> dict:
         return {"labels": list(self.labels), "rows": [list(row) for row in self._rows]}  # bytes list as ints
 
-    def _texts(self, sep: str, absent: str = "null") -> list[str]:  # no entry is absent
+    def _texts(self, sep: str) -> list[str]:
         # Each row as 0s and 1s; replace puts sep around each, and the slice drops the outer two.
         texts = (row.translate(_BITS).decode().replace("", sep) for row in self._rows)
         return [text[len(sep) : len(text) - len(sep)] for text in texts]
+
+    def to_csv(self) -> str:
+        cells = (row.translate(_BITS).decode() for row in self._rows)  # a str of 0s and 1s per row
+        return _csv(["", *self.labels], ([label, *row] for label, row in zip(self.labels, cells)))
 
 
 class SignMatrix(LabeledMatrix):

@@ -14,7 +14,7 @@ from itertools import accumulate, repeat
 from operator import itemgetter, lt
 
 from .errors import DuplicateVertex, TooFewLabels, UltratreeError, _Record, _set
-from .matrix import DistanceMatrix
+from .matrix import TUPLES, DistanceMatrix
 from .trees import PhraseTree
 
 AXIOM_ZERO_DIAGONAL = "zero_diagonal"
@@ -113,14 +113,13 @@ def leaf_matrix(tree: PhraseTree) -> DistanceMatrix:
     return DistanceMatrix._made(tree.leaf_labels(), tuple(leaf_rows))
 
 
-def _above(m, joins) -> list[tuple[int, int]] | None:
+def _above(m, joins, form=TUPLES) -> list[tuple[int, int]] | None:
     """Pairs ``(x, y)``, x < y, ascending, whose entry is above v, or None once
     one is below v.  Vertex 0, then each ``(vertex, weight)`` of ``joins``,
     joins in turn; v between the i-th and j-th is the largest weight in (i, j].
-    Each row of v, of m's kind and read back from its vertex, extends the last
-    by a bisection and a slice and meets the vertex's row at C speed: O(n) Python steps, O(n) more per row above v."""
-    join = "".join if m and type(m[0]) is str else tuple  # a row of m's kind from a tuple of entries
-    back, v, above, in_order = [0], join(()), [], True  # the vertices joined, the last first
+    Each row of v, in m's row ``form`` and read back from its vertex, extends the last by a bisection
+    and a slice and meets the vertex's row at C speed: O(n) Python steps, O(n) more per row above v."""
+    join, back, v, above, in_order = form.row, [0], form.row(()), [], True  # back: the vertices joined, last first
     for y, w in joins:
         j = len(back)
         k = bisect_right(v, w)  # v rises back along the join order; raise its head to w
@@ -149,7 +148,7 @@ def _prim(m, n: int):
                 best[k] = row[x]
 
 
-def _linkage(m, n: int) -> tuple[list[tuple[int, int]], int]:
+def _linkage(m, n: int, form=TUPLES) -> tuple[list[tuple[int, int]], int]:
     """Single linkage of the symmetric ``m``: the pairs ``(x, y)``, x < y,
     ascending, above its subdominant ultrametric u (Gower & Ross 1969), the
     only ones that can be the long side of a violating triple, and its least
@@ -158,13 +157,12 @@ def _linkage(m, n: int) -> tuple[list[tuple[int, int]], int]:
     at most the largest step in (i, j], and equal to it if ``_above`` certifies
     the order, as for a tree's leaves: O(n) Python steps, O(n^2) compares at
     C speed.  Else Prim's order, always certified, costs O(n^2) Python steps."""
-    number = ord if m and type(m[0]) is str else int  # an entry's int, also in code-point rows
     steps = [m[k][k - 1] for k in range(1, n)]
-    least = number(min(steps)) if steps else 1
-    pairs = _above(m, zip(range(1, n), steps)) if least > 0 else None
+    least = form.number(min(steps)) if steps else 1
+    pairs = _above(m, zip(range(1, n), steps), form) if least > 0 else None
     if pairs is None:
         joins = [*_prim(m, n)]
-        pairs, least = _above(m, joins), number(min(map(itemgetter(1), joins))) if joins else 1
+        pairs, least = _above(m, joins, form), form.number(min(map(itemgetter(1), joins))) if joins else 1
     return pairs, least
 
 
@@ -179,13 +177,11 @@ def _check_axioms(matrix: DistanceMatrix) -> tuple[list, list]:
     suspect only if it is negative; an asymmetric matrix gets both.  Each
     suspect pair (x, y) costs one scan over z per inequality.
     """
-    m, n = matrix._rows, matrix.size
-    # Code-point rows: zero is "\0", and the columns are strided slices of the joined rows.
-    zero, flat = ("\0", "".join(m)) if n and type(m[0]) is str else (0, None)
-    columns = tuple([flat[x::n] for x in range(n)]) if flat else tuple(zip(*m))
-    pairs, least = _linkage(m, n) if columns == m else ([], -1)  # asymmetric: read as if negative
-    diagonal = [(AXIOM_ZERO_DIAGONAL, (x,)) for x, row in enumerate(m) if row[x] != zero]
-    if flat and (pairs or least <= 0):  # entries to read one by one, as ints
+    m, n, form = matrix._rows, matrix.size, matrix._form
+    columns = form.columns(m, n)
+    pairs, least = _linkage(m, n, form) if columns == m else ([], -1)  # asymmetric: read as if negative
+    diagonal = [(AXIOM_ZERO_DIAGONAL, (x,)) for x, row in enumerate(m) if row[x] != form.zero]
+    if (pairs or least <= 0) and m is not matrix.entries:  # entries to read one by one, as ints
         m, columns = matrix.entries, tuple(zip(*matrix.entries))
     positivity, symmetry, triangle, ultrametric = [], [], [], []
     if least <= 0:

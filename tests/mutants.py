@@ -57,7 +57,7 @@ EQUIVALENT = [
      "<= as <", "a root of exactly 0x10FFFF gets tuple rows, which hold the same entries as its code-point rows"),
     ("ultrametric", "if row[x] < best[k]:", "< as <=",
      "on a tie Prim's best weight is the same, only the vertex it attaches to changes, and any Prim order certifies"),
-    ("ultrametric", "pairs = _above(m, zip(range(1, n), steps)) if least > 0 else None", "> as >=",
+    ("ultrametric", "pairs = _above(m, zip(range(1, n), steps), form) if least > 0 else None", "> as >=",
      "with a zero step the own order is tried first; _above certifies it exactly when u = v, as Prim's order would"),
     ("ultrametric", "if least < 0:", "< as <=",
      "at a least entry of 0 every pair is scanned, and only the suspect pairs can add a triple, in the same order"),

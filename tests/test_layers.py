@@ -13,8 +13,7 @@ def test_layers_script_writes_its_sections(tmp_path):
     out = tmp_path / "BENCH.json"
     out.write_text('{"claim": "kept"}')
     argv = fx.python_command(
-        str(ROOT / "tools" / "layers.py"), "--parent", str(ROOT),
-        "--sizes", "4", "--family-n", "2", "--rss-leaves", "4", "--out", str(out),
+        str(ROOT / "tools" / "layers.py"), "--parent", str(ROOT), "--sizes", "4", "--out", str(out)
     )
     done = subprocess.run(argv, capture_output=True, text=True, env=fx.python_env(), timeout=600)
     assert done.returncode == 0, done.stderr
@@ -22,12 +21,12 @@ def test_layers_script_writes_its_sections(tmp_path):
     document = json.loads(out.read_text())
     assert document["claim"] == "kept" and set(document["machine"]) == {"cpu", "os", "python"}
     found = document["per_layer"]
-    assert "--repeats 5" in found["protocol"]
+    assert "5 repeats per round" in found["protocol"]
     for by_size in found["layers"].values():
         for value in by_size["4"].values():
             assert 0 < value["min"] <= value["median"]
     assert set(found["layers"]["leaf_matrix"]["4"]) == {"parent", "change"}
     assert set(found["families"]) == set(fx.SHAPE_FAMILIES)
-    assert found["families"]["star"]["nodes"] == [3, 5]
+    assert found["families"]["star"]["nodes"] == [201, 401]
     assert found["families"]["star"]["_Facts"]["change"]["flagged"] in (True, False)
     assert all(mb > 0 for mb in found["rss_mb"]["change"] + found["rss_mb"]["parent"])

@@ -30,6 +30,7 @@ from ultratree import (
 )
 from ultratree import ultrametric
 from ultratree.cli import _matrix_text, run
+from ultratree.matrix import CODE_POINTS
 from ultratree.ultrametric import _above, _check_axioms, _linkage, _prim
 
 from . import helpers as fx
@@ -73,11 +74,16 @@ class TestLeafMatrix:
         assert m.entries is m.entries and m.entries == tuple(tuple(map(ord, row)) for row in m._rows)
         assert m == t and t == m and hash(m) == hash(t) and repr(m) == repr(t)
         assert [m.entry(x, y) for x in m.labels for y in m.labels] == [t.entry(x, y) for x in t.labels for y in t.labels]
-        for copied in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        fresh = leaf_matrix(random_tree(1, 30, "mixed:4"))
+        for copied in (copy.copy(fresh), copy.deepcopy(fresh), pickle.loads(pickle.dumps(fresh))):
+            # Copies keep the code-point rows, and copying builds no int view on the original.
+            assert {type(row) for row in copied._rows} == {str} and copied._ints is None and fresh._ints is None
             assert copied == m and hash(copied) == hash(m) and copied.entries == m.entries
+        for copied in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert copied.entries is copied._rows and copied == t
+        assert len(pickle.dumps(fresh)) <= len(pickle.dumps(t))  # one form stored, not rows and view
         assert m.to_json_dict() == t.to_json_dict() and m.to_csv() == t.to_csv()
         assert _matrix_text(m) == _matrix_text(t) and m._texts(",") == t._texts(",")
-        fresh = leaf_matrix(random_tree(1, 30, "mixed:4"))
         assert _check_axioms(fresh) == ([], []) and fresh._ints is None  # certified on its code points alone
 
     @pytest.mark.parametrize(
@@ -370,9 +376,9 @@ class TestSingleLinkage:
         assert _above(m, zip(range(1, n), steps)) == (None if below else above)
         # Code-point rows give the same answers, read as they are.
         text = fx.code_point_matrix(range(n), m)._rows
-        assert _linkage(text, n) == (pairs, least)
-        assert _above(text, zip(range(1, n), map(chr, steps))) == (None if below else above)
-        assert _above(text, ((y, chr(w)) for y, w in joins)) == above
+        assert _linkage(text, n, CODE_POINTS) == (pairs, least)
+        assert _above(text, zip(range(1, n), map(chr, steps)), CODE_POINTS) == (None if below else above)
+        assert _above(text, ((y, chr(w)) for y, w in joins), CODE_POINTS) == above
 
 
 class TestTriangles:

@@ -1,25 +1,25 @@
 """Per-layer timings of ultratree, on one source tree or on two in alternating rounds.
 
-    python tools/layers.py [--parent DIR] [--rounds R] [--repeats K]
-                           [--sizes 50,100,200,400] [--family-n N]
-                           [--rss-leaves 1000] [--out BENCH.json]
+    python tools/layers.py [--parent DIR] [--rounds R] [--sizes 50,100,200,400]
+                           [--out BENCH.json]
 
 The side "change" is this checkout's ``src``; ``--parent DIR`` adds the side
 "parent", ``DIR/src``.  Each side runs each round in a fresh interpreter, and
 the sides alternate: the parent goes first in even rounds.  A side measures:
 
 * layers: each row of ``rows()`` on ``random_tree(1, n, "mixed:4")`` at each
-  size, K repeats of ``CALLS`` calls with the cyclic collector off.  Each
-  repeat is scaled to nominal speed by ``perfbench/speed.py`` (its reference
-  task three times before and three after) and reported in ms per call.  The
-  Prim row's labels are shuffled by ``random.Random(25)``.
+  size, ``REPEATS`` repeats of ``CALLS`` calls with the cyclic collector off.
+  Each repeat is scaled to nominal speed by ``perfbench/speed.py`` (its
+  reference task three times before and three after) and reported in ms per
+  call.  The Prim row's labels are shuffled by ``random.Random(25)``.
 * families: ``FAMILY_LAYERS`` on each ``tests/helpers.SHAPE_FAMILIES``
-  family at n and 2n, K repeats of one call each, and the time ratio per
-  doubling of the node count from the two minima.  A layer whose output is
-  linear in the nodes is flagged above ``FLAG_RATIO``.
+  family at ``FAMILY_N`` and twice that, ``REPEATS`` repeats of one call
+  each, and the time ratio per doubling of the node count from the two
+  minima.  A layer whose output is linear in the nodes is flagged above
+  ``FLAG_RATIO``.
 * rss: the peak RSS (the child's ``ru_maxrss``, from ``os.wait4``) of
-  ``python -m ultratree matrix`` on ``random_tree(1, L, "mixed:4")`` in a
-  fresh process with stdout to a file, once per round.
+  ``python -m ultratree matrix`` on ``random_tree(1, RSS_LEAVES, "mixed:4")``
+  in a fresh process with stdout to a file, once per round.
 
 It prints a table.  ``--out FILE`` writes the ``machine`` and ``per_layer``
 sections of that JSON file, keeping its other sections; each value holds the
@@ -47,6 +47,9 @@ from time import perf_counter_ns
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLS = 3  # calls per repeat on the layer rows
+REPEATS = 5  # repeats per round of each layer row and family layer
+FAMILY_N = 200  # each shape family is timed at this size and twice it
+RSS_LEAVES = 1000  # leaves of the tree that the peak RSS run writes the matrix of
 FLAG_RATIO = 2.6
 # Family layers whose output is linear in the nodes, so their time should be too.
 FAMILY_LAYERS = {"parse_tree": True, "_Facts": True, "tree_category_minima": True, "leaf_matrix": False}
@@ -102,12 +105,12 @@ def family_layers(text: str) -> dict:
     }
 
 
-def timed(call, repeats: int, calls: int) -> list[float]:
-    """``repeats`` scaled timings of ``calls`` calls, in ms per call."""
+def timed(call, calls: int) -> list[float]:
+    """``REPEATS`` scaled timings of ``calls`` calls, in ms per call."""
     from speed import references, scale
 
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         gc.collect()
         gc.disable()
         before = references()
@@ -134,7 +137,7 @@ def worker(job: dict) -> dict:
                 call = make()
             except (AttributeError, ImportError):  # a name this side's source lacks
                 continue
-            result["layers"].setdefault(name, {})[str(n)] = timed(call, job["repeats"], CALLS)
+            result["layers"].setdefault(name, {})[str(n)] = timed(call, CALLS)
     for family, texts in job["families"].items():
         for text in texts:
             try:
@@ -144,7 +147,7 @@ def worker(job: dict) -> dict:
             entry = result["families"].setdefault(family, {"nodes": []})
             entry["nodes"].append(text.count("("))
             for name, call in calls.items():
-                entry.setdefault(name, []).append(timed(call, job["repeats"], 1))
+                entry.setdefault(name, []).append(timed(call, 1))
     return result
 
 
@@ -182,8 +185,8 @@ def collect(sides: dict, args, families: dict, scratch: Path) -> dict:
     from ultratree import random_tree
 
     tree_file = scratch / "rss.trees"
-    tree_file.write_text(random_tree(1, args.rss_leaves, "mixed:4").to_bracketed() + "\n")
-    job = json.dumps({"sizes": args.sizes, "repeats": args.repeats, "families": families})
+    tree_file.write_text(random_tree(1, RSS_LEAVES, "mixed:4").to_bracketed() + "\n")
+    job = json.dumps({"sizes": args.sizes, "families": families})
     layers: dict = {}
     shapes: dict = {}
     rss: dict = {side: [] for side in sides}
@@ -251,34 +254,32 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, help="a second checkout, timed as the side 'parent'")
     parser.add_argument("--rounds", type=int, default=1)
-    parser.add_argument("--repeats", type=int, default=5, help="at least 5")
     parser.add_argument("--sizes", type=lambda s: [int(x) for x in s.split(",")], default=[50, 100, 200, 400])
-    parser.add_argument("--family-n", type=int, default=200)
-    parser.add_argument("--rss-leaves", type=int, default=1000)
     parser.add_argument("--out", type=Path)
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
         print(json.dumps(worker(json.load(sys.stdin))))
         return 0
-    if args.repeats < 5 or args.rounds < 1 or args.family_n < 1:
-        parser.error("--repeats must be at least 5, --rounds and --family-n at least 1")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from tests.helpers import SHAPE_FAMILIES
 
     sides = {"change": ROOT / "src"}
     if args.parent:
         sides = {"parent": args.parent.resolve() / "src", **sides}
-    families = {name: [make(args.family_n), make(2 * args.family_n)] for name, make in SHAPE_FAMILIES.items()}
+    families = {name: [make(FAMILY_N), make(2 * FAMILY_N)] for name, make in SHAPE_FAMILIES.items()}
     with tempfile.TemporaryDirectory() as scratch:
         found = collect(sides, args, families, Path(scratch))
     report(found)
     if args.out:
         protocol = (
-            f"tools/layers.py --rounds {args.rounds} --repeats {args.repeats} --sizes {','.join(map(str, args.sizes))}"
-            f" --family-n {args.family_n} --rss-leaves {args.rss_leaves}: sides {', '.join(sides)}, one fresh"
-            " interpreter per side and round, the parent first in even rounds; layer rows in ms per call at"
-            " nominal speed (perfbench/speed.py), median and min over every repeat of every round"
+            f"tools/layers.py --rounds {args.rounds} --sizes {','.join(map(str, args.sizes))}: sides"
+            f" {', '.join(sides)}, one fresh interpreter per side and round, the parent first in even rounds;"
+            f" {REPEATS} repeats per round, families made at {FAMILY_N} and {2 * FAMILY_N}, peak RSS at {RSS_LEAVES}"
+            " leaves; layer rows in ms per call at nominal speed (perfbench/speed.py), median and min over"
+            " every repeat of every round"
         )
         document = json.loads(args.out.read_text()) if args.out.exists() else {}
         document.update(machine=machine(), per_layer={"protocol": protocol, **found})
