@@ -29,6 +29,7 @@ from collections.abc import Sequence
 from functools import cache, partial
 from itertools import chain, combinations, repeat
 from json.encoder import encode_basestring_ascii as _quote
+from operator import getitem
 
 from .command import (
     GovernorPolicy,
@@ -191,9 +192,9 @@ def _cmd_matrix(args) -> tuple[int, str]:
     return EXIT_OK, _matrices_text(matrices, args.format, single=args.xbar)
 
 
-# One record of the ``check`` JSON list, as json.dumps(records, indent=2)
-# lays it out: tree, axiom and the indices, never an empty list.  A --matrix
-# check writes its records with empty text for the tree.
+# One record of the ``check`` JSON list, as json.dumps(records, indent=2) lays it out: tree, axiom and the
+# indices, never an empty list.  A --matrix check writes its records with empty text for the tree.  Each
+# (tree, axiom, index count) gets one template, which writes each index with %d.
 _CHECK_JSON = '{%s\n    "axiom": "%s",\n    "indices": [\n      %s\n    ]\n  }'
 
 
@@ -209,23 +210,24 @@ def _cmd_check(args) -> tuple[int, str]:
         rows = [(tree, axiom, " ".join(map(str, indices))) for tree, axiom, indices in faults]
         return code, _csv(("tree", "axiom", "indices"), rows)
     field = "" if args.matrix else '\n    "tree": %d,'
-    records = [_CHECK_JSON % (field and field % tree, axiom, ",\n      ".join(map(str, i))) for tree, axiom, i in faults]
-    return code, _json_list(records)
+    keys = {(tree, axiom, len(i)) for tree, axiom, i in faults}
+    templates = {key: _CHECK_JSON % (field and field % key[0], key[1], ",\n      ".join(["%d"] * key[2])) for key in keys}
+    return code, _json_list([templates[tree, axiom, len(i)] % i for tree, axiom, i in faults])
 
 
-# A ``triangles`` JSON record and its separator, as json.dumps(records,
-# indent=2) lays them out: head (separator, tree, first two quoted labels) +
-# third quoted label + tail (kind, sides ascending, base's text); %d writes ints.
-_TRIANGLE_HEAD = ',\n  {\n    "tree": %d,\n    "vertices": [\n      %s,\n      %s,\n      '
+# A ``triangles`` JSON record and its separator, as json.dumps(records, indent=2) lays them out: head (separator,
+# tree, first quoted label, then the second's with its separator) + third quoted label + tail (kind, sides
+# ascending, base's text); %d writes ints.
+_TRIANGLE_HEAD = ',\n  {\n    "tree": %d,\n    "vertices": [\n      %s,\n      '
 _TRIANGLE_TAIL = '\n    ],\n    "kind": "%s",\n    "sides": [\n      %d,\n      %d,\n      %d\n    ],\n    "base": %s\n  }'
 
 
 def _triangle_text(matrices, fmt: str) -> str:
-    """Every triangle of every matrix, the matrix's index as its tree.  A
-    matrix of fewer than 3 labels has no triples and adds no records.  Each
-    distinct side triple is classified once, by ``_TriangleClasses``.  A JSON
-    record is a head per position pair and a tail per side triple, joined
-    once; a CSV row is the tree, the vertices and the triple's cells."""
+    """Every triangle of every matrix, the matrix's index as its tree.  A matrix of fewer than 3 labels has no
+    triples and adds no records.  Each distinct side triple is classified once, by ``_TriangleClasses``.  A JSON
+    record is its pair's head (a prefix made once per first label + the second label's text and separator), the
+    third label and its side triple's tail; map, zip and chain put a first label's records into one list of
+    shared strings, joined once.  A CSV row is the tree, the vertices and the triple's cells."""
     if fmt == "csv":
         cells = _TriangleClasses(
             lambda kind, a, b, c: (kind, "%d %d %d" % (a, b, c), "%d" % a if kind == "isosceles" else "")
@@ -244,10 +246,14 @@ def _triangle_text(matrices, fmt: str) -> str:
     )
     parts = []
     for tree, matrix in enumerate(matrices):
-        quoted = [_quote(label) for label in matrix.labels]
-        for x, y, keys in _triangles(matrix.entries):
-            head = _TRIANGLE_HEAD % (tree, quoted[x], quoted[y])
-            parts += chain.from_iterable(zip(repeat(head), quoted[y + 1 :], map(classes.__getitem__, keys)))
+        m, n, quoted = matrix.entries, matrix.size, [_quote(label) for label in matrix.labels]
+        seconds, after = [q + ",\n      " for q in quoted], [slice(y + 1, None) for y in range(n)]
+        for x, row in enumerate(m[:-2]):  # first label x: its pairs (x, y) and their runs of z > y, chained at C speed
+            ys, rest, prefix = slice(x + 1, n - 1), after[x + 1 : n - 1], _TRIANGLE_HEAD % (tree, quoted[x])
+            heads = chain.from_iterable(map(repeat, map(prefix.__add__, seconds[ys]), range(n - x - 2, 0, -1)))
+            thirds = chain.from_iterable(map(quoted.__getitem__, rest))
+            keys = chain.from_iterable(map(zip, map(repeat, row[ys]), map(row.__getitem__, rest), map(getitem, m[ys], rest)))
+            parts += chain.from_iterable(zip(heads, thirds, map(classes.__getitem__, keys)))
     if parts:  # the first record has no separator
         parts[0], parts[-1] = "[" + parts[0][1:], parts[-1] + "\n]"
     return "".join(parts) or "[]"

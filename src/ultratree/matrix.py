@@ -8,11 +8,12 @@ entries as JSON null and empty CSV cells.
 
 from __future__ import annotations
 
-import io
 import re
 from collections import namedtuple
 from collections.abc import Sequence
 from itertools import chain
+from operator import itemgetter
+from types import SimpleNamespace
 
 from .errors import BadMatrixDocument, NonSquare, UltratreeError, UnknownLabel
 
@@ -25,14 +26,12 @@ CODE_POINTS = RowForm("".join, ord, "\0", lambda m, n: tuple([s[x::n] for s in [
 
 
 def _csv(header, rows) -> str:
-    """The CSV text of a header row and then ``rows``, each line ended by ``\\n``."""
+    """The CSV text of a header row and then ``rows``, each line ended by ``\\n``.  Lines are written ended by
+    ``\\r\\n`` and re-ended, so a field holding either character is quoted on every Python version."""
     import csv  # only CSV output pays for it
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n")  # writerow returns write's result: the line
+    return "\n".join(chain(map(itemgetter(slice(-2)), map(writer.writerow, chain([header], rows))), [""]))
 
 
 class LabeledMatrix:
@@ -245,9 +244,14 @@ class RelationMatrix(LabeledMatrix):
         return {"labels": list(self.labels), "rows": [list(row) for row in self._rows]}  # bytes list as ints
 
     def _texts(self, sep: str) -> list[str]:
-        # Each row as 0s and 1s; replace puts sep around each, and the slice drops the outer two.
-        texts = (row.translate(_BITS).decode().replace("", sep) for row in self._rows)
-        return [text[len(sep) : len(text) - len(sep)] for text in texts]
+        # Blocks of about 2**15 entries (a longer text leaves the cache), as 0s and 1s with sep around each entry by
+        # one translate and one replace; a row is the slice of its entries and the seps between them.
+        n, texts = self.size, []
+        width, block = n * (len(sep) + 1), max(1, 2**15 // max(n, 1))  # block: rows per text
+        for i in range(0, n, block):
+            text = b"".join(self._rows[i : i + block]).translate(_BITS).decode().replace("", sep)
+            texts += [text[start : start + width - len(sep)] for start in range(len(sep), len(text), width)]
+        return texts
 
     def to_csv(self) -> str:
         cells = (row.translate(_BITS).decode() for row in self._rows)  # a str of 0s and 1s per row

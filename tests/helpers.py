@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import enum
 import io
 import os
@@ -282,6 +283,18 @@ def code_point_matrix(labels, rows) -> "ultratree.DistanceMatrix":
     """A distance matrix over ``rows`` of ints in ``range(sys.maxunicode + 1)``,
     kept as ``leaf_matrix`` keeps its rows: one ``str`` of code points per row."""
     return ultratree.DistanceMatrix._made(tuple(labels), tuple(["".join(map(chr, row)) for row in rows]))
+
+
+def reference_csv_text(rows) -> str:
+    """``rows`` as CSV lines ended by "\\n", each written alone by ``csv`` with
+    the line end "\\r\\n", which makes it quote a field that holds "\\r" or
+    "\\n" on every Python version, and then re-ended."""
+    lines = []
+    for row in rows:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow(row)
+        lines.append(buffer.getvalue().removesuffix("\r\n") + "\n")
+    return "".join(lines)
 
 
 def minimax_closure(entries) -> list[list]:

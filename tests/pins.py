@@ -88,6 +88,9 @@ INPUTS = {
     "entryx": json.dumps({"labels": ["D", "N", "V", "A", "P"],
                           "rows": [[3, 1, 2, 2, 2], [1, 3, "x", 2, 2], [2, 2, None, 4, 3],
                                    [2, 2, 4, None, 3], [2, 2, 3, 3, None]]}),
+    # Labels with a carriage return, alone, at the end and before a newline: csv quotes each on every Python version.
+    "cr": json.dumps({"labels": ["a\rb", "c", "d\r", "e\r\nf"],
+                      "rows": [[0, 2, 3, 3], [2, 0, 3, 3], [3, 3, 0, 1], [3, 3, 1, 0]]}),
     "downset": '{"kind": "downset", "inventory": ["black", "white", "red"]}',
     "language": '{"kind": "language", "strategies": [{"name": "main", "covered": ["SU", "DO"], "primary": true}, '
                 '{"name": "gappy", "covered": ["SU", "IO"]}]}',
@@ -153,6 +156,8 @@ PINS = [
         "triangles --matrix {asymmetric} --format json"),
     Pin(0, "dbda1667020e72f444a1c5635b1e1c902bd1229cbf31a9e01d1a14b8d9d783da",
         "triangles --matrix {asymmetric} --format csv"),
+    # Vertices that hold a carriage return are quoted, which Python 3.10-3.12's csv does not do on its own.
+    Pin(0, "e333fac92231d3db171066c801f57ed0a18fbb18965cebcb635b382cba074efe", "triangles --matrix {cr} --format csv"),
     # A tree matrix whose shuffled labels break its clusters: check finds
     # the suspect pairs of its three raised entries in Prim's order.
     Pin(1, "9b53f544bbc312d50abffa4fe865108176d3865059c9b70f069c89e7a395c612", "check --matrix {shuffled}"),

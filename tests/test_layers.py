@@ -23,10 +23,18 @@ def test_layers_script_writes_its_sections(tmp_path):
     found = document["per_layer"]
     assert "5 repeats per round" in found["protocol"]
     for by_size in found["layers"].values():
-        for value in by_size["4"].values():
-            assert 0 < value["min"] <= value["median"]
+        for by_side in by_size.values():
+            for value in by_side.values():
+                assert 0 < value["min"] <= value["median"]
     assert set(found["layers"]["leaf_matrix"]["4"]) == {"parent", "change"}
+    # The fixed rows run at their own input's size, whatever --sizes says.
+    assert set(found["layers"]["_triangle_text json, leaf matrix"]) == {"40"}
+    for name in ("check --matrix json, raised (_cmd_check)", "_check_axioms, raised"):
+        assert set(found["layers"][name]) == {"60"} and set(found["layers"][name]["60"]) == {"parent", "change"}
     assert set(found["families"]) == set(fx.SHAPE_FAMILIES)
     assert found["families"]["star"]["nodes"] == [201, 401]
     assert found["families"]["star"]["_Facts"]["change"]["flagged"] in (True, False)
-    assert all(mb > 0 for mb in found["rss_mb"]["change"] + found["rss_mb"]["parent"])
+    assert set(found["runs"]) == {"matrix", "triangles", "govern"}
+    for by_side in found["runs"].values():
+        assert set(by_side) == {"parent", "change"}
+        assert all(mb > 0 and len(v["wall_s"]) == 1 for v in by_side.values() for mb in v["peak_rss_mb"])

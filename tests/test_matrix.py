@@ -1,7 +1,5 @@
 """Matrix containers and their JSON/CSV wire formats."""
 
-import csv
-import io
 import json
 import re
 from fractions import Fraction
@@ -21,7 +19,7 @@ from ultratree import (
     UnknownLabel,
 )
 
-from .helpers import Level
+from .helpers import Level, reference_csv_text
 
 
 def reference_fault(rows):
@@ -249,12 +247,17 @@ class TestEqualityAndWireTexts:
         else:
             assert texts == [",\n  ".join(map(json.dumps, row)) for row in matrix.to_json_dict()["rows"]]
 
+    @pytest.mark.parametrize("n", [0, 1, 181, 182, 200])
+    def test_relation_row_texts_across_blocks(self, n):
+        # A relation's rows are written in blocks of about 2**15 entries, so
+        # 182 or more labels take two or more; each row's text is its cells.
+        matrix = RelationMatrix([f"n{i}" for i in range(n)], [[(i * j + i) % 3 == 0 for j in range(n)] for i in range(n)])
+        assert matrix._texts(",\n  ") == [",\n  ".join(map(json.dumps, row)) for row in matrix.to_json_dict()["rows"]]
+
     @pytest.mark.parametrize("matrix", KINDS, ids=lambda m: type(m).__name__)
     def test_csv_matches_csv_writer(self, matrix):
         rows = matrix.to_json_dict()["rows"]
         if type(matrix) is not LabeledMatrix:  # fixed kinds write their JSON cells, an absent entry empty
             rows = [["" if v is None else json.dumps(v) for v in row] for row in rows]
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerows([["", *matrix.labels], *([x, *row] for x, row in zip(matrix.labels, rows))])
-        assert matrix.to_csv() == buffer.getvalue()
+        expected = reference_csv_text([["", *matrix.labels], *([x, *row] for x, row in zip(matrix.labels, rows))])
+        assert matrix.to_csv() == expected

@@ -172,14 +172,12 @@ def reference_matrix_csv(matrix) -> str:
     """The CSV document as ``csv`` wrote it from each kind's CSV value: a
     relation as 0/1, an absent category distance as an empty cell, any other
     int as its digits; the base class's entries as they are."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["", *matrix.labels])
+    rows = [["", *matrix.labels]]
     for label, row in zip(matrix.labels, matrix.entries):
         if type(matrix) is not LabeledMatrix:
             row = ["" if v is None else int.__repr__(int(v)) for v in row]
-        writer.writerow([label, *row])
-    return buffer.getvalue()
+        rows.append([label, *row])
+    return fx.reference_csv_text(rows)
 
 
 class TestMatrixCsv:
@@ -196,17 +194,16 @@ class TestMatrixCsv:
     @pytest.mark.parametrize("label", ["a,b", 'a"b', "a\rb", "a\nb", ""])
     @pytest.mark.parametrize("kind", [DistanceMatrix, fx.code_point_matrix])
     def test_labels_that_need_quoting(self, label, kind):
-        # Only a label ever needs quoting, and csv decides how.  The "\r" row
-        # is checked against csv alone: with lines ended by "\n", Python
-        # 3.11's csv leaves a lone carriage return bare.  An empty label is
-        # quoted only where it stands alone, as the header of a matrix
-        # without labels does.
+        # Only a label ever needs quoting.  A lone "\r" is quoted on every
+        # Python version, so csv.reader reads every label back.  An empty
+        # label is quoted only where it stands alone, as the header of a
+        # matrix without labels does.
         matrix, alone = kind((label, "x"), ((0, 3), (3, 0))), kind((label,), ((0,),))
         assert matrix.to_csv() == reference_matrix_csv(matrix) and alone.to_csv() == reference_matrix_csv(alone)
-        quoted = {"a,b": '"a,b"', 'a"b': '"a""b"', "a\nb": '"a\nb"', "": ""}.get(label)
-        if quoted is not None:
-            assert matrix.to_csv() == f",{quoted},x\n{quoted},0,3\nx,3,0\n"
-            assert alone.to_csv() == f",{quoted}\n{quoted},0\n"
+        quoted = {"a,b": '"a,b"', 'a"b': '"a""b"', "a\rb": '"a\rb"', "a\nb": '"a\nb"', "": ""}[label]
+        assert matrix.to_csv() == f",{quoted},x\n{quoted},0,3\nx,3,0\n"
+        assert alone.to_csv() == f",{quoted}\n{quoted},0\n"
+        assert [row[0] for row in csv.reader(io.StringIO(matrix.to_csv(), newline=""))] == ["", label, "x"]
         assert kind((), ()).to_csv() == '""\n'
 
     def test_entry_texts(self):
@@ -227,8 +224,7 @@ def reference_records(matrices) -> list[dict]:
 
 
 def reference_csv(records: list[dict]) -> str:
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(
+    return fx.reference_csv_text(
         [["tree", "vertices", "kind", "sides", "base"]]
         + [
             [
@@ -241,7 +237,6 @@ def reference_csv(records: list[dict]) -> str:
             for r in records
         ]
     )
-    return buffer.getvalue()
 
 
 # Labels as a matrix document may hold them: any text without a lone
@@ -254,12 +249,12 @@ LABELS = st.text(
 
 
 @st.composite
-def distance_matrices(draw):
+def distance_matrices(draw, min_size: int = 0, max_size: int = 6):
     """Small matrices whose entries repeat often, so every kind appears;
     some are negative, asymmetric or have a nonzero diagonal, and some
     entries are ``Level`` members, which must be written as the ints they
     equal."""
-    n = draw(st.integers(0, 6))
+    n = draw(st.integers(min_size, max_size))
     labels = draw(st.lists(LABELS, min_size=n, max_size=n, unique=True))
     values = st.integers(-2, 3) | st.integers(-(10**20), 10**20) | st.sampled_from(fx.Level)
     rows = [draw(st.lists(values, min_size=n, max_size=n)) for _ in range(n)]
@@ -271,6 +266,16 @@ class TestTriangleText:
     @given(st.lists(distance_matrices(), max_size=4))
     def test_matches_record_dicts(self, matrices):
         records = reference_records(matrices)
+        assert _triangle_text(matrices, "json") == json.dumps(records, indent=2)
+        assert _triangle_text(matrices, "csv") == reference_csv(records)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(distance_matrices(3, 12), min_size=2, max_size=3))
+    def test_larger_matrices(self, matrices):
+        # Every matrix has triangles, so heads carry tree indices above 0,
+        # with first labels up to the tenth and a run of up to ten thirds.
+        records = reference_records(matrices)
+        assert {r["tree"] for r in records} == set(range(len(matrices)))
         assert _triangle_text(matrices, "json") == json.dumps(records, indent=2)
         assert _triangle_text(matrices, "csv") == reference_csv(records)
 
@@ -360,15 +365,14 @@ def reference_check(matrices, trees: bool) -> tuple[str, str]:
         for part in fx.brute_axiom_scan(matrix.entries)
         for axiom, indices in part
     ]
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(
+    csv_text = fx.reference_csv_text(
         [["tree", "axiom", "indices"]]
         + [[r["tree"], r["axiom"], " ".join(map(str, r["indices"]))] for r in records]
     )
     if not trees:
         for record in records:
             del record["tree"]
-    return json.dumps(records, indent=2) + "\n", buffer.getvalue()
+    return json.dumps(records, indent=2) + "\n", csv_text
 
 
 def check_run(argv) -> tuple[int, str]:

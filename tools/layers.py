@@ -17,9 +17,16 @@ the sides alternate: the parent goes first in even rounds.  A side measures:
   each, and the time ratio per doubling of the node count from the two
   minima.  A layer whose output is linear in the nodes is flagged above
   ``FLAG_RATIO``.
-* rss: the peak RSS (the child's ``ru_maxrss``, from ``os.wait4``) of
-  ``python -m ultratree matrix`` on ``random_tree(1, RSS_LEAVES, "mixed:4")``
-  in a fresh process with stdout to a file, once per round.
+* fixed rows: each row of ``fixed_rows()`` on its own fixed input, timed as
+  the layer rows and reported at that input's size: ``_triangle_text`` JSON on
+  the leaf matrix of ``random_tree(1, 40, "mixed:4")``, and ``check --matrix``
+  (``cli._cmd_check``: the file read, the scan and the records) and the scan
+  alone on ``tests/pins.py``'s ``raised`` document, a 60-leaf tree's leaf
+  matrix with four entries raised above the root height.
+* runs: for each of ``RUNS``, the peak RSS (the child's ``ru_maxrss``, from
+  ``os.wait4``) and wall time of ``python -m ultratree`` on a file of trees
+  ``random_tree(seed, leaves, "mixed:4")``, in a fresh process with stdout to
+  a file, once per round.
 
 It prints a table.  ``--out FILE`` writes the ``machine`` and ``per_layer``
 sections of that JSON file, keeping its other sections; each value holds the
@@ -49,7 +56,12 @@ ROOT = Path(__file__).resolve().parents[1]
 CALLS = 3  # calls per repeat on the layer rows
 REPEATS = 5  # repeats per round of each layer row and family layer
 FAMILY_N = 200  # each shape family is timed at this size and twice it
-RSS_LEAVES = 1000  # leaves of the tree that the peak RSS run writes the matrix of
+# Peak RSS runs: name -> (subcommand, the (seed, leaves) of each tree of its file).
+RUNS = {
+    "matrix": ("matrix", [(1, 1000)]),
+    "triangles": ("triangles", [(1, 150)]),
+    "govern": ("govern", [(seed, 200) for seed in range(20)]),
+}
 FLAG_RATIO = 2.6
 # Family layers whose output is linear in the nodes, so their time should be too.
 FAMILY_LAYERS = {"parse_tree": True, "_Facts": True, "tree_category_minima": True, "leaf_matrix": False}
@@ -93,6 +105,20 @@ def rows(tree, text: str) -> dict:
     }
 
 
+def fixed_rows(raised: str) -> dict:
+    """Row name -> (input size, a thunk that makes one call), on fixed inputs; ``raised`` is the path of
+    ``tests/pins.py``'s ``raised`` document."""
+    from ultratree import cli, leaf_matrix, random_tree, ultrametric
+
+    check = argparse.Namespace(command="check", file=None, matrix=raised, xbar=False, i=None, format="json")
+    triangles = [leaf_matrix(random_tree(1, 40, "mixed:4"))]
+    return {
+        "_triangle_text json, leaf matrix": (40, lambda: partial(cli._triangle_text, triangles, "json")),
+        "check --matrix json, raised (_cmd_check)": (60, lambda: partial(cli._cmd_check, check)),
+        "_check_axioms, raised": (60, lambda: partial(ultrametric._check_axioms, cli._distance_matrices(check, "")[0])),
+    }
+
+
 def family_layers(text: str) -> dict:
     from ultratree import command, lexdist, trees, ultrametric
 
@@ -130,14 +156,20 @@ def worker(job: dict) -> dict:
     from ultratree import random_tree
 
     result: dict = {"layers": {}, "families": {}}
+
+    def time_row(name: str, n: int, make) -> None:
+        try:
+            call = make()
+        except (AttributeError, ImportError):  # a name this side's source lacks
+            return
+        result["layers"].setdefault(name, {})[str(n)] = timed(call, CALLS)
+
     for n in job["sizes"]:
         tree = random_tree(1, n, "mixed:4")
         for name, make in rows(tree, tree.to_bracketed()).items():
-            try:
-                call = make()
-            except (AttributeError, ImportError):  # a name this side's source lacks
-                continue
-            result["layers"].setdefault(name, {})[str(n)] = timed(call, CALLS)
+            time_row(name, n, make)
+    for name, (n, make) in fixed_rows(job["raised"]).items():
+        time_row(name, n, make)
     for family, texts in job["families"].items():
         for text in texts:
             try:
@@ -151,16 +183,18 @@ def worker(job: dict) -> dict:
     return result
 
 
-def peak_rss_mb(src: Path, tree_file: Path, scratch: Path) -> float:
-    """Peak RSS of ``matrix`` on ``tree_file`` in a fresh interpreter, stdout to a file."""
+def peak_run(src: Path, command: str, tree_file: Path, scratch: Path) -> tuple[float, float]:
+    """Peak RSS in MB and wall seconds of ``command`` on ``tree_file`` in a fresh interpreter, stdout to a file."""
     env = {**os.environ, "PYTHONPATH": str(src)}
-    with open(scratch / "matrix.out", "wb") as out:
-        child = subprocess.Popen([sys.executable, "-m", "ultratree", "matrix", str(tree_file)], stdout=out, env=env)
+    with open(scratch / "run.out", "wb") as out:
+        start = perf_counter_ns()
+        child = subprocess.Popen([sys.executable, "-m", "ultratree", command, str(tree_file)], stdout=out, env=env)
         _, status, usage = os.wait4(child.pid, 0)
+        wall = (perf_counter_ns() - start) / 1e9
         child.returncode = os.waitstatus_to_exitcode(status)
     if child.returncode:
-        raise SystemExit(f"matrix exited {child.returncode} on {src}")
-    return round(usage.ru_maxrss / 1024, 2)  # kilobytes on Linux
+        raise SystemExit(f"{command} exited {child.returncode} on {src}")
+    return round(usage.ru_maxrss / 1024, 2), round(wall, 4)  # ru_maxrss is in kilobytes on Linux
 
 
 def machine() -> dict:
@@ -182,14 +216,18 @@ def _summary(values: list[float]) -> dict:
 
 def collect(sides: dict, args, families: dict, scratch: Path) -> dict:
     """Run every round of every side and pool the repeats."""
+    from tests.pins import INPUTS
     from ultratree import random_tree
 
-    tree_file = scratch / "rss.trees"
-    tree_file.write_text(random_tree(1, RSS_LEAVES, "mixed:4").to_bracketed() + "\n")
-    job = json.dumps({"sizes": args.sizes, "families": families})
+    (scratch / "raised.json").write_text(INPUTS["raised"])
+    tree_files = {}
+    for name, (_, trees) in RUNS.items():
+        tree_files[name] = scratch / f"{name}.trees"
+        tree_files[name].write_text("".join(random_tree(seed, n, "mixed:4").to_bracketed() + "\n" for seed, n in trees))
+    job = json.dumps({"sizes": args.sizes, "families": families, "raised": str(scratch / "raised.json")})
     layers: dict = {}
     shapes: dict = {}
-    rss: dict = {side: [] for side in sides}
+    runs: dict = {name: {side: {"peak_rss_mb": [], "wall_s": []} for side in sides} for name in RUNS}
     names = list(sides)
     for r in range(args.rounds):
         for side in names if r % 2 == 0 else names[::-1]:
@@ -207,14 +245,17 @@ def collect(sides: dict, args, families: dict, scratch: Path) -> dict:
                         for pooled, times in zip(into, per_size):
                             pooled.extend(times)
                 shapes[family].setdefault("nodes", entry["nodes"])
-            rss[side].append(peak_rss_mb(sides[side], tree_file, scratch))
+            for name, (command, _) in RUNS.items():
+                mb, wall = peak_run(sides[side], command, tree_files[name], scratch)
+                runs[name][side]["peak_rss_mb"].append(mb)
+                runs[name][side]["wall_s"].append(wall)
     return {
         "layers": {
             name: {n: {side: _summary(times) for side, times in by_side.items()} for n, by_side in by_size.items()}
             for name, by_size in layers.items()
         },
         "families": {family: _ratios(entry) for family, entry in shapes.items()},
-        "rss_mb": rss,
+        "runs": runs,
     }
 
 
@@ -247,7 +288,10 @@ def report(found: dict) -> None:
             if name != "nodes":
                 cells = "  ".join(f"{side} {v['ratio']}{'*' if v['flagged'] else ''}" for side, v in by_side.items())
                 print(f"  {family:<16} {name:<22} nodes {entry['nodes']}  {cells}")
-    print("peak RSS of matrix (MB): " + "  ".join(f"{side} {v}" for side, v in found["rss_mb"].items()))
+    print("fresh-process runs: peak RSS (MB) and wall time (s) per round")
+    for name, by_side in found["runs"].items():
+        cells = "  ".join(f"{side} {v['peak_rss_mb']} MB {v['wall_s']} s" for side, v in by_side.items())
+        print(f"  {name:<10} {cells}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -277,8 +321,9 @@ def main(argv: list[str] | None = None) -> int:
         protocol = (
             f"tools/layers.py --rounds {args.rounds} --sizes {','.join(map(str, args.sizes))}: sides"
             f" {', '.join(sides)}, one fresh interpreter per side and round, the parent first in even rounds;"
-            f" {REPEATS} repeats per round, families made at {FAMILY_N} and {2 * FAMILY_N}, peak RSS at {RSS_LEAVES}"
-            " leaves; layer rows in ms per call at nominal speed (perfbench/speed.py), median and min over"
+            f" {REPEATS} repeats per round, families made at {FAMILY_N} and {2 * FAMILY_N}, runs"
+            f" {', '.join(f'{c} on {len(t)} tree(s) of {t[0][1]} leaves' for c, t in RUNS.values())};"
+            " layer rows in ms per call at nominal speed (perfbench/speed.py), median and min over"
             " every repeat of every round"
         )
         document = json.loads(args.out.read_text()) if args.out.exists() else {}
