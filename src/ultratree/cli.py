@@ -43,7 +43,7 @@ from .errors import EmptyCorpus, EmptyPolicy, MissingEntry, TooFewLabels, Ultrat
 from .lexdist import check_nested_pattern, complexity, load_category_corpus, min_distance_matrix
 from .matrix import CategoryDistanceMatrix, DistanceMatrix, _csv
 from .trees import dominance_matrix, enumerate_binary_trees, parse_tree_file
-from .ultrametric import _check_axioms, _TriangleClasses, _triangles, leaf_matrix, xbar_template
+from .ultrametric import _check_axioms, _leaf_rows, _TriangleClasses, _triangles, leaf_matrix, xbar_template
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -136,22 +136,34 @@ def _json_text(obj, level: int = 0) -> str:
 
 
 def _json_list(items: list[str]) -> str:
-    """``json.dumps(indent=2)``'s list of items laid out one level deep."""
-    return "[\n  " + ",\n  ".join(items) + "\n]" if items else "[]"
+    """``json.dumps(indent=2)``'s list of items laid out one level deep, by one ``join``: the items are copied once."""
+    parts = [",\n  "] * (2 * len(items) + 1)  # the items go between separators
+    parts[1::2], parts[0], parts[-1] = items, "[\n  ", "\n]"
+    return "".join(parts) if items else "[]"
 
 
 def _matrix_text(m, level: int = 0) -> str:
     """``_json_text(m.to_json_dict(), level)``, written straight from the
     labels and the rows' texts when every entry of the kind has a fixed text."""
+    texts = m._texts(",\n" + "  " * level + "      ")
+    return _json_text(m.to_json_dict(), level) if texts is None else _rows_text(m.labels, texts, level)
+
+
+def _leaf_matrix_text(tree, level: int = 0) -> str:
+    """``_matrix_text(leaf_matrix(tree), level)``, its rows' texts made by the
+    leaf-row pass from each distance's decimal text and no matrix built."""
+    sep = ",\n" + "  " * level + "      "
+    return _rows_text(tree.leaf_labels(), _leaf_rows(tree, lambda h: ("%d%s" % (h, sep), "%s%d" % (sep, h)), "0"), level)
+
+
+def _rows_text(labels, texts: list[str], level: int) -> str:
+    """A matrix document's JSON text at ``level``, from its labels and each row's entries joined as by ``_texts``."""
     pad = "\n" + "  " * level
     item, entry = pad + "    ", pad + "      "  # a label or row; an entry
-    texts = m._texts("," + entry)
-    if texts is None:
-        return _json_text(m.to_json_dict(), level)
-    if not m.labels:
+    if not labels:
         return '{%s  "labels": [],%s  "rows": []%s}' % (pad, pad, pad)
     # The head and tail go onto the first and last rows, so one join copies the rows into the text.
-    labels = ("," + item).join(map(_quote, m.labels))
+    labels = ("," + item).join(map(_quote, labels))
     texts[0] = '{%s  "labels": [%s%s%s  ],%s  "rows": [%s[%s' % (pad, item, labels, pad, pad, item, entry) + texts[0]
     texts[-1] += item + "]" + pad + "  ]" + pad + "}"
     return (item + "]," + item + "[" + entry).join(texts)
@@ -171,25 +183,29 @@ def _split_csv_flag(value: str) -> list[str]:
 
 # -- subcommand handlers -----------------------------------------------------
 
-def _distance_matrices(args, sources: str) -> list[DistanceMatrix]:
-    """The --xbar template, the --matrix document or each tree's leaf matrix,
-    whichever one is given; ``sources`` names them, for the error otherwise."""
+def _distance_matrices(args, sources: str, of_tree=None) -> list:
+    """The --xbar template, the --matrix document or ``of_tree`` (None: leaf_matrix) of
+    each tree, whichever one is given; ``sources`` names them, for the error otherwise."""
     if bool(args.file) + bool(getattr(args, "matrix", None)) + getattr(args, "xbar", False) > 1:
         raise UltratreeError(f"{args.command} takes one of {sources}")
     if getattr(args, "xbar", False):
-        return [xbar_template(args.i or 0)]
+        try:
+            return [xbar_template(args.i or 0)]
+        except UltratreeError as exc:  # only the head height can be at fault
+            raise UltratreeError(f"--i: {exc}") from None
     if not (args.file or getattr(args, "matrix", None)):
         raise UltratreeError(f"{args.command} needs {sources}")
     if getattr(args, "i", None) is not None:
         raise UltratreeError("--i: needs --xbar")
     if args.file:
-        return [leaf_matrix(t) for t in parse_tree_file(args.file)]
+        return [*map(of_tree or leaf_matrix, parse_tree_file(args.file))]
     return [DistanceMatrix.from_json_dict(_read_json(args.matrix), source=args.matrix)]
 
 
 def _cmd_matrix(args) -> tuple[int, str]:
-    matrices = _distance_matrices(args, "a tree file or --xbar")
-    return EXIT_OK, _matrices_text(matrices, args.format, single=args.xbar)
+    if args.xbar or args.format == "csv":
+        return EXIT_OK, _matrices_text(_distance_matrices(args, "a tree file or --xbar"), args.format, single=args.xbar)
+    return EXIT_OK, _json_list(_distance_matrices(args, "a tree file or --xbar", partial(_leaf_matrix_text, level=1)))
 
 
 # One record of the ``check`` JSON list, as json.dumps(records, indent=2) lays it out: tree, axiom and the

@@ -79,38 +79,40 @@ class TriangleClass(_Record):
         return {"kind": self.kind.value, "sides": list(self.sides), "base": self.base}
 
 
+def _leaf_rows(tree: PhraseTree, cells, zero) -> list:
+    """Each leaf's row, left to right: ``before + zero + after``, where ``cells(h)`` gives a distance h's cell as
+    written before the zero and as written after it.  One preorder pass gives each node the cells before and after
+    its leaf span: its parent's, extended by the parent's cells over the parent's other children, so a unary node's
+    are its parent's.  Only nodes with children left to visit keep theirs, on a stack.  O(N) Python steps over N
+    nodes, O(N·n) copying."""
+    end, height, words = tree._end, tree._height, tree._word
+    rank = [*accumulate([word is not None for word in words], initial=0)]  # leaves before each position
+    empty = zero[:0]
+    stack, rows = [(empty, empty, empty, empty, 0, rank[-1], len(words))], []  # the root's parent adds no cell
+    for q, arity in enumerate(tree._arity):
+        frame = before, after, lead, trail, lo, hi, stop = stack.pop()  # q's parent's cells, span and end
+        if end[q] < stop:
+            stack.append(frame)  # for q's next sibling
+        before, after = before + lead * (rank[q] - lo), trail * (hi - rank[end[q]]) + after
+        if arity:
+            stack.append((before, after, *cells(height[q]), rank[q], rank[end[q]], end[q]))
+        else:
+            rows.append(before + zero + after)
+    return rows
+
+
 def leaf_matrix(tree: PhraseTree) -> DistanceMatrix:
     """Pairwise leaf distances: entry(x, y) is the height of lca(x, y).
 
     Labels are the leaf words in left-to-right order; duplicated words get a
     positional ``#k`` suffix so the matrix stays well defined for sentences
-    with repeated words.  One preorder pass gives each node the row of
-    distances from its leaves: its parent's row with the spans of the
-    parent's other children set to the parent's height, and zeros on its own
-    span.  A unary node shares its parent's row, and a leaf's row is final.
-    Each row is three slices joined, a ``str`` whose code points are the distances (tuples if
-    the root is above ``sys.maxunicode``), so the pass takes O(N) Python steps over N nodes and
-    O(N·n) byte copying.  The matrix is made from those rows as they are; only its labels are checked.
+    with repeated words.  The rows come from ``_leaf_rows``'s before/after pass with a code point per cell, a
+    ``str`` whose code points are the distances (tuples if the root is above ``sys.maxunicode``), in O(N) Python
+    steps over N nodes and O(N·n) byte copying.  The matrix is made from those rows; only its labels are checked.
     """
-    end, height, words = tree._end, tree._height, tree._word
-    rank = [*accumulate([word is not None for word in words], initial=0)]  # leaves before each position
-    unit = chr if height[0] <= 0x10FFFF else lambda h: (h,)  # a row of one entry; 0x10FFFF is sys.maxunicode
-    zeros = unit(0) * rank[-1]
-    rows = [zeros] * len(words)  # the root's row; the others are written before they are read
-    for q, arity in enumerate(tree._arity):
-        if arity == 1:
-            rows[q + 1] = rows[q]
-        elif arity:
-            lo, hi, row = rank[q], rank[end[q]], rows[q]
-            joined = unit(height[q]) * (hi - lo)
-            left, right = row[:lo] + joined, joined + row[hi:]
-            child = q + 1
-            while child < end[q]:
-                a, b = rank[child], rank[end[child]]
-                rows[child] = left[:a] + zeros[: b - a] + right[b - lo :]
-                child = end[child]
-    leaf_rows = [row for row, word in zip(rows, words) if word is not None]
-    return DistanceMatrix._made(tree.leaf_labels(), tuple(leaf_rows))
+    unit = chr if tree._height[0] <= 0x10FFFF else lambda h: (h,)  # a row of one entry; 0x10FFFF is sys.maxunicode
+    rows = _leaf_rows(tree, lambda h: (unit(h),) * 2, unit(0))
+    return DistanceMatrix._made(tree.leaf_labels(), tuple(rows))
 
 
 def _above(m, joins, form=TUPLES) -> list[tuple[int, int]] | None:

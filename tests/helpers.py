@@ -389,6 +389,23 @@ def all_tree_shapes(node_count: int):
         yield to_nested(shape, [0])
 
 
+def unary_spine(nested, length):
+    """``nested`` under ``length`` unary nodes: the topmost branching node,
+    if any, has no branching ancestor."""
+    for _ in range(length):
+        nested = ("U", [nested])
+    return nested
+
+
+def as_nested(node, unary):
+    """The nested form of ``node``, each node id in ``unary`` under that many unary nodes."""
+    if node.is_leaf:
+        nested = (node.label, node.word)
+    else:
+        nested = (node.label, [as_nested(child, unary) for child in node.children])
+    return unary_spine(nested, unary.get(node.id, 0))
+
+
 # Shape families that random_tree never draws: each is a function of n
 # that returns bracketed text.  Labels cycle through V, N, P and D, so under
 # the default policy some leaves and some unary nodes govern.

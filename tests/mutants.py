@@ -53,7 +53,7 @@ EQUIVALENT = [
      "- as +", "rows n - 1 and n have no k in range(r + 1, n), so range(n + 1) requires no more pairs"),
     ("matrix", "if not set(map(type, chain.from_iterable(rows))) <= {int}:", "<= as <",
      "only the empty set is a strict subset of {int}; on all-int rows the per-entry check then run passes every int"),
-    ("ultrametric", "unit = chr if height[0] <= 0x10FFFF else lambda h: (h,)  # a row of one entry; 0x10FFFF is sys.maxunicode",
+    ("ultrametric", "unit = chr if tree._height[0] <= 0x10FFFF else lambda h: (h,)  # a row of one entry; 0x10FFFF is sys.maxunicode",
      "<= as <", "a root of exactly 0x10FFFF gets tuple rows, which hold the same entries as its code-point rows"),
     ("ultrametric", "if row[x] < best[k]:", "< as <=",
      "on a tie Prim's best weight is the same, only the vertex it attaches to changes, and any Prim order certifies"),

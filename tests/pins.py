@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from ultratree import leaf_matrix, random_tree
 
-from .helpers import right_comb
+from .helpers import right_comb, unary_chain
 
 ONE_LINE = None
 NOTHING = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # sha256 of no bytes
@@ -79,6 +79,8 @@ INPUTS = {
     # A right comb of 2,000 leaves over the five categories D, N, V, A, P.
     "comb": right_comb(2000, "DNVAP") + "\n",
     "raised": _raised(),
+    # Several trees in one file: the 300-leaf tree, a right comb with two-digit heights, a unary chain and one leaf.
+    "forest": "".join(line + "\n" for line in [T300.to_bracketed(), right_comb(40), unary_chain(3), "(N dog)"]),
     "shuffled": _shuffled(),
     "zeroed": _zeroed(),
     # 30 labels, asymmetric, with zeros and a non-zero diagonal: every pair is scanned.
@@ -124,6 +126,8 @@ PINS = [
     # Documents of a 300-leaf tree (1,056,003 bytes for matrix).  c-command
     # and cu-command agree on leaves, so their two leaf pins are the same.
     Pin(0, "608ebb17817735cdd83368641058187320f00413a3c39fbcdf35357d173f7603", "matrix {t300}"),
+    # A file of several trees, the list form of the tree-file writer; pinned from the writer that built matrices.
+    Pin(0, "e4c71b8656f1506b0423e8a851d3cc76fe325b1a17e371709f43a82069ac2e79", "matrix {forest}"),
     Pin(0, "e7dfa013b37565f79f8df3d3d07df70500ad73e4b0beefae868699e58ede618b", "dominance {t300}"),
     Pin(0, "d3b0cb4a3b846c2b8a1547282ce82582d5e4b3bcf1ce041fa91c1b2c8f5bf67f", "govern {t300}"),
     # Every label of the tree governs, internal nodes too; govern's default V,P has only leaves.

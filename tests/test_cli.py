@@ -744,6 +744,11 @@ class TestErrors:
         assert run([command, *given[source], "--i", i]) == 2
         assert self.one_error(capsys) == "error: --i: needs --xbar\n"
 
+    @pytest.mark.parametrize("command", ["matrix", "triangles"])
+    def test_negative_head_height_names_its_flag(self, capsys, command):
+        assert run([command, "--xbar", "--i", "-1"]) == 2
+        assert self.one_error(capsys) == "error: --i: template height must be non-negative\n"
+
     @pytest.mark.parametrize(
         "extra, flag",
         [

@@ -34,7 +34,11 @@ def test_layers_script_writes_its_sections(tmp_path):
     assert set(found["families"]) == set(fx.SHAPE_FAMILIES)
     assert found["families"]["star"]["nodes"] == [201, 401]
     assert found["families"]["star"]["_Facts"]["change"]["flagged"] in (True, False)
-    assert set(found["runs"]) == {"matrix", "triangles", "govern"}
-    for by_side in found["runs"].values():
+    assert set(found["layers"]["matrix JSON of a tree file's tree"]["4"]) == {"parent", "change"}
+    imports = {"import ultratree.cli, no caches", "import ultratree.cli, cached"}
+    assert set(found["runs"]) == {"matrix", "check", "triangles", "govern", "randtest --exhaustive-leaves 10", *imports}
+    for name, by_side in found["runs"].items():
         assert set(by_side) == {"parent", "change"}
-        assert all(mb > 0 and len(v["wall_s"]) == 1 for v in by_side.values() for mb in v["peak_rss_mb"])
+        starts = 5 if name in imports else 1
+        assert all(len(v["peak_rss_mb"]) == len(v["wall_s"]) == starts for v in by_side.values())
+        assert all(mb > 0 and wall > 0 for v in by_side.values() for mb, wall in zip(v["peak_rss_mb"], v["wall_s"]))

@@ -37,24 +37,19 @@ from ultratree import (
     theorem_check,
     tree_category_minima,
 )
+from ultratree.ultrametric import _leaf_rows
 
 from .helpers import (
     SHAPE_FAMILIES,
     all_tree_shapes,
+    as_nested,
     block_category_minima,
     brute_ancestors,
     brute_heights,
     brute_lca,
     padded_comb,
+    unary_spine,
 )
-
-
-def unary_spine(nested, length):
-    """``nested`` under ``length`` unary nodes: the topmost branching node,
-    if any, has no branching ancestor."""
-    for _ in range(length):
-        nested = ("U", [nested])
-    return nested
 
 
 SMALL_SHAPES = [
@@ -65,15 +60,6 @@ SMALL_SHAPES = [
     for nested in all_tree_shapes(count)
     for length in (1, 3)
 ]
-
-
-def as_nested(node, unary):
-    """The nested form of ``node``, each node id in ``unary`` under that many unary nodes."""
-    if node.is_leaf:
-        nested = (node.label, node.word)
-    else:
-        nested = (node.label, [as_nested(child, unary) for child in node.children])
-    return unary_spine(nested, unary.get(node.id, 0))
 
 
 @st.composite
@@ -132,6 +118,7 @@ def check_leaf_matrix(tree):
     chains, heights = brute_chains(tree)
     expected = [[heights[chain_lca(chains, a, b)] for b in ids] for a in ids]
     assert [list(row) for row in leaf_matrix(tree).entries] == expected
+    assert [[*map(ord, row)] for row in _leaf_rows(tree, lambda h: (chr(h),) * 2, "\0")] == expected
 
 
 def check_category_minima(tree):

@@ -434,6 +434,45 @@ def relabelled_trees(draw):
     return PhraseTree(list(zip(labels, words, shape._up)))
 
 
+@st.composite
+def padded_trees(draw):
+    """A random tree of 1-12 leaves, its words drawn from two so that labels get
+    ``#k`` suffixes, with up to four nodes under 1-3 inserted unary nodes."""
+    shape = random_tree(draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 12)), draw(st.sampled_from(["binary", "mixed:4"])))
+    tree = PhraseTree([(label, word and draw(st.sampled_from("ab")), up) for label, word, up in zip(shape._label, shape._word, shape._up)])
+    unary = draw(st.dictionaries(st.integers(0, len(tree) - 1), st.integers(1, 3), max_size=4))
+    return PhraseTree.from_nested(fx.as_nested(tree.root, unary))
+
+
+class TestTreeMatrixText:
+    """``matrix`` on a tree file writes each tree's JSON from its leaf rows, with
+    no matrix built: the text must be ``json.dumps`` of the leaf matrices."""
+
+    @staticmethod
+    def check_file(lines: list[str]) -> None:
+        trees = [parse_tree(line) for line in lines]
+        expected = json.dumps([leaf_matrix(t).to_json_dict() for t in trees], indent=2) + "\n"
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "trees.txt")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("# trees\n" + "".join(line + "\n" for line in lines))
+            assert check_run(["matrix", path]) == (0, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(padded_trees(), max_size=3))
+    def test_padded_trees_with_repeated_words(self, trees):
+        self.check_file([t.to_bracketed() for t in trees])
+
+    @pytest.mark.parametrize("family", sorted(fx.SHAPE_FAMILIES))
+    def test_shape_families(self, family):
+        self.check_file([fx.SHAPE_FAMILIES[family](n) for n in range(1, 13)])
+
+    @pytest.mark.parametrize("lines", [["(N dog)"], [fx.TREE_FIRST, "(N dog)", fx.TREE_EIGHTH], []],
+                             ids=["one-leaf", "several", "none"])
+    def test_small_files(self, lines):
+        self.check_file(lines)
+
+
 def theorem_run(lines: list[str], nodes: str) -> tuple[int, str]:
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "trees.txt")

@@ -23,10 +23,15 @@ the sides alternate: the parent goes first in even rounds.  A side measures:
   (``cli._cmd_check``: the file read, the scan and the records) and the scan
   alone on ``tests/pins.py``'s ``raised`` document, a 60-leaf tree's leaf
   matrix with four entries raised above the root height.
-* runs: for each of ``RUNS``, the peak RSS (the child's ``ru_maxrss``, from
-  ``os.wait4``) and wall time of ``python -m ultratree`` on a file of trees
-  ``random_tree(seed, leaves, "mixed:4")``, in a fresh process with stdout to
-  a file, once per round.
+* runs: for each of ``RUNS``, the peak RSS (the child's own ``VmHWM``, see
+  ``PEAK``) and wall time of ``python -m ultratree`` with its words, then
+  a file of trees ``random_tree(seed, leaves, "mixed:4")`` if it names any,
+  in a fresh process with stdout to a file, once per round; and the same of
+  ``IMPORTS`` fresh interpreters that import ``ultratree.cli`` with no
+  bytecode caches ("no caches", compiling the source on every start) and
+  ``IMPORTS`` once caches are written ("cached").  All run from a copy of
+  the side's package made each round, so the checkout's own caches, stale
+  or not, change no reading.
 
 It prints a table.  ``--out FILE`` writes the ``machine`` and ``per_layer``
 sections of that JSON file, keeping its other sections; each value holds the
@@ -44,6 +49,7 @@ import math
 import os
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -56,12 +62,33 @@ ROOT = Path(__file__).resolve().parents[1]
 CALLS = 3  # calls per repeat on the layer rows
 REPEATS = 5  # repeats per round of each layer row and family layer
 FAMILY_N = 200  # each shape family is timed at this size and twice it
-# Peak RSS runs: name -> (subcommand, the (seed, leaves) of each tree of its file).
+# Fresh-process runs: name -> (the words after ``python -m ultratree``, the (seed, leaves) of each tree of the
+# file that follows them, if any, and the exit code expected).
 RUNS = {
-    "matrix": ("matrix", [(1, 1000)]),
-    "triangles": ("triangles", [(1, 150)]),
-    "govern": ("govern", [(seed, 200) for seed in range(20)]),
+    "matrix": (["matrix"], [(1, 1000)], 0),
+    "check": (["check"], [(1, 1000)], 0),
+    "triangles": (["triangles"], [(1, 150)], 0),
+    "govern": (["govern"], [(seed, 200) for seed in range(20)], 0),
+    "randtest --exhaustive-leaves 10": (["randtest", "--exhaustive-leaves", "10", "--nodes", "all"], [], 1),
 }
+IMPORTS = 5  # fresh interpreters per round that import ultratree.cli, with caches and with none
+# A run's child: ``python -c PEAK -m MODULE ARGS...`` and ``python -c PEAK -c CODE`` run what ``python -m MODULE
+# ARGS...`` and ``python -c CODE`` run, then write the peak RSS in kB of the child's own memory map (VmHWM) to
+# stderr.  Its ru_maxrss would read no lower than this script's peak, which Linux carries across fork and exec.
+PEAK = """import atexit, sys
+@atexit.register
+def peak():
+    with open("/proc/self/status") as status:
+        sys.stderr.write("\\n" + next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+flag, target, *rest = sys.argv[1:]
+if flag == "-m":
+    import runpy
+    sys.argv = [target, *rest]
+    runpy.run_module(target, run_name="__main__", alter_sys=True)
+else:
+    sys.argv = ["-c", *rest]
+    exec(target, {"__name__": "__main__"})
+"""
 FLAG_RATIO = 2.6
 # Family layers whose output is linear in the nodes, so their time should be too.
 FAMILY_LAYERS = {"parse_tree": True, "_Facts": True, "tree_category_minima": True, "leaf_matrix": False}
@@ -100,6 +127,10 @@ def rows(tree, text: str) -> dict:
         "node_labels": lambda: tree.node_labels,
         "tree_category_minima": lambda: partial(lexdist.tree_category_minima, tree),
         "_matrix_text(leaf_matrix)": lambda: partial(cli._matrix_text, leaf(tree)),
+        # The tree-file matrix JSON writer, from the tree; a side without _leaf_matrix_text builds the matrix first.
+        "matrix JSON of a tree file's tree": lambda: partial(
+            getattr(cli, "_leaf_matrix_text", lambda t: cli._matrix_text(leaf(t))), tree
+        ),
         "leaf_matrix.to_csv": lambda: leaf(tree).to_csv,
         "_matrix_text(c_command_matrix(all))": lambda: partial(cli._matrix_text, command.c_command_matrix(tree, "all")),
     }
@@ -183,18 +214,35 @@ def worker(job: dict) -> dict:
     return result
 
 
-def peak_run(src: Path, command: str, tree_file: Path, scratch: Path) -> tuple[float, float]:
-    """Peak RSS in MB and wall seconds of ``command`` on ``tree_file`` in a fresh interpreter, stdout to a file."""
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    with open(scratch / "run.out", "wb") as out:
+def peak_run(src: Path, argv: list[str], code: int, scratch: Path, **env: str) -> tuple[float, float]:
+    """Peak RSS in MB and wall seconds of ``python *argv`` in a fresh interpreter, through ``PEAK``, stdout to a
+    file; it must exit ``code``.  ``env`` is added to the environment, with an empty value removing the variable."""
+    env = {key: value for key, value in {**os.environ, "PYTHONPATH": str(src), **env}.items() if value}
+    with open(scratch / "run.out", "wb") as out, open(scratch / "run.err", "w+") as err:
         start = perf_counter_ns()
-        child = subprocess.Popen([sys.executable, "-m", "ultratree", command, str(tree_file)], stdout=out, env=env)
-        _, status, usage = os.wait4(child.pid, 0)
+        done = subprocess.run([sys.executable, "-c", PEAK, *argv], stdout=out, stderr=err, env=env)
         wall = (perf_counter_ns() - start) / 1e9
-        child.returncode = os.waitstatus_to_exitcode(status)
-    if child.returncode:
-        raise SystemExit(f"{command} exited {child.returncode} on {src}")
-    return round(usage.ru_maxrss / 1024, 2), round(wall, 4)  # ru_maxrss is in kilobytes on Linux
+        err.seek(0)
+        *errors, kb = err.read().split("\n")
+    if done.returncode != code or any(errors):
+        raise SystemExit(f"{' '.join(argv)} exited {done.returncode} on {src}: {errors}")
+    return round(int(kb) / 1024, 2), round(wall, 4)
+
+
+def fresh_runs(src: Path, argvs: dict, scratch: Path) -> dict:
+    """A side's runs in one round, from a copy of ``src``'s package, so that none depends on the bytecode caches
+    the checkout holds: ``IMPORTS`` imports of ``ultratree.cli`` with no caches, one import that writes them,
+    ``IMPORTS`` imports with them, then each of ``RUNS`` (``argvs``).  Name -> peak RSS (MB) and wall seconds."""
+    copy = scratch / "package"
+    shutil.rmtree(copy, ignore_errors=True)
+    shutil.copytree(src / "ultratree", copy / "ultratree", ignore=shutil.ignore_patterns("__pycache__"))
+    imports = ["-c", "import ultratree.cli"]
+    uncached = [peak_run(copy, imports, 0, scratch, PYTHONDONTWRITEBYTECODE="1") for _ in range(IMPORTS)]
+    peak_run(copy, imports, 0, scratch, PYTHONDONTWRITEBYTECODE="")  # writes the caches
+    starts = {"import ultratree.cli, no caches": uncached}
+    starts["import ultratree.cli, cached"] = [peak_run(copy, imports, 0, scratch) for _ in range(IMPORTS)]
+    starts.update({name: [peak_run(copy, argvs[name], code, scratch)] for name, (_, _, code) in RUNS.items()})
+    return {name: {"peak_rss_mb": [mb for mb, _ in runs], "wall_s": [wall for _, wall in runs]} for name, runs in starts.items()}
 
 
 def machine() -> dict:
@@ -220,14 +268,16 @@ def collect(sides: dict, args, families: dict, scratch: Path) -> dict:
     from ultratree import random_tree
 
     (scratch / "raised.json").write_text(INPUTS["raised"])
-    tree_files = {}
-    for name, (_, trees) in RUNS.items():
-        tree_files[name] = scratch / f"{name}.trees"
-        tree_files[name].write_text("".join(random_tree(seed, n, "mixed:4").to_bracketed() + "\n" for seed, n in trees))
+    argvs = {}
+    for k, (name, (words, trees, _)) in enumerate(RUNS.items()):
+        argvs[name] = ["-m", "ultratree", *words]
+        if trees:
+            argvs[name].append(str(scratch / f"run{k}.trees"))
+            Path(argvs[name][-1]).write_text("".join(random_tree(seed, n, "mixed:4").to_bracketed() + "\n" for seed, n in trees))
     job = json.dumps({"sizes": args.sizes, "families": families, "raised": str(scratch / "raised.json")})
     layers: dict = {}
     shapes: dict = {}
-    runs: dict = {name: {side: {"peak_rss_mb": [], "wall_s": []} for side in sides} for name in RUNS}
+    runs: dict = {}
     names = list(sides)
     for r in range(args.rounds):
         for side in names if r % 2 == 0 else names[::-1]:
@@ -245,10 +295,9 @@ def collect(sides: dict, args, families: dict, scratch: Path) -> dict:
                         for pooled, times in zip(into, per_size):
                             pooled.extend(times)
                 shapes[family].setdefault("nodes", entry["nodes"])
-            for name, (command, _) in RUNS.items():
-                mb, wall = peak_run(sides[side], command, tree_files[name], scratch)
-                runs[name][side]["peak_rss_mb"].append(mb)
-                runs[name][side]["wall_s"].append(wall)
+            for name, values in fresh_runs(sides[side], argvs, scratch).items():
+                for key, value in values.items():
+                    runs.setdefault(name, {}).setdefault(side, {"peak_rss_mb": [], "wall_s": []})[key] += value
     return {
         "layers": {
             name: {n: {side: _summary(times) for side, times in by_side.items()} for n, by_side in by_size.items()}
@@ -291,7 +340,7 @@ def report(found: dict) -> None:
     print("fresh-process runs: peak RSS (MB) and wall time (s) per round")
     for name, by_side in found["runs"].items():
         cells = "  ".join(f"{side} {v['peak_rss_mb']} MB {v['wall_s']} s" for side, v in by_side.items())
-        print(f"  {name:<10} {cells}")
+        print(f"  {name:<32} {cells}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -322,7 +371,8 @@ def main(argv: list[str] | None = None) -> int:
             f"tools/layers.py --rounds {args.rounds} --sizes {','.join(map(str, args.sizes))}: sides"
             f" {', '.join(sides)}, one fresh interpreter per side and round, the parent first in even rounds;"
             f" {REPEATS} repeats per round, families made at {FAMILY_N} and {2 * FAMILY_N}, runs"
-            f" {', '.join(f'{c} on {len(t)} tree(s) of {t[0][1]} leaves' for c, t in RUNS.values())};"
+            f" {', '.join(f'{name} on {len(t)} tree(s) of {t[0][1]} leaves' if t else name for name, (_, t, _) in RUNS.items())}"
+            f" and {IMPORTS} imports of ultratree.cli per round, cached and with no caches;"
             " layer rows in ms per call at nominal speed (perfbench/speed.py), median and min over"
             " every repeat of every round"
         )
