@@ -29,7 +29,6 @@ from collections.abc import Sequence
 from functools import cache, partial
 from itertools import chain, combinations, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import getitem
 
 from .command import (
     GovernorPolicy,
@@ -43,7 +42,7 @@ from .errors import EmptyCorpus, EmptyPolicy, MissingEntry, TooFewLabels, Ultrat
 from .lexdist import check_nested_pattern, complexity, load_category_corpus, min_distance_matrix
 from .matrix import CategoryDistanceMatrix, DistanceMatrix, _csv
 from .trees import dominance_matrix, enumerate_binary_trees, parse_tree_file
-from .ultrametric import _check_axioms, _leaf_rows, _TriangleClasses, _triangles, leaf_matrix, xbar_template
+from .ultrametric import _check_axioms, _leaf_rows, _side_triples, _TriangleClasses, leaf_matrix, xbar_template
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -52,7 +51,7 @@ EXIT_CLOSED_STDOUT = 141
 
 # The public operations whose results each subcommand reports.  A subcommand
 # may compute them on a private path rather than call them: check runs
-# _check_axioms, not check_metric; triangles _triangles, not all_triangles;
+# _check_axioms, not check_metric; triangles _side_triples, as all_triangles;
 # cucommand and govern one pass per tree, not cu_domain or governs per pair.
 # tests/test_cli.py checks this table covers the whole API.
 COMMAND_OPERATIONS = {
@@ -240,10 +239,11 @@ _TRIANGLE_TAIL = '\n    ],\n    "kind": "%s",\n    "sides": [\n      %d,\n      
 
 def _triangle_text(matrices, fmt: str) -> str:
     """Every triangle of every matrix, the matrix's index as its tree.  A matrix of fewer than 3 labels has no
-    triples and adds no records.  Each distinct side triple is classified once, by ``_TriangleClasses``.  A JSON
-    record is its pair's head (a prefix made once per first label + the second label's text and separator), the
-    third label and its side triple's tail; map, zip and chain put a first label's records into one list of
-    shared strings, joined once.  A CSV row is the tree, the vertices and the triple's cells."""
+    triples and adds no records.  The side triples come from ``_side_triples``, as in ``all_triangles``, and each
+    distinct one is classified once, by ``_TriangleClasses``.  A JSON record is its pair's head (a prefix made
+    once per first label + the second label's text and separator), the third label and its side triple's tail;
+    map, zip and chain put a first label's records into one list of shared strings, joined once.  A CSV row is
+    the tree, the vertices and the triple's cells."""
     if fmt == "csv":
         cells = _TriangleClasses(
             lambda kind, a, b, c: (kind, "%d %d %d" % (a, b, c), "%d" % a if kind == "isosceles" else "")
@@ -251,10 +251,9 @@ def _triangle_text(matrices, fmt: str) -> str:
         return _csv(
             ("tree", "vertices", "kind", "sides", "base"),
             (
-                (tree, f"{m.labels[x]} {m.labels[y]} {z}", *cells[key])
+                (tree, " ".join(names), *cells[key])
                 for tree, m in enumerate(matrices)
-                for x, y, keys in _triangles(m.entries)
-                for z, key in zip(m.labels[y + 1 :], keys)
+                for names, key in zip(combinations(m.labels, 3), chain.from_iterable(_side_triples(m.entries)))
             ),
         )
     classes = _TriangleClasses(
@@ -262,14 +261,12 @@ def _triangle_text(matrices, fmt: str) -> str:
     )
     parts = []
     for tree, matrix in enumerate(matrices):
-        m, n, quoted = matrix.entries, matrix.size, [_quote(label) for label in matrix.labels]
-        seconds, after = [q + ",\n      " for q in quoted], [slice(y + 1, None) for y in range(n)]
-        for x, row in enumerate(m[:-2]):  # first label x: its pairs (x, y) and their runs of z > y, chained at C speed
-            ys, rest, prefix = slice(x + 1, n - 1), after[x + 1 : n - 1], _TRIANGLE_HEAD % (tree, quoted[x])
+        n, quoted = matrix.size, [_quote(label) for label in matrix.labels]
+        seconds, thirds = [q + ",\n      " for q in quoted], [quoted[y + 1 :] for y in range(n)]  # labels past y
+        for x, keys in zip(range(n - 2), _side_triples(matrix.entries)):  # first label x: pairs (x, y), runs of z > y
+            ys, prefix = slice(x + 1, n - 1), _TRIANGLE_HEAD % (tree, quoted[x])
             heads = chain.from_iterable(map(repeat, map(prefix.__add__, seconds[ys]), range(n - x - 2, 0, -1)))
-            thirds = chain.from_iterable(map(quoted.__getitem__, rest))
-            keys = chain.from_iterable(map(zip, map(repeat, row[ys]), map(row.__getitem__, rest), map(getitem, m[ys], rest)))
-            parts += chain.from_iterable(zip(heads, thirds, map(classes.__getitem__, keys)))
+            parts += chain.from_iterable(zip(heads, chain.from_iterable(thirds[ys]), map(classes.__getitem__, keys)))
     if parts:  # the first record has no separator
         parts[0], parts[-1] = "[" + parts[0][1:], parts[-1] + "\n]"
     return "".join(parts) or "[]"

@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence
 
-from .errors import EmptyCorpus, MissingEntry, UnknownLabel, _Record, _set
+from .errors import EmptyCorpus, MissingEntry, UltratreeError, UnknownLabel, _Record, _set
 from .matrix import CategoryDistanceMatrix
 from .trees import PhraseTree, parse_tree_file
 
@@ -71,6 +71,8 @@ def min_distance_matrix(
         ordered += sorted(seen - set(ordered))
     else:
         ordered = list(categories)
+        if len(set(ordered)) != len(ordered):  # a tree's categories are distinct, a caller's may not be
+            raise UltratreeError("matrix labels must be unique")
     rows = [tuple([combined.get((x, y) if x <= y else (y, x)) for y in ordered]) for x in ordered]
     return CategoryDistanceMatrix._made(tuple(ordered), tuple(rows))
 

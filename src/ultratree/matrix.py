@@ -35,53 +35,78 @@ def _csv(header, rows) -> str:
 
 
 class LabeledMatrix:
-    """Immutable square matrix with one label per row/column."""
+    """Immutable square matrix with one label per row/column.  Its ``_rows`` hold the rows in a form its kind
+    keeps: tuples of entries, a relation's bytes or a leaf matrix's code-point strings; ``_kept`` gives the form
+    of a constructor's rows.  ``entries`` is the rows when they are tuples, else a view of tuples of entries,
+    each ``_entry`` of a kept element, built on its first read and kept.  Copies and pickles hold the rows as
+    kept and no view."""
 
-    __slots__ = ("labels", "entries", "_index")
+    __slots__ = ("labels", "_rows", "_entries", "_index")
+    _entry = None  # a kept element's entry, for kinds that keep rows other than tuples
+    _check_entry = None  # raises UltratreeError for a value that is not an entry of this kind; None takes any value
+    _plain = frozenset()  # entry types that pass _check_entry whatever their value
 
     def __init__(self, labels: Sequence[str], entries: Sequence[Sequence]):
-        labels = tuple(labels)
+        labels, rows = tuple(labels), self._kept(entries)
+        fault = self._fault(labels, rows)
+        if fault:
+            raise fault[1]
+        self._fill(labels, rows)
+
+    @staticmethod
+    def _kept(rows) -> tuple:
         # tuple() of a list, not of a generator: that grows the tuple by
         # resizing, and the resized tuples pile up in CPython's tuple free
         # lists, which only a full garbage collection empties.
-        rows = tuple([tuple(row) for row in entries])
-        if len(rows) != len(labels) or any(len(row) != len(labels) for row in rows):
-            raise NonSquare(
-                f"matrix with {len(labels)} labels must be {len(labels)}x{len(labels)}"
-            )
-        self._check_entries(rows)
-        self._fill(labels, rows)
+        return tuple([tuple(row) for row in rows])
 
     @classmethod
-    def _made(cls, labels: tuple[str, ...], rows: tuple[tuple, ...]):
-        """The matrix over rows that a builder in this package made square,
-        as tuples of entries of this kind (bytes for a relation, code points
-        for a leaf matrix): nothing is copied or checked but that the labels are distinct."""
+    def _made(cls, labels: tuple[str, ...], rows: tuple):
+        """The matrix over distinct labels and square rows, in a form its kind keeps, that a builder in this
+        package made or a copy or pickle held: nothing is copied or checked."""
         matrix = object.__new__(cls)
         matrix._fill(labels, rows)
         return matrix
 
-    def _fill(self, labels: tuple[str, ...], rows: tuple[tuple, ...]) -> None:
-        # Labels a user gives, to a constructor or as min_distance_matrix's
-        # categories, can repeat; disambiguated tree labels cannot.
-        if len(set(labels)) != len(labels):
-            raise UltratreeError("matrix labels must be unique")
-        self.labels = labels
-        self.entries = rows
-        self._index = None  # label -> position, built on the first lookup
+    def _fill(self, labels: tuple[str, ...], rows: tuple) -> None:
+        self.labels, self._rows, self._entries, self._index = labels, rows, None, None  # views built on first use
 
-    def _check_entries(self, rows) -> None:
-        check = self._check_entry  # one attribute lookup, not one per entry
-        for row in rows:
-            for value in row:
-                check(value)
+    __reduce__ = lambda self: (type(self)._made, (self.labels, self._rows))  # copy and pickle keep the rows as kept
 
-    @staticmethod
-    def _check_entry(value) -> None:
-        """Raise UltratreeError when ``value`` is not an entry of this kind."""
+    @classmethod
+    def _fault(cls, labels: Sequence, rows: Sequence[Sequence]) -> tuple[str, UltratreeError] | None:
+        """The JSON path and error of the first fault of a matrix over ``labels`` and ``rows``, None if none: the
+        row count, each row's length, the entries row by row, then a repeated label.  One scan of the entry types at
+        C speed passes the entries when every type is in ``_plain``; only int subclasses and faults are checked one
+        by one."""
+        n, check = len(labels), cls._check_entry
+        square = f"matrix with {n} labels must be {n}x{n}"
+        if len(rows) != n:
+            return "rows", NonSquare(square)
+        for i, row in enumerate(rows):
+            if len(row) != n:
+                return f"rows[{i}]", NonSquare(square)
+        if check and not set(map(type, chain.from_iterable(rows))) <= cls._plain:
+            for i, row in enumerate(rows):
+                for j, value in enumerate(row):
+                    try:
+                        check(value)
+                    except UltratreeError as error:
+                        return f"rows[{i}][{j}]", error
+        if len(set(labels)) != n:
+            j = next(j for j, x in enumerate(labels) if x in labels[:j])
+            return f"labels[{j}]", UltratreeError("matrix labels must be unique")
+        return None
 
-    _rows = property(lambda self: self.entries)  # the rows as kept, unless a kind keeps another form
-    _form = TUPLES  # the form of _rows for the integer kinds
+    @property
+    def entries(self) -> tuple[tuple, ...]:
+        if self._entries is None:
+            rows = self._rows
+            own = not rows or type(rows[0]) is tuple  # tuple rows are their own entries: no copy
+            self._entries = rows if own else tuple([tuple(map(self._entry, row)) for row in rows])
+        return self._entries
+
+    _form = property(lambda self: CODE_POINTS if self._rows and type(self._rows[0]) is str else TUPLES)  # of int kinds
 
     @property
     def size(self) -> int:
@@ -157,25 +182,8 @@ class LabeledMatrix:
                 raise bad(f"rows[{i}]", "expected a list")
         try:
             return cls(labels, rows)
-        except UltratreeError as exc:
-            raise bad(cls._fault_path(labels, rows), exc) from None
-
-    @classmethod
-    def _fault_path(cls, labels: list, rows: list) -> str:
-        """The JSON path of the first fault ``__init__`` rejects, found
-        again on the error path so that building a matrix costs no more."""
-        if len(rows) != len(labels):
-            return "rows"
-        for i, row in enumerate(rows):
-            if len(row) != len(labels):
-                return f"rows[{i}]"
-        for i, row in enumerate(rows):
-            for j, value in enumerate(row):
-                try:
-                    cls._check_entry(value)
-                except UltratreeError:
-                    return f"rows[{i}][{j}]"
-        return next((f"labels[{j}]" for j, x in enumerate(labels) if x in labels[:j]), "labels")
+        except UltratreeError:
+            raise bad(*cls._fault(labels, rows)) from None
 
     def to_csv(self) -> str:
         cells = self._cells("")
@@ -190,28 +198,10 @@ def _int_cells(matrix: LabeledMatrix, absent: str) -> dict:
 
 class DistanceMatrix(LabeledMatrix):
     """Integer distances; symmetry and axioms are checked, not enforced.  A leaf matrix keeps ``CODE_POINTS`` rows,
-    its ``entries`` built on first read; any other keeps tuples, its own ``entries`` (-1 or IntEnum has no code point)."""
+    whose ``entries`` read each code point by ``ord``; any other keeps tuples (-1 or IntEnum has no code point)."""
 
-    __slots__ = ("_rows", "_ints", "_form")
-    _cells = _int_cells
-    __reduce__ = lambda self: (type(self)._made, (self.labels, self._rows))  # copy and pickle keep the rows as kept
-
-    @property
-    def entries(self) -> tuple[tuple[int, ...], ...]:
-        if self._ints is None:
-            self._ints = tuple([tuple(map(ord, row)) for row in self._rows])
-        return self._ints
-
-    @entries.setter
-    def entries(self, rows) -> None:  # by _fill: leaf_matrix's code-point rows, or checked tuples
-        form = CODE_POINTS if rows and type(rows[0]) is str else TUPLES
-        self._rows, self._ints, self._form = rows, None if form is CODE_POINTS else rows, form
-
-    def _check_entries(self, rows) -> None:
-        # One scan of the entry types at C speed; the per-entry check runs
-        # only for int subclasses and faults.
-        if not set(map(type, chain.from_iterable(rows))) <= {int}:
-            super()._check_entries(rows)
+    __slots__ = ()
+    _entry, _plain, _cells = ord, {int}, _int_cells
 
     @staticmethod
     def _check_entry(value) -> None:
@@ -222,23 +212,12 @@ class DistanceMatrix(LabeledMatrix):
 class RelationMatrix(LabeledMatrix):
     """Boolean relation over labeled nodes; serialized as 0/1.  Each row is
     kept as ``bytes`` of 0s and 1s, which the builders make from slices and
-    the writers translate whole; ``entries`` views them as tuples of bools,
-    built on its first read and kept."""
+    the writers translate whole; ``entries`` views them as tuples of bools.
+    Any value is an entry, kept as its bool."""
 
-    __slots__ = ("_rows", "_bools")
-
-    @property
-    def entries(self) -> tuple[tuple[bool, ...], ...]:
-        if self._bools is None:
-            self._bools = tuple([tuple(map(bool, row)) for row in self._rows])
-        return self._bools
-
-    @entries.setter
-    def entries(self, rows) -> None:  # by _fill: a builder's bytes, or any entries coerced to bool
-        self._rows, self._bools = tuple([row if type(row) is bytes else bytes(map(bool, row)) for row in rows]), None
-
-    def _check_entries(self, rows) -> None:
-        """Setting ``entries`` coerces every entry to bool, so none can fail a check."""
+    __slots__ = ()
+    _entry = bool
+    _kept = staticmethod(lambda rows: tuple([bytes(map(bool, row)) for row in rows]))
 
     def to_json_dict(self) -> dict:
         return {"labels": list(self.labels), "rows": [list(row) for row in self._rows]}  # bytes list as ints
@@ -261,6 +240,7 @@ class RelationMatrix(LabeledMatrix):
 class SignMatrix(LabeledMatrix):
     """Square matrix over {+1, -1}."""
 
+    __slots__ = ()
     _cells = _int_cells
 
     @staticmethod
@@ -273,6 +253,7 @@ class SignMatrix(LabeledMatrix):
 class CategoryDistanceMatrix(LabeledMatrix):
     """Minimum distances per category pair; absent entries are None."""
 
+    __slots__ = ()
     _cells = _int_cells
 
     @staticmethod

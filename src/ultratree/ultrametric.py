@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from enum import Enum
-from itertools import accumulate, repeat
-from operator import itemgetter, lt
+from itertools import accumulate, chain, combinations, repeat
+from operator import getitem, itemgetter, lt
 
 from .errors import DuplicateVertex, TooFewLabels, UltratreeError, _Record, _set
 from .matrix import TUPLES, DistanceMatrix
@@ -262,14 +262,18 @@ class _TriangleClasses(dict):
         return value
 
 
-def _triangles(m):
-    """Yield ``(x, y, keys)`` for each position pair x < y < n - 1 in
-    ``itertools.combinations`` order; ``keys`` yields the side triple
-    ``(m[x][y], m[x][z], m[y][z])`` for z = y + 1 ... n - 1."""
-    n = len(m)
-    for x, row_x in enumerate(m):
-        for y in range(x + 1, n - 1):
-            yield x, y, zip(repeat(row_x[y]), row_x[y + 1 :], m[y][y + 1 :])
+def _side_triples(m):
+    """For each position x, a stream of the side triples ``(m[x][y], m[x][z], m[y][z])`` of the position triples
+    x < y < z; chained, the streams are in ``itertools.combinations`` order.  ``map``, ``zip`` and ``chain`` pair
+    row x's entry at each y with the runs of rows x and y past y at C speed, so x is the one Python step.  A writer
+    that works per first label takes x's stream whole, with no chain of streams to step through per triple."""
+    after = [slice(y + 1, None) for y in range(len(m))]
+
+    def runs(x, row):
+        ys, rest = after[x], after[x + 1 :]  # the positions y past x, and each one's positions past y
+        return chain.from_iterable(map(zip, map(repeat, row[ys]), map(row.__getitem__, rest), map(getitem, m[ys], rest)))
+
+    return map(runs, range(len(m)), m)
 
 
 def all_triangles(matrix: DistanceMatrix) -> list[tuple[tuple[str, str, str], TriangleClass]]:
@@ -277,13 +281,8 @@ def all_triangles(matrix: DistanceMatrix) -> list[tuple[tuple[str, str, str], Tr
     triples with the same sides share one class."""
     if matrix.size < 3:
         raise TooFewLabels(f"need at least 3 labels, got {matrix.size}")
-    labels = matrix.labels
-    classes = _TriangleClasses(_triangle_class)
-    return [
-        ((labels[x], labels[y], z), triangle)
-        for x, y, keys in _triangles(matrix.entries)
-        for z, triangle in zip(labels[y + 1 :], map(classes.__getitem__, keys))
-    ]
+    classes, sides = _TriangleClasses(_triangle_class), chain.from_iterable(_side_triples(matrix.entries))
+    return [*zip(combinations(matrix.labels, 3), map(classes.__getitem__, sides))]
 
 
 def xbar_template(i: int) -> DistanceMatrix:

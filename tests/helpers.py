@@ -480,10 +480,11 @@ def block_category_minima(tree: PhraseTree) -> dict[tuple[str, str], int]:
 
 
 def python_command(*args: str) -> list[str]:
-    """argv for a fresh interpreter with this one's ``-X dev`` and ``-W``
-    options, so a child runs under the same warning rules as the tests."""
+    """argv for a fresh interpreter with this one's ``-X dev``, ``-b`` and
+    ``-W`` options, so a child runs under the same warning rules as the tests."""
     dev = ["-X", "dev"] if sys.flags.dev_mode else []
-    return [sys.executable, *dev, *(f"-W{option}" for option in sys.warnoptions), *args]
+    bytes_warning = ["-b"] * sys.flags.bytes_warning  # -bb is two levels
+    return [sys.executable, *dev, *bytes_warning, *(f"-W{option}" for option in sys.warnoptions), *args]
 
 
 def python_env(**extra: str) -> dict[str, str]:

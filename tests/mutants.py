@@ -51,7 +51,7 @@ EQUIVALENT = [
      "<= as <", "at x == y both branches give (x, x)"),
     ("lexdist", "required = [(order[r], order[k], start + r) for r in range(n - 1) for k in range(r + 1, n)]",
      "- as +", "rows n - 1 and n have no k in range(r + 1, n), so range(n + 1) requires no more pairs"),
-    ("matrix", "if not set(map(type, chain.from_iterable(rows))) <= {int}:", "<= as <",
+    ("matrix", "if check and not set(map(type, chain.from_iterable(rows))) <= cls._plain:", "<= as <",
      "only the empty set is a strict subset of {int}; on all-int rows the per-entry check then run passes every int"),
     ("ultrametric", "unit = chr if tree._height[0] <= 0x10FFFF else lambda h: (h,)  # a row of one entry; 0x10FFFF is sys.maxunicode",
      "<= as <", "a root of exactly 0x10FFFF gets tuple rows, which hold the same entries as its code-point rows"),

@@ -1,6 +1,8 @@
 """Matrix containers and their JSON/CSV wire formats."""
 
+import copy
 import json
+import pickle
 import re
 from fractions import Fraction
 
@@ -17,6 +19,8 @@ from ultratree import (
     SignMatrix,
     UltratreeError,
     UnknownLabel,
+    leaf_matrix,
+    parse_tree,
 )
 
 from .helpers import Level, reference_csv_text
@@ -30,6 +34,28 @@ def reference_fault(rows):
             if not isinstance(value, int) or isinstance(value, bool):
                 return f"rows[{i}][{j}]", f"distance entries must be integers, got {value!r}"
     return None
+
+
+# Each kind's entries, as a reference predicate written apart from the kinds' own checks.
+IS_ENTRY = {
+    DistanceMatrix: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    RelationMatrix: lambda v: True,  # any value, kept as its bool
+    SignMatrix: lambda v: isinstance(v, int) and not isinstance(v, bool) and v in (1, -1),
+    CategoryDistanceMatrix: lambda v: v is None or (isinstance(v, int) and not isinstance(v, bool) and v >= 1),
+}
+
+
+def reference_path(kind, labels, rows):
+    """The JSON path of the first fault of a ``kind`` document, scanned in the
+    order row count, row lengths, entries row by row, repeated labels; None
+    when it has none."""
+    n = len(labels)
+    if len(rows) != n:
+        return "rows"
+    faults = [f"rows[{i}]" for i, row in enumerate(rows) if len(row) != n]
+    faults += [f"rows[{i}][{j}]" for i, row in enumerate(rows) for j, v in enumerate(row) if not IS_ENTRY[kind](v)]
+    faults += [f"labels[{j}]" for j, x in enumerate(labels) if x in labels[:j]]
+    return faults[0] if faults else None
 
 
 INTS = st.integers(-(10**30), 10**30) | st.sampled_from(Level)
@@ -116,6 +142,58 @@ class TestDistanceMatrix:
         assert reference_fault(rows) is None
         m = DistanceMatrix([f"x{i}" for i in range(len(rows))], rows)
         assert m.entries == tuple(map(tuple, rows))
+
+
+class TestFaults:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(list(IS_ENTRY)), st.integers(0, 4), st.data())
+    def test_every_kind_names_the_reference_fault(self, kind, n, data):
+        # Mostly square documents over a few labels, so every kind of fault shows up, and some have none.
+        near = st.sampled_from([n, n, n, n + 1, max(n - 1, 0)])
+        values = st.sampled_from([0, 1, -1, 2, None, True, False, 1.0, "1", Fraction(1), Level.ONE, Level.MINUS])
+        labels = data.draw(st.lists(st.sampled_from("abcdefg"), min_size=n, max_size=n))
+        lengths = [data.draw(near) for _ in range(data.draw(near))]
+        rows = [data.draw(st.lists(values, min_size=k, max_size=k)) for k in lengths]
+        path = reference_path(kind, labels, rows)
+        if path is None:
+            assert kind.from_json_dict({"labels": labels, "rows": rows}) == kind(labels, rows)
+            return
+        with pytest.raises(UltratreeError) as built:
+            kind(labels, rows)
+        assert isinstance(built.value, NonSquare) == bool(re.fullmatch(r"rows(\[\d+\])?", path))  # a shape fault
+        with pytest.raises(BadMatrixDocument) as loaded:
+            kind.from_json_dict({"labels": labels, "rows": rows}, source="m.json")
+        assert str(loaded.value) == f"m.json: {path}: {built.value}"
+
+
+# Fresh matrices of every kind, each in the form its builder keeps: tuples, bytes or code points.
+MAKERS = [
+    lambda: LabeledMatrix(("a", "b"), (("x", None), (1.5, True))),
+    lambda: DistanceMatrix(("a", "b"), ((0, 3), (3, 0))),
+    lambda: leaf_matrix(parse_tree("(S (A a) (B (C c) (D d)))")),
+    lambda: RelationMatrix(("p", "q"), ((1, 0), (1, 1))),
+    lambda: SignMatrix(("x", "y"), ((1, -1), (-1, 1))),
+    lambda: CategoryDistanceMatrix(("N", "V"), ((None, 2), (2, None))),
+]
+
+
+@pytest.mark.parametrize("make", MAKERS)
+def test_every_kind_refuses_a_new_attribute(make):
+    matrix = make()
+    assert not hasattr(matrix, "__dict__")
+    with pytest.raises(AttributeError):
+        matrix.extra = 1
+
+
+@pytest.mark.parametrize("make", MAKERS)
+def test_copies_keep_the_rows_as_kept_and_build_no_view(make):
+    matrix = make()
+    copies = [copy.copy(matrix), copy.deepcopy(matrix), pickle.loads(pickle.dumps(matrix))]
+    for copied in copies:
+        assert type(copied) is type(matrix) and copied.labels == matrix.labels
+        assert [*map(type, copied._rows)] == [*map(type, matrix._rows)] and copied._rows == matrix._rows
+        assert copied._entries is None and matrix._entries is None
+    assert all(copied == matrix and hash(copied) == hash(matrix) and repr(copied) == repr(matrix) for copied in copies)
 
 
 class TestRelationMatrix:

@@ -77,14 +77,14 @@ class TestLeafMatrix:
         fresh = leaf_matrix(random_tree(1, 30, "mixed:4"))
         for copied in (copy.copy(fresh), copy.deepcopy(fresh), pickle.loads(pickle.dumps(fresh))):
             # Copies keep the code-point rows, and copying builds no int view on the original.
-            assert {type(row) for row in copied._rows} == {str} and copied._ints is None and fresh._ints is None
+            assert {type(row) for row in copied._rows} == {str} and copied._entries is None and fresh._entries is None
             assert copied == m and hash(copied) == hash(m) and copied.entries == m.entries
         for copied in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
             assert copied.entries is copied._rows and copied == t
         assert len(pickle.dumps(fresh)) <= len(pickle.dumps(t))  # one form stored, not rows and view
         assert m.to_json_dict() == t.to_json_dict() and m.to_csv() == t.to_csv()
         assert _matrix_text(m) == _matrix_text(t) and m._texts(",") == t._texts(",")
-        assert _check_axioms(fresh) == ([], []) and fresh._ints is None  # certified on its code points alone
+        assert _check_axioms(fresh) == ([], []) and fresh._entries is None  # certified on its code points alone
 
     @pytest.mark.parametrize(
         "chain, kind",
